@@ -98,10 +98,8 @@ class MatrixModel:
         return mat_mul(ma, mb).key()
 
     def _matrix_of(self, key):
-        from .ring import RingElement
-        ring = self.mats[0].ring
-        rows = tuple(tuple(RingElement(ring, cs) for cs in row) for row in key)
-        return Matrix(self.mats[0].n, ring, rows)
+        n, data = key
+        return Matrix._of(n, self.mats[0].ring, data)
 
     def eval_key(self, word):
         letters = word.letters if isinstance(word, FreeWord) else word

@@ -179,8 +179,7 @@ def leaf_contains(spec: BaseGroupSpec, g: Matrix) -> bool:
         return False
     one, zero = ring.one(), ring.zero()
     if spec.kind == "unipotent-cyclic":
-        return (g.rows[0][0] == one and g.rows[1][1] == one
-                and g.rows[1][0] == zero)
+        return g[0, 0] == one and g[1, 1] == one and g[1, 0] == zero
     if spec.kind == "trivial":
         return g.is_identity()
     if spec.kind == "special-linear":
@@ -188,12 +187,10 @@ def leaf_contains(spec: BaseGroupSpec, g: Matrix) -> bool:
     if spec.kind == "general-linear":
         return is_invertible(g)
     if spec.kind == "diagonal-cyclic":
-        for i in range(n):
-            for j in range(n):
-                if i != j and g.rows[i][j] != zero:
-                    return False
+        if not g.is_diagonal():
+            return False
         powers = _diag_power_set(spec)
-        return all(g.rows[i][i].coeffs in powers for i in range(n))
+        return all(g[i, i].coeffs in powers for i in range(n))
     raise TreeTypeError(f"unknown base group kind {spec.kind!r}")
 
 
@@ -573,19 +570,9 @@ class GroupInstance:
 def _crt_lift_multi(h: Matrix, big: RingSpec, positions: tuple) -> Matrix:
     """Matrix over big agreeing with h on the listed summands, identity elsewhere."""
     back = {pos: t for t, pos in enumerate(positions)}
-    rows = []
-    for i in range(h.n):
-        row = []
-        for j in range(h.n):
-            coeffs = []
-            for s, g in enumerate(big.summands):
-                if s in back:
-                    coeffs.append(h.rows[i][j].coeffs[back[s]])
-                else:
-                    coeffs.append(g.one() if i == j else g.zero())
-            row.append(RingElement(big, tuple(coeffs)))
-        rows.append(tuple(row))
-    return Matrix(h.n, big, tuple(rows))
+    ident = identity(h.n, big).data
+    return Matrix._of(h.n, big, tuple(
+        h.data[back[s]] if s in back else ident[s] for s in range(len(ident))))
 
 
 def _apply_step(step: tuple, h: Matrix) -> Matrix:

@@ -4,12 +4,17 @@ Exact products and inverses (Gaussian elimination per CRT summand with unit
 pivots), Kronecker products, the two linear representations of wreath
 products, ring-change group embeddings, and word evaluation over generator
 sets.  Vectors are rows acting on the right.
+
+A matrix is stored flat per CRT summand (see ``Matrix``); the kernels work on
+those tuples of plain ints or coefficient tuples, and ``RingElement`` entries
+are built only when a caller reads ``rows`` or ``a[i, j]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     DegreeMismatch,
@@ -33,16 +38,110 @@ from .ring import (
     _psub,
 )
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+def _to_entry(g: GaloisRingSpec, cs: tuple):
+    """Stored form of a summand coefficient tuple: a plain int when r = 1."""
+    return cs[0] if g.r == 1 else cs
+
+
+def _to_coeffs(g: GaloisRingSpec, x) -> tuple:
+    """Coefficient tuple of a stored summand entry."""
+    return (x,) if g.r == 1 else x
+
+
+def _zero(g: GaloisRingSpec):
+    return 0 if g.r == 1 else g.zero()
+
+
+def _one(g: GaloisRingSpec):
+    return 1 if g.r == 1 else g.one()
+
+
+def _fill(a, n: int, ring: RingSpec, data: tuple) -> None:
+    _set(a, "n", n)
+    _set(a, "ring", ring)
+    _set(a, "data", data)
+    _set(a, "_rows", None)
+    _set(a, "_inv", None)
+
+
 class Matrix:
-    n: int
-    ring: RingSpec
-    rows: tuple  # n tuples of n RingElements
+    """Square matrix of degree n over ``ring``, stored flat per CRT summand.
 
-    def __getitem__(self, ij):
+    ``data[s]`` is a row-major tuple of length n^2 holding summand s of every
+    entry (entry (i, j) at index i*n + j): plain ints when summand s has rank
+    r = 1, coefficient tuples of length r otherwise.  Equality and hashing use
+    (n, data), plus the ring for equality.
+
+    ``Matrix(n, ring, rows)`` takes n rows of n ``RingElement``s and flattens
+    them; kernels build results from ``data`` with ``Matrix._of``.  ``rows``
+    and ``a[i, j]`` give ``RingElement`` views, built on first use.
+    Matrices are immutable; ``rows`` and the inverse are kept once computed.
+    """
+
+    __slots__ = ("n", "ring", "data", "_rows", "_inv")
+
+    def __init__(self, n: int, ring: RingSpec, rows):
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ShapeMismatch(f"degree {n} needs {n} rows of {n} entries")
+        flat = [e for row in rows for e in row]
+        if any(e.ring is not ring and e.ring != ring for e in flat):
+            raise RingMismatch("matrix entries over a different ring")
+        data = []
+        for s, g in enumerate(ring.summands):
+            q = g.q
+            data.append(tuple([e.coeffs[s][0] % q for e in flat]) if g.r == 1
+                        else tuple([tuple([c % q for c in e.coeffs[s]])
+                                    for e in flat]))
+        _fill(self, n, ring, tuple(data))
+
+    @classmethod
+    def _of(cls, n: int, ring: RingSpec, data: tuple) -> "Matrix":
+        """Matrix from per-summand flat tuples (no copying, no checks)."""
+        a = object.__new__(cls)
+        _fill(a, n, ring, data)
+        return a
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Matrix is immutable (cannot set {name!r})")
+
+    def __reduce__(self):
+        return (Matrix._of, (self.n, self.ring, self.data))
+
+    @property
+    def rows(self) -> tuple:
+        """n tuples of n RingElements."""
+        if self._rows is None:
+            n, ring = self.n, self.ring
+            per = [[(x,) for x in d] if g.r == 1 else d
+                   for g, d in zip(ring.summands, self.data)]
+            flat = [RingElement(ring, cs) for cs in zip(*per)]
+            _set(self, "_rows", tuple(tuple(flat[i:i + n])
+                                      for i in range(0, n * n, n)))
+        return self._rows
+
+    def __getitem__(self, ij) -> RingElement:
         i, j = ij
-        return self.rows[i][j]
+        n = self.n
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"entry ({i}, {j}) outside degree {n}")
+        k = i * n + j
+        return RingElement(self.ring, tuple(
+            _to_coeffs(g, d[k]) for g, d in zip(self.ring.summands, self.data)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.n == other.n and self.data == other.data
+                and (self.ring is other.ring or self.ring == other.ring))
+
+    def __hash__(self):
+        return hash((self.n, self.data))
+
+    def __repr__(self):
+        return f"Matrix(n={self.n}, ring={self.ring!r}, data={self.data!r})"
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
@@ -65,9 +164,17 @@ class Matrix:
     def is_identity(self) -> bool:
         return self == identity(self.n, self.ring)
 
+    def is_diagonal(self) -> bool:
+        step = self.n + 1
+        for g, d in zip(self.ring.summands, self.data):
+            zero = _zero(g)
+            if any(x != zero for k, x in enumerate(d) if k % step):
+                return False
+        return True
+
     def key(self):
-        """Hashable content key (entry coefficients only)."""
-        return tuple(tuple(e.coeffs for e in row) for row in self.rows)
+        """Hashable content key: (n, data)."""
+        return (self.n, self.data)
 
 
 @dataclass(frozen=True)
@@ -88,20 +195,28 @@ class GroupWord:
 
 def matrix(ring: RingSpec, int_rows) -> Matrix:
     """Build a matrix from integer entries (mapped through Z -> R)."""
-    n = len(int_rows)
     rows = tuple(
         tuple(v if isinstance(v, RingElement) else ring.from_int(v) for v in row)
         for row in int_rows)
-    if any(len(row) != n for row in rows):
-        raise ShapeMismatch("matrix must be square")
-    return Matrix(n, ring, rows)
+    return Matrix(len(rows), ring, rows)
+
+
+def _perm_matrix(target: tuple, ring: RingSpec) -> Matrix:
+    """Permutation matrix of degree len(target): a one at (i, target[i])."""
+    n = len(target)
+    data = []
+    for g in ring.summands:
+        d = [_zero(g)] * (n * n)
+        one = _one(g)
+        for i, j in enumerate(target):
+            d[i * n + j] = one
+        data.append(tuple(d))
+    return Matrix._of(n, ring, tuple(data))
 
 
 @lru_cache(maxsize=None)
 def identity(n: int, ring: RingSpec) -> Matrix:
-    one, zero = ring.one(), ring.zero()
-    return Matrix(n, ring, tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+    return _perm_matrix(tuple(range(n)), ring)
 
 
 def int_rows(a: Matrix):
@@ -110,86 +225,137 @@ def int_rows(a: Matrix):
 
 
 def _check_pair(a: Matrix, b: Matrix) -> None:
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise RingMismatch("matrices over different rings")
     if a.n != b.n:
         raise ShapeMismatch(f"degree {a.n} vs {b.n}")
 
 
+def _square(d: tuple, n: int) -> list:
+    """Row lists of a flat summand tuple."""
+    return [list(d[i:i + n]) for i in range(0, n * n, n)]
+
+
+# Rank > 1 entries are multiplied by Kronecker substitution: a coefficient
+# tuple (c_0..c_{r-1}) in [0, q) becomes the integer sum c_i 2^(i w), so one
+# integer product yields all 2r-1 product coefficients.  The slot width w
+# holds a sum of ``terms`` products without carrying into the next slot.
+
+def _slot_width(terms: int, g: GaloisRingSpec) -> int:
+    return (terms * g.r * (g.q - 1) ** 2).bit_length()
+
+
+def _pack(cs, w: int) -> int:
+    v = 0
+    for c in reversed(cs):
+        v = (v << w) | c
+    return v
+
+
+def _unpack(v: int, w: int, g: GaloisRingSpec) -> tuple:
+    """Coefficient tuple of a packed (unreduced) product sum."""
+    mask = (1 << w) - 1
+    prod = []
+    for _ in range(2 * g.r - 1):
+        prod.append(v & mask)
+        v >>= w
+    return _preduce(prod, g.modulus, g.q)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     _check_pair(a, b)
-    n, ring = a.n, a.ring
-    summands = ring.summands
-    arows, brows = a.rows, b.rows
-    out = []
-    for i in range(n):
-        arow = arows[i]
-        row = []
-        for j in range(n):
-            per = []
-            for s, g in enumerate(summands):
-                q = g.q
-                if g.r == 1:
-                    acc = 0
-                    for k in range(n):
-                        acc += arow[k].coeffs[s][0] * brows[k][j].coeffs[s][0]
-                    per.append((acc % q,))
-                else:
-                    accl = [0] * (2 * g.r - 1)
-                    for k in range(n):
-                        x = arow[k].coeffs[s]
-                        y = brows[k][j].coeffs[s]
-                        for ii, xi in enumerate(x):
-                            if xi:
-                                for jj, yj in enumerate(y):
-                                    accl[ii + jj] += xi * yj
-                    per.append(_preduce(accl, g.modulus, q))
-            row.append(RingElement(ring, tuple(per)))
-        out.append(tuple(row))
-    return Matrix(n, ring, tuple(out))
+    n = a.n
+    data = []
+    for g, x, y in zip(a.ring.summands, a.data, b.data):
+        rows = [x[i:i + n] for i in range(0, n * n, n)]
+        cols = [y[j::n] for j in range(n)]
+        if g.r == 1:
+            q = g.q
+            data.append(tuple([sum(map(mul, row, col)) % q
+                               for row in rows for col in cols]))
+        else:
+            w = _slot_width(n, g)
+            rows = [[_pack(cs, w) for cs in row] for row in rows]
+            cols = [[_pack(cs, w) for cs in col] for col in cols]
+            data.append(tuple([_unpack(sum(map(mul, row, col)), w, g)
+                               for row in rows for col in cols]))
+    return Matrix._of(n, a.ring, tuple(data))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     _check_pair(a, b)
-    return Matrix(a.n, a.ring, tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)))
+    data = []
+    for g, x, y in zip(a.ring.summands, a.data, b.data):
+        q = g.q
+        data.append(tuple([(u + v) % q for u, v in zip(x, y)]) if g.r == 1
+                    else tuple([_padd(u, v, q) for u, v in zip(x, y)]))
+    return Matrix._of(a.n, a.ring, tuple(data))
 
 
 def mat_scale(a: Matrix, c: RingElement) -> Matrix:
-    return Matrix(a.n, a.ring, tuple(
-        tuple(c * x for x in row) for row in a.rows))
+    if c.ring is not a.ring and c.ring != a.ring:
+        raise RingMismatch("scalar and matrix over different rings")
+    data = []
+    for g, cs, x in zip(a.ring.summands, c.coeffs, a.data):
+        q = g.q
+        if g.r == 1:
+            cv = cs[0]
+            data.append(tuple(cv * u % q for u in x))
+        else:
+            data.append(tuple(_pmul(cs, u, g.modulus, q) for u in x))
+    return Matrix._of(a.n, a.ring, tuple(data))
 
 
 # --- per-summand dense elimination ----------------------------------------
 
-def _summand_entries(a: Matrix, s: int):
-    return [[a.rows[i][j].coeffs[s] for j in range(a.n)] for i in range(a.n)]
-
-
-def _summand_inv(mat, g: GaloisRingSpec):
-    """Invert over a local ring: Gaussian elimination with unit pivots."""
-    n = len(mat)
-    p, q, mod = g.p, g.q, g.modulus
-    one, zero = g.one(), g.zero()
-    a = [row[:] + [one if i == j else zero for j in range(n)]
-         for i, row in enumerate(mat)]
+def _int_inv(x: tuple, n: int, p: int, q: int) -> tuple:
+    """Inverse over Z_q, q a power of the prime p: Gauss-Jordan, unit pivots."""
+    a = _square(x, n)
+    for i, row in enumerate(a):
+        row.extend([0] * n)
+        row[n + i] = 1
     for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if any(c % p for c in a[i][col]):
-                piv = i
+        for piv in range(col, n):
+            if a[piv][col] % p:
                 break
-        if piv is None:
+        else:
             raise NonInvertible("no unit pivot")
         a[col], a[piv] = a[piv], a[col]
-        inv_p = _ppow(a[col][col], g.units_order() - 1, mod, q)
-        a[col] = [_pmul(inv_p, c, mod, q) for c in a[col]]
-        for i in range(n):
-            if i != col and any(a[i][col]):
-                f = a[i][col]
-                a[i] = [_psub(c, _pmul(f, d, mod, q), q)
-                        for c, d in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+        inv_p = pow(a[col][col], -1, q)
+        # columns left of col are already zero in every row but their pivot's
+        prow = [v * inv_p % q for v in a[col][col:]]
+        a[col][col:] = prow
+        for i, row in enumerate(a):
+            f = row[col]
+            if f and i != col:
+                row[col:] = [(u - f * v) % q for u, v in zip(row[col:], prow)]
+    return tuple(v for row in a for v in row[n:])
+
+
+def _int_det(x: tuple, n: int, g: GaloisRingSpec) -> int:
+    """Determinant over Z_q by elimination with unit pivots."""
+    p, q = g.p, g.q
+    a = _square(x, n)
+    det = 1
+    for col in range(n):
+        for piv in range(col, n):
+            if a[piv][col] % p:
+                break
+        else:
+            # determinant is a non-unit: expand the rest exactly by cofactors
+            sub = [[(v,) for v in row[col:]] for row in a[col:]]
+            return det * _cofactor_det(sub, g)[0] % q
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        prow = a[col][col:]
+        det = det * prow[0] % q
+        inv_p = pow(prow[0], -1, q)
+        for row in a[col + 1:]:
+            if row[col]:
+                f = row[col] * inv_p % q
+                row[col:] = [(u - f * v) % q for u, v in zip(row[col:], prow)]
+    return det % q
 
 
 def _summand_det(mat, g: GaloisRingSpec):
@@ -241,21 +407,34 @@ def _cofactor_det(mat, g: GaloisRingSpec):
 
 
 def mat_inv(a: Matrix) -> Matrix:
-    parts = []
-    for s, g in enumerate(a.ring.summands):
-        parts.append(_summand_inv(_summand_entries(a, s), g))
-    rows = tuple(
-        tuple(RingElement(a.ring, tuple(parts[s][i][j]
-                                        for s in range(len(a.ring.summands))))
-              for j in range(a.n))
-        for i in range(a.n))
-    return Matrix(a.n, a.ring, rows)
+    if a._inv is None:
+        _set(a, "_inv", _inverse(a))
+    return a._inv
+
+
+def _inverse(a: Matrix) -> Matrix:
+    n = a.n
+    data = []
+    for g, x in zip(a.ring.summands, a.data):
+        if g.r == 1:
+            data.append(_int_inv(x, n, g.p, g.q))
+        else:
+            # invert the regular representation over Z_q (a ring monomorphism,
+            # so its inverse is the image of the inverse), then read each
+            # entry off the first row of its r x r block
+            r, size = g.r, n * g.r
+            big = _int_inv(_rep_data(x, n, g), size, g.p, g.q)
+            data.append(tuple(
+                big[(i * size + j) * r:(i * size + j) * r + r]
+                for i in range(n) for j in range(n)))
+    return Matrix._of(n, a.ring, tuple(data))
 
 
 def mat_det(a: Matrix) -> RingElement:
+    n = a.n
     return RingElement(a.ring, tuple(
-        _summand_det(_summand_entries(a, s), g)
-        for s, g in enumerate(a.ring.summands)))
+        (_int_det(x, n, g),) if g.r == 1 else _summand_det(_square(x, n), g)
+        for g, x in zip(a.ring.summands, a.data)))
 
 
 def is_invertible(a: Matrix) -> bool:
@@ -272,16 +451,24 @@ def mat_kron(a: Matrix, b: Matrix) -> Matrix:
     if a.ring != b.ring:
         raise RingMismatch("Kronecker factors over different rings")
     na, nb = a.n, b.n
-    n = na * nb
-    rows = []
-    for i in range(n):
-        ia, ib = divmod(i, nb)
-        row = []
-        for j in range(n):
-            ja, jb = divmod(j, nb)
-            row.append(a.rows[ia][ja] * b.rows[ib][jb])
-        rows.append(tuple(row))
-    return Matrix(n, a.ring, tuple(rows))
+    return Matrix._of(na * nb, a.ring, tuple(
+        _kron_summand(x, na, y, nb, g)
+        for g, x, y in zip(a.ring.summands, a.data, b.data)))
+
+
+def _kron_summand(x: tuple, na: int, y: tuple, nb: int, g: GaloisRingSpec) -> tuple:
+    """Flat Kronecker product of two flat summand tuples of degrees na, nb."""
+    q = g.q
+    out = []
+    for i in range(0, na * na, na):
+        xrow = x[i:i + na]
+        for j in range(0, nb * nb, nb):
+            yrow = y[j:j + nb]
+            if g.r == 1:
+                out.extend([u * v % q for u in xrow for v in yrow])
+            else:
+                out.extend([_pmul(u, v, g.modulus, q) for u in xrow for v in yrow])
+    return tuple(out)
 
 
 def kron_all(ms: list[Matrix]) -> Matrix:
@@ -325,29 +512,19 @@ def _index_tuple(idx: int, n: int, m: int) -> tuple:
 
 def block_perm_matrix(k: tuple, n: int, ring: RingSpec) -> Matrix:
     """Degree n*m matrix permuting coordinate blocks: block row i -> block column k[i]."""
-    m = len(k)
-    one, zero = ring.one(), ring.zero()
-    rows = []
-    for i in range(n * m):
-        bi, a = divmod(i, n)
-        target = k[bi] * n + a
-        rows.append(tuple(one if j == target else zero for j in range(n * m)))
-    return Matrix(n * m, ring, tuple(rows))
+    return _perm_matrix(tuple(k[i // n] * n + i % n
+                              for i in range(n * len(k))), ring)
 
 
 def tensor_perm_matrix(k: tuple, n: int, ring: RingSpec) -> Matrix:
     """Degree n^m matrix moving tensor slot i to slot k[i] on pure tensors."""
     m = len(k)
     kinv = perm_inverse(k)
-    one, zero = ring.one(), ring.zero()
-    size = n ** m
-    rows = []
-    for idx in range(size):
+    targets = []
+    for idx in range(n ** m):
         a = _index_tuple(idx, n, m)
-        b = tuple(a[kinv[j]] for j in range(m))
-        target = _tuple_index(b, n)
-        rows.append(tuple(one if j == target else zero for j in range(size)))
-    return Matrix(size, ring, tuple(rows))
+        targets.append(_tuple_index(tuple(a[kinv[j]] for j in range(m)), n))
+    return _perm_matrix(tuple(targets), ring)
 
 
 def wreath_rep(hs: list[Matrix], k: tuple, mode: str) -> Matrix:
@@ -368,16 +545,17 @@ def wreath_rep(hs: list[Matrix], k: tuple, mode: str) -> Matrix:
         if h.n != n:
             raise DegreeMismatch("wreath coordinates of different degrees")
     if mode == "imprimitive":
-        zero = ring.zero()
-        rows = []
-        for i in range(m):
-            for a in range(n):
-                row = [zero] * (n * m)
-                jb = k[i]
-                for b in range(n):
-                    row[jb * n + b] = hs[i].rows[a][b]
-                rows.append(tuple(row))
-        return Matrix(n * m, ring, tuple(rows))
+        size = n * m
+        data = []
+        for s, g in enumerate(ring.summands):
+            d = [_zero(g)] * (size * size)
+            for i in range(m):
+                h = hs[i].data[s]
+                for a in range(n):
+                    start = (i * n + a) * size + k[i] * n
+                    d[start:start + n] = h[a * n:a * n + n]
+            data.append(tuple(d))
+        return Matrix._of(size, ring, tuple(data))
     if mode == "product":
         return mat_mul(kron_all(hs), tensor_perm_matrix(k, n, ring))
     raise ArityMismatch(f"unknown wreath mode {mode!r}")
@@ -397,37 +575,29 @@ class SubringEmbedding:
     roots: tuple  # per summand: coefficient tuple over the dst summand
 
     def apply(self, a: RingElement) -> RingElement:
-        out = []
-        for gs, gd, root, cs in zip(self.src.summands, self.dst.summands,
-                                    self.roots, a.coeffs):
-            acc = gd.zero()
-            power = gd.one()
-            for c in cs:
-                if c:
-                    acc = _padd(acc, tuple(x * c % gd.q for x in power), gd.q)
-                power = _pmul(power, root, gd.modulus, gd.q)
-            out.append(acc)
-        return RingElement(self.dst, tuple(out))
+        return RingElement(self.dst, tuple(
+            self.apply_coeffs(s, cs) for s, cs in enumerate(a.coeffs)))
 
-    def preimage(self, b: RingElement):
-        """Inverse of apply, or None when b is outside the subring."""
-        decode = _embedding_decode(self)
-        out = []
-        for s, (gs, gd) in enumerate(zip(self.src.summands, self.dst.summands)):
-            sel_rows, inv_sub = decode[s]
-            target = b.coeffs[s]
-            rhs = [target[i] for i in sel_rows]
-            cand = []
-            for i in range(gs.r):
-                acc = 0
-                for j in range(gs.r):
-                    acc += inv_sub[i][j] * rhs[j]
-                cand.append(acc % gs.q)
-            out.append(tuple(cand))
-        cand_elem = RingElement(self.src, tuple(out))
-        if self.apply(cand_elem) == b:
-            return cand_elem
-        return None
+    def apply_coeffs(self, s: int, cs: tuple) -> tuple:
+        """apply on summand s, coefficient tuples in and out."""
+        gd, root = self.dst.summands[s], self.roots[s]
+        acc = gd.zero()
+        power = gd.one()
+        for c in cs:
+            if c:
+                acc = _padd(acc, tuple(x * c % gd.q for x in power), gd.q)
+            power = _pmul(power, root, gd.modulus, gd.q)
+        return acc
+
+    def preimage_coeffs(self, s: int, target: tuple):
+        """Inverse of apply on summand s, or None when target (a coefficient
+        tuple of the dst summand) is outside the subring."""
+        sel_rows, inv_sub = _embedding_decode(self)[s]
+        gs = self.src.summands[s]
+        rhs = [target[i] for i in sel_rows]
+        cand = tuple(sum(inv_sub[i][j] * rhs[j] for j in range(gs.r)) % gs.q
+                     for i in range(gs.r))
+        return cand if self.apply_coeffs(s, cand) == target else None
 
 
 def _poly_eval(coeffs, at: tuple, g: GaloisRingSpec) -> tuple:
@@ -500,12 +670,11 @@ def _embedding_decode(emb: SubringEmbedding):
             cols.append(power)
             power = _pmul(power, root, gd.modulus, gd.q)
         # select gs.r rows of the (gd.r x gs.r) matrix invertible mod p
-        zq = GaloisRingSpec(gd.p, gd.m, 1, (0, 1))
         sel = _select_invertible_rows(cols, gs.r, gd)
-        sub = [[(cols[j][i],) for j in range(gs.r)] for i in sel]
-        inv = _summand_inv(sub, zq)
-        inv_int = [[inv[i][j][0] for j in range(gs.r)] for i in range(gs.r)]
-        out.append((sel, inv_int))
+        r = gs.r
+        inv = _int_inv(tuple(cols[j][i] for i in sel for j in range(r)),
+                       r, gd.p, gd.q)
+        out.append((sel, [inv[i:i + r] for i in range(0, r * r, r)]))
     return tuple(out)
 
 
@@ -540,13 +709,29 @@ def _select_invertible_rows(cols, r, g: GaloisRingSpec):
 
 def regular_rep_block(a_coeffs: tuple, g: GaloisRingSpec):
     """r x r integer matrix over Z_{p^m}: row i = coefficients of a * x^i."""
-    rows = []
+    q, low = g.q, g.modulus[:-1]
+    rows = [a_coeffs]
     cur = a_coeffs
-    for _ in range(g.r):
+    for _ in range(g.r - 1):
+        # times x: shift up, then fold x^r = -(low part of the modulus)
+        top = cur[-1]
+        cur = tuple([(c - top * f) % q for c, f in zip((0,) + cur[:-1], low)])
         rows.append(cur)
-        cur = _pmul(cur, (0, 1) + (0,) * (g.r - 2), g.modulus, g.q) \
-            if g.r >= 2 else cur
     return rows
+
+
+def _rep_data(x: tuple, n: int, g: GaloisRingSpec) -> tuple:
+    """Flat degree n*r matrix over Z_q: entry (i, j) of x becomes its r x r
+    regular-representation block."""
+    r = g.r
+    size = n * r
+    out = [0] * (size * size)
+    for k, cs in enumerate(x):
+        i, j = divmod(k, n)
+        for bi, brow in enumerate(regular_rep_block(cs, g)):
+            start = (i * r + bi) * size + j * r
+            out[start:start + r] = brow
+    return tuple(out)
 
 
 def ring_change(a: Matrix, target) -> Matrix:
@@ -560,8 +745,10 @@ def ring_change(a: Matrix, target) -> Matrix:
     if kind == "extend-to":
         dst = target[1]
         emb = find_embedding(a.ring, dst)
-        rows = tuple(tuple(emb.apply(e) for e in row) for row in a.rows)
-        return Matrix(a.n, dst, rows)
+        return Matrix._of(a.n, dst, tuple(
+            tuple(_to_entry(gd, emb.apply_coeffs(s, _to_coeffs(gs, x))) for x in d)
+            for s, (gs, gd, d) in enumerate(
+                zip(a.ring.summands, dst.summands, a.data))))
     if kind == "rep-to":
         d = target[1]
         if len(a.ring.summands) != 1:
@@ -570,42 +757,21 @@ def ring_change(a: Matrix, target) -> Matrix:
         if g.r != d:
             raise IncompatibleDegrees(f"rep-to degree {d} != ring rank {g.r}")
         dst = RingSpec((GaloisRingSpec(g.p, g.m, 1, (0, 1)),))
-        n = a.n * d
-        rows = [[dst.zero()] * n for _ in range(n)]
-        for i in range(a.n):
-            for j in range(a.n):
-                block = regular_rep_block(a.rows[i][j].coeffs[0], g)
-                for bi in range(d):
-                    for bj in range(d):
-                        rows[i * d + bi][j * d + bj] = RingElement(
-                            dst, ((block[bi][bj],),))
-        return Matrix(n, dst, tuple(tuple(r) for r in rows))
+        x = a.data[0] if g.r > 1 else tuple((v,) for v in a.data[0])
+        return Matrix._of(a.n * d, dst, (_rep_data(x, a.n, g),))
     if kind == "crt-lift":
         big, idx = target[1], target[2]
         if len(a.ring.summands) != 1 or a.ring.summands[0] != big.summands[idx]:
             raise NoSuchEmbedding("source ring is not the chosen summand")
-        rows = []
-        for i in range(a.n):
-            row = []
-            for j in range(a.n):
-                coeffs = []
-                for s, g in enumerate(big.summands):
-                    if s == idx:
-                        coeffs.append(a.rows[i][j].coeffs[0])
-                    else:
-                        coeffs.append(g.one() if i == j else g.zero())
-                row.append(RingElement(big, tuple(coeffs)))
-            rows.append(tuple(row))
-        return Matrix(a.n, big, tuple(rows))
+        ident = identity(a.n, big).data
+        return Matrix._of(a.n, big, tuple(
+            a.data[0] if s == idx else ident[s] for s in range(len(ident))))
     raise NoSuchEmbedding(f"unknown ring-change kind {kind!r}")
 
 
 def crt_project(a: Matrix, positions: tuple, sub: RingSpec) -> Matrix:
     """Restriction of a to the summands listed in positions, as a matrix over sub."""
-    rows = tuple(
-        tuple(RingElement(sub, tuple(e.coeffs[s] for s in positions)) for e in row)
-        for row in a.rows)
-    return Matrix(a.n, sub, rows)
+    return Matrix._of(a.n, sub, tuple(a.data[s] for s in positions))
 
 
 # --- words and vectors ------------------------------------------------------
@@ -633,16 +799,24 @@ def word_eval(gens: list[Matrix], w) -> Matrix:
 
 def vector_act(v: tuple, g: Matrix) -> tuple:
     """Right action of g on a row vector of RingElements."""
-    if len(v) != g.n:
-        raise ShapeMismatch(f"vector length {len(v)} vs degree {g.n}")
-    out = []
-    for j in range(g.n):
-        acc = g.ring.zero()
-        for i in range(g.n):
-            if not v[i].is_zero():
-                acc = acc + v[i] * g.rows[i][j]
-        out.append(acc)
-    return tuple(out)
+    n, ring = g.n, g.ring
+    if len(v) != n:
+        raise ShapeMismatch(f"vector length {len(v)} vs degree {n}")
+    if any(e.ring is not ring and e.ring != ring for e in v):
+        raise RingMismatch("vector and matrix over different rings")
+    per = []
+    for s, (gs, d) in enumerate(zip(ring.summands, g.data)):
+        q = gs.q
+        if gs.r == 1:
+            xs = [e.coeffs[s][0] for e in v]
+            per.append([(sum(map(mul, xs, d[j::n])) % q,) for j in range(n)])
+        else:
+            w = _slot_width(n, gs)
+            xs = [_pack([c % q for c in e.coeffs[s]], w) for e in v]
+            ys = [_pack(cs, w) for cs in d]
+            per.append([_unpack(sum(map(mul, xs, ys[j::n])), w, gs)
+                        for j in range(n)])
+    return tuple(RingElement(ring, cs) for cs in zip(*per))
 
 
 def vector(ring: RingSpec, ints) -> tuple:

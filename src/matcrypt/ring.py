@@ -440,6 +440,7 @@ def Zmod(n: int) -> RingSpec:
     return ring_make("integer-residue", n)
 
 
+@lru_cache(maxsize=None)
 def field(q: int) -> RingSpec:
     return ring_make("field", q)
 

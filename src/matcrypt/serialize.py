@@ -52,8 +52,12 @@ def elem_from_obj(ring: RingSpec, obj: list) -> RingElement:
 # --- matrices and vectors ----------------------------------------------------
 
 def matrix_to_obj(a: Matrix) -> dict:
-    return {"n": a.n, "ring": ring_to_obj(a.ring),
-            "rows": [[elem_to_obj(e) for e in row] for row in a.rows]}
+    n = a.n
+    per = [[[x] for x in d] if g.r == 1 else [list(cs) for cs in d]
+           for g, d in zip(a.ring.summands, a.data)]
+    entries = [list(e) for e in zip(*per)]
+    return {"n": n, "ring": ring_to_obj(a.ring),
+            "rows": [entries[i:i + n] for i in range(0, n * n, n)]}
 
 
 def matrix_from_obj(obj: dict) -> Matrix:

@@ -35,12 +35,17 @@ from .instance import (
 from .matrix import (
     Matrix,
     RingElement,
+    _kron_summand,
+    _to_coeffs,
+    _to_entry,
+    _zero,
     crt_project,
     find_embedding,
     identity,
     kron_all,
     mat_det,
     mat_mul,
+    mat_scale,
     perm_inverse,
     regular_rep_block,
     ring_change,
@@ -71,38 +76,45 @@ class NoSolution:
 # splitting primitives
 # ---------------------------------------------------------------------------
 
-def _first_unit_pos(entries, g, n_rows, n_cols):
-    """Row-major position of the first entry that is a unit in summand g."""
-    for i in range(n_rows):
-        for j in range(n_cols):
-            if any(c % g.p for c in entries[i][j]):
-                return i, j
+def _first_unit(d, g):
+    """Index of the first unit among stored summand entries, or None."""
+    p = g.p
+    for k, x in enumerate(d):
+        if (x % p if g.r == 1 else any(c % p for c in x)):
+            return k
     return None
 
 
-def _split2_summand(gmat, s, gspec, n1, n2):
-    """Per-summand Kronecker split of a degree n1*n2 coefficient matrix."""
+def _block(d: tuple, size: int, n: int, bi: int, bj: int) -> tuple:
+    """Flat n x n block (bi, bj) of a flat summand tuple of degree size."""
+    out = []
+    for row in range(bi * n, bi * n + n):
+        start = row * size + bj * n
+        out.extend(d[start:start + n])
+    return tuple(out)
+
+
+def _split2_summand(d: tuple, g, n1: int, n2: int):
+    """Kronecker split of a flat degree n1*n2 summand tuple into flat factors."""
     n = n1 * n2
-    ent = [[gmat.rows[i][j].coeffs[s] for j in range(n)] for i in range(n)]
-    pos = _first_unit_pos(ent, gspec, n, n)
-    if pos is None:
+    k = _first_unit(d, g)
+    if k is None:
         raise NotDecomposable("no unit entry in a summand")
-    i0, j0 = pos
+    i0, j0 = divmod(k, n)
     bi, k0 = divmod(i0, n2)
     bj, l0 = divmod(j0, n2)
-    q, mod = gspec.q, gspec.modulus
-    w = ent[i0][j0]
-    winv = _pow_unit_inv(w, gspec)
-    b = [[_pmul(ent[bi * n2 + k][bj * n2 + l], winv, mod, q)
-          for l in range(n2)] for k in range(n2)]
-    a = [[ent[i * n2 + k0][j * n2 + l0] for j in range(n1)] for i in range(n1)]
-    # verify a (x) b == ent
-    for i in range(n):
-        ia, ib = divmod(i, n2)
-        for j in range(n):
-            ja, jb = divmod(j, n2)
-            if _pmul(a[ia][ja], b[ib][jb], mod, q) != ent[i][j]:
-                raise NotDecomposable("entries inconsistent with a Kronecker product")
+    q, mod = g.q, g.modulus
+    block = _block(d, n, n2, bi, bj)
+    if g.r == 1:
+        winv = pow(d[k], -1, q)
+        b = tuple(x * winv % q for x in block)
+    else:
+        winv = _pow_unit_inv(d[k], g)
+        b = tuple(_pmul(x, winv, mod, q) for x in block)
+    a = tuple(d[(i * n2 + k0) * n + j * n2 + l0]
+              for i in range(n1) for j in range(n1))
+    if _kron_summand(a, n1, b, n2, g) != d:
+        raise NotDecomposable("entries inconsistent with a Kronecker product")
     return a, b
 
 
@@ -112,32 +124,20 @@ def _pow_unit_inv(cs, gspec):
 
 
 def _split2(g: Matrix, n1: int, n2: int) -> tuple[Matrix, Matrix]:
-    ring = g.ring
-    a_parts, b_parts = [], []
-    for s, gs in enumerate(ring.summands):
-        a, b = _split2_summand(g, s, gs, n1, n2)
-        a_parts.append(a)
-        b_parts.append(b)
-    a = Matrix(n1, ring, tuple(
-        tuple(RingElement(ring, tuple(a_parts[s][i][j]
-                                      for s in range(len(ring.summands))))
-              for j in range(n1)) for i in range(n1)))
-    b = Matrix(n2, ring, tuple(
-        tuple(RingElement(ring, tuple(b_parts[s][i][j]
-                                      for s in range(len(ring.summands))))
-              for j in range(n2)) for i in range(n2)))
-    return a, b
+    parts = [_split2_summand(d, gs, n1, n2)
+             for gs, d in zip(g.ring.summands, g.data)]
+    return (Matrix._of(n1, g.ring, tuple(a for a, _ in parts)),
+            Matrix._of(n2, g.ring, tuple(b for _, b in parts)))
 
 
 def _first_unit_entry(m: Matrix) -> RingElement:
     """Per-summand first unit entry, combined into one unit of the full ring."""
     coeffs = []
-    for s, gs in enumerate(m.ring.summands):
-        ent = [[m.rows[i][j].coeffs[s] for j in range(m.n)] for i in range(m.n)]
-        pos = _first_unit_pos(ent, gs, m.n, m.n)
-        if pos is None:
+    for gs, d in zip(m.ring.summands, m.data):
+        k = _first_unit(d, gs)
+        if k is None:
             raise NotDecomposable("no unit entry in a summand")
-        coeffs.append(ent[pos[0]][pos[1]])
+        coeffs.append(_to_coeffs(gs, d[k]))
     return RingElement(m.ring, tuple(coeffs))
 
 
@@ -172,11 +172,8 @@ def tensor_split(g: Matrix, degrees) -> list[Matrix]:
         if u.is_one():
             normed[i] = factors[i]
             continue
-        uinv = ring_inv(u)
-        normed[i] = Matrix(factors[i].n, g.ring, tuple(
-            tuple(e * uinv for e in row) for row in factors[i].rows))
-        normed[0] = Matrix(normed[0].n, g.ring, tuple(
-            tuple(e * u for e in row) for row in normed[0].rows))
+        normed[i] = mat_scale(factors[i], ring_inv(u))
+        normed[0] = mat_scale(normed[0], u)
     if kron_all(normed) != g:
         raise NotDecomposable("reassembly mismatch")
     return normed
@@ -193,25 +190,20 @@ def wreath_split(g: Matrix, n: int, m: int, mode: str):
         if g.n != n * m:
             raise ShapeMismatch(f"degree {g.n} != {n}*{m}")
         k = []
-        zero = g.ring.zero()
+        zeros = [_zero(gs) for gs in g.ring.summands]
         for i in range(m):
-            cols = []
-            for j in range(m):
-                if any(g.rows[i * n + a][j * n + b] != zero
-                       for a in range(n) for b in range(n)):
-                    cols.append(j)
+            cols = [j for j in range(m)
+                    if any(x != z for d, z in zip(g.data, zeros)
+                           for x in _block(d, g.n, n, i, j))]
             if len(cols) != 1:
                 raise NotWreathShaped(
                     "a block row has no unique nonzero block")
             k.append(cols[0])
         if sorted(k) != list(range(m)):
             raise NotWreathShaped("block pattern is not a permutation")
-        hs = []
-        for i in range(m):
-            j = k[i]
-            rows = tuple(tuple(g.rows[i * n + a][j * n + b] for b in range(n))
-                         for a in range(n))
-            hs.append(Matrix(n, g.ring, rows))
+        hs = [Matrix._of(n, g.ring, tuple(_block(d, g.n, n, i, k[i])
+                                          for d in g.data))
+              for i in range(m)]
         return hs, tuple(k)
     if mode == "product":
         for hs, k in product_split_candidates(g, n, m):
@@ -442,50 +434,29 @@ def _child_block(g: Matrix, t: DerivationTree, idx: int) -> Matrix:
 
 
 def _patch_identity(g: Matrix, support) -> Matrix:
-    ring = g.ring
-    rows = []
-    support = set(support)
-    for i in range(g.n):
-        row = []
-        for j in range(g.n):
-            coeffs = []
-            for s, gs in enumerate(ring.summands):
-                if s in support:
-                    coeffs.append(g.rows[i][j].coeffs[s])
-                else:
-                    coeffs.append(gs.one() if i == j else gs.zero())
-            row.append(RingElement(ring, tuple(coeffs)))
-        rows.append(tuple(row))
-    return Matrix(g.n, ring, tuple(rows))
+    """g on the summands in support, the identity on the others."""
+    ident = identity(g.n, g.ring).data
+    return Matrix._of(g.n, g.ring, tuple(
+        d if s in support else ident[s] for s, d in enumerate(g.data)))
 
 
 def _identity_off(g: Matrix, covered: set) -> bool:
-    ring = g.ring
-    rest = [s for s in range(len(ring.summands)) if s not in covered]
-    if not rest:
-        return True
-    for i in range(g.n):
-        for j in range(g.n):
-            for s in rest:
-                gs = ring.summands[s]
-                want = gs.one() if i == j else gs.zero()
-                if g.rows[i][j].coeffs[s] != want:
-                    return False
-    return True
+    ident = identity(g.n, g.ring).data
+    return all(d == ident[s] for s, d in enumerate(g.data) if s not in covered)
 
 
 def _unembed(g: Matrix, src: RingSpec, dst: RingSpec):
     emb = find_embedding(src, dst)
-    rows = []
-    for row in g.rows:
+    data = []
+    for s, (gs, gd, d) in enumerate(zip(src.summands, dst.summands, g.data)):
         out = []
-        for e in row:
-            pre = emb.preimage(e)
+        for x in d:
+            pre = emb.preimage_coeffs(s, _to_coeffs(gd, x))
             if pre is None:
                 return None
-            out.append(pre)
-        rows.append(tuple(out))
-    return Matrix(g.n, src, tuple(rows))
+            out.append(_to_entry(gs, pre))
+        data.append(tuple(out))
+    return Matrix._of(g.n, src, tuple(data))
 
 
 def _unrep(g: Matrix, src: RingSpec, d: int):
@@ -493,20 +464,19 @@ def _unrep(g: Matrix, src: RingSpec, d: int):
     gs = src.summands[0]
     if g.n % d:
         return None
-    n0 = g.n // d
-    rows = []
+    n, n0 = g.n, g.n // d
+    x = g.data[0]
+    out = []
     for i in range(n0):
-        row = []
         for j in range(n0):
-            cand = tuple(g.rows[i * d][j * d + l].coeffs[0][0] for l in range(d))
-            block = regular_rep_block(cand, gs)
-            for bi in range(d):
-                for bj in range(d):
-                    if g.rows[i * d + bi][j * d + bj].coeffs[0][0] != block[bi][bj]:
-                        return None
-            row.append(RingElement(src, (cand,)))
-        rows.append(tuple(row))
-    return Matrix(n0, src, tuple(rows))
+            start = i * d * n + j * d
+            cand = x[start:start + d]
+            for bi, brow in enumerate(regular_rep_block(cand, gs)):
+                start = (i * d + bi) * n + j * d
+                if x[start:start + d] != brow:
+                    return None
+            out.append(_to_entry(gs, cand))
+    return Matrix._of(n0, src, (tuple(out),))
 
 
 def _twist_combine(children: list, factors: list[Matrix]):
@@ -562,11 +532,6 @@ def member_twists(t: DerivationTree, a: Matrix) -> dict:
     return out
 
 
-def _scale(a: Matrix, u: RingElement) -> Matrix:
-    return Matrix(a.n, a.ring, tuple(
-        tuple(e * u for e in row) for row in a.rows))
-
-
 def _member_twists(t: DerivationTree, a: Matrix) -> dict:
     info = _info(t)
     ring = info.ring
@@ -574,20 +539,20 @@ def _member_twists(t: DerivationTree, a: Matrix) -> dict:
     if t.is_leaf():
         spec = t.base
         if spec.kind == "unipotent-cyclic":
-            d = a.rows[1][1]
+            d = a[1, 1]
             if d.is_unit():
                 from .ring import ring_inv
                 u = ring_inv(d)
-                cand = _scale(a, u)
+                cand = mat_scale(a, u)
                 if leaf_contains(spec, cand):
                     out[_elem_key(u)] = (u, ("leaf", cand))
             return out
         if spec.kind == "trivial":
-            d = a.rows[0][0]
+            d = a[0, 0]
             if d.is_unit():
                 from .ring import ring_inv
                 u = ring_inv(d)
-                cand = _scale(a, u)
+                cand = mat_scale(a, u)
                 if cand.is_identity():
                     out[_elem_key(u)] = (u, ("leaf", cand))
             return out
@@ -596,23 +561,20 @@ def _member_twists(t: DerivationTree, a: Matrix) -> dict:
             one = ring.one()
             for u in _iter_units(ring):
                 if det * u.pow(a.n) == one:
-                    cand = _scale(a, u)
+                    cand = mat_scale(a, u)
                     out[_elem_key(u)] = (u, ("leaf", cand))
             return out
         if spec.kind == "general-linear":
             from .matrix import is_invertible
             if is_invertible(a):
                 for u in _iter_units(ring):
-                    out[_elem_key(u)] = (u, ("leaf", _scale(a, u)))
+                    out[_elem_key(u)] = (u, ("leaf", mat_scale(a, u)))
             return out
         if spec.kind == "diagonal-cyclic":
-            zero = ring.zero()
-            n = info.degree
-            if any(a.rows[i][j] != zero for i in range(n) for j in range(n)
-                   if i != j):
+            if not a.is_diagonal():
                 return out
             for u in _iter_units(ring):
-                cand = _scale(a, u)
+                cand = mat_scale(a, u)
                 if leaf_contains(spec, cand):
                     out[_elem_key(u)] = (u, ("leaf", cand))
             return out
@@ -730,15 +692,13 @@ def _member_twists(t: DerivationTree, a: Matrix) -> dict:
 def _solve_unit_scalar(a: Matrix, s: int, gs):
     """Unit u (summand coeffs) with a|_s * u = I, or None."""
     # a|_s must be w*I for a unit w
-    diag = a.rows[0][0].coeffs[s]
-    if not any(c % gs.p for c in diag):
+    d = a.data[s]
+    diag, zero, step = d[0], _zero(gs), a.n + 1
+    if not any(c % gs.p for c in _to_coeffs(gs, diag)):
         return None
-    for i in range(a.n):
-        for j in range(a.n):
-            want = diag if i == j else gs.zero()
-            if a.rows[i][j].coeffs[s] != want:
-                return None
-    return _pow_unit_inv(diag, gs)
+    if any(x != (zero if k % step else diag) for k, x in enumerate(d)):
+        return None
+    return _pow_unit_inv(_to_coeffs(gs, diag), gs)
 
 
 def replay_witness(t: DerivationTree, wit: tuple) -> Matrix:
@@ -976,11 +936,9 @@ def _ltp_common_child(c: DerivationTree, pairs: list, positions) -> tuple:
 
 
 def _mask_to(e: RingElement, positions, ring: RingSpec) -> RingElement:
-    coeffs = []
-    pos = set(positions)
-    for s, gs in enumerate(ring.summands):
-        coeffs.append(e.coeffs[s] if s in pos else gs.zero())
-    return RingElement(ring, tuple(coeffs))
+    return RingElement(ring, tuple(
+        cs if s in positions else gs.zero()
+        for s, (gs, cs) in enumerate(zip(ring.summands, e.coeffs))))
 
 
 def _ltp_ring_extend(t: DerivationTree, pairs: list):
@@ -1021,8 +979,7 @@ _module_tables: dict = {}
 def _module_decode_table(emb):
     if emb in _module_tables:
         return _module_tables[emb]
-    from .matrix import _summand_inv
-    from .ring import GaloisRingSpec
+    from .matrix import _int_inv
     per = []
     d = None
     for gs, gd, root in zip(emb.src.summands, emb.dst.summands, emb.roots):
@@ -1044,11 +1001,10 @@ def _module_decode_table(emb):
                 col = _pmul(phi_pows[i], xp, gd.modulus, gd.q)
                 cols.append(col)
             xp = _pmul(xp, (0, 1) + (0,) * (gd.r - 2), gd.modulus, gd.q)
-        mat = [[(cols[cidx][ridx],) for cidx in range(gd.r)]
-               for ridx in range(gd.r)]
-        zq = GaloisRingSpec(gd.p, gd.m, 1, (0, 1))
-        inv = _summand_inv(mat, zq)
-        per.append([[inv[i][j][0] for j in range(gd.r)] for i in range(gd.r)])
+        r = gd.r
+        inv = _int_inv(tuple(cols[c][i] for i in range(r) for c in range(r)),
+                       r, gd.p, gd.q)
+        per.append([inv[i:i + r] for i in range(0, r * r, r)])
     table = {"d": d, "inv": per}
     _module_tables[emb] = table
     return table
@@ -1148,19 +1104,18 @@ def vector_tensor_split(vec: tuple, degrees: list, ring: RingSpec):
     # treat as an n1 x rest array of ring elements; must be rank one per summand
     a_parts, b_parts = [], []
     for s, gs in enumerate(ring.summands):
-        ent = [[vec[i * rest + j].coeffs[s] for j in range(rest)]
-               for i in range(n1)]
-        pos = _first_unit_pos(ent, gs, n1, rest)
-        if pos is None:
+        ent = [e.coeffs[s] for e in vec]
+        k = _first_unit([_to_entry(gs, cs) for cs in ent], gs)
+        if k is None:
             raise NotDecomposable("no unit coordinate in a summand")
-        i0, j0 = pos
-        w = ent[i0][j0]
-        winv = _pow_unit_inv(w, gs)
-        b = [_pmul(ent[i0][j], winv, gs.modulus, gs.q) for j in range(rest)]
-        a = [ent[i][j0] for i in range(n1)]
+        i0, j0 = divmod(k, rest)
+        winv = _pow_unit_inv(ent[k], gs)
+        b = [_pmul(ent[i0 * rest + j], winv, gs.modulus, gs.q)
+             for j in range(rest)]
+        a = [ent[i * rest + j0] for i in range(n1)]
         for i in range(n1):
             for j in range(rest):
-                if _pmul(a[i], b[j], gs.modulus, gs.q) != ent[i][j]:
+                if _pmul(a[i], b[j], gs.modulus, gs.q) != ent[i * rest + j]:
                     raise NotDecomposable("vector is not a pure tensor")
         a_parts.append(a)
         b_parts.append(b)
@@ -1350,6 +1305,6 @@ def affine_embed(g: Matrix) -> Matrix:
     one, zero = g.ring.one(), g.ring.zero()
     rows = []
     for i in range(g.n):
-        rows.append(tuple(list(g.rows[i]) + [zero]))
-    rows.append(tuple([zero] * g.n + [one]))
+        rows.append(g.rows[i] + (zero,))
+    rows.append((zero,) * g.n + (one,))
     return Matrix(g.n + 1, g.ring, rows)

@@ -8,6 +8,7 @@ passes at its stated threshold or the suite is red.
 import json
 import warnings
 
+from conftest import rand_invertible, rand_matrix
 from matcrypt.analysis import (
     INCONCLUSIVE,
     enumerate_group,
@@ -83,21 +84,6 @@ def report(criterion: int, text: str) -> None:
 def rand_word(rng: Rng, n_gens: int, lo: int = 1, hi: int = 6) -> list:
     return [(g if rng.chance(0.5) else -g)
             for g in (rng.randint(1, n_gens) for _ in range(rng.randint(lo, hi)))]
-
-
-def rand_matrix(ring, n, rng):
-    from matcrypt.ring import RingElement
-    return matrix(ring, [[
-        RingElement(ring, tuple(tuple(rng.below(g.q) for _ in range(g.r))
-                                for g in ring.summands))
-        for _ in range(n)] for _ in range(n)])
-
-
-def rand_invertible(ring, n, rng):
-    while True:
-        m = rand_matrix(ring, n, rng)
-        if is_invertible(m):
-            return m
 
 
 def test_criterion_01_word_length_law():

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from conftest import rand_invertible
 from matcrypt.analysis import (
     INCONCLUSIVE,
     coset_attack,
@@ -19,7 +20,6 @@ from matcrypt.homcrypt import hc_decrypt, hc_encrypt, hc_keygen, klein_four
 from matcrypt.instance import base_general_linear, leaf_generators
 from matcrypt.matrix import (
     identity,
-    is_invertible,
     mat_inv,
     mat_mul,
     matrix,
@@ -31,17 +31,6 @@ from matcrypt.words import FreeWord
 
 Z5 = Zmod(5)
 Z15 = Zmod(15)
-
-
-def rand_invertible(ring, n, rng):
-    from matcrypt.ring import RingElement
-    while True:
-        m = matrix(ring, [[
-            RingElement(ring, tuple(tuple(rng.below(g.q) for _ in range(g.r))
-                                    for g in ring.summands))
-            for _ in range(n)] for _ in range(n)])
-        if is_invertible(m):
-            return m
 
 
 def test_enumerate_examples():

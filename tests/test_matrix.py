@@ -2,12 +2,12 @@
 
 import pytest
 
+from conftest import rand_invertible, rand_matrix
 from matcrypt.errors import NonInvertible, NoSuchEmbedding, RingMismatch
 from matcrypt.matrix import (
     block_perm_matrix,
     identity,
     int_rows,
-    is_invertible,
     mat_det,
     mat_inv,
     mat_kron,
@@ -30,21 +30,6 @@ Z5 = Zmod(5)
 Z15 = Zmod(15)
 Z3 = Zmod(3)
 Z7 = Zmod(7)
-
-
-def rand_matrix(ring, n, rng):
-    from matcrypt.ring import RingElement
-    return matrix(ring, [[
-        RingElement(ring, tuple(tuple(rng.below(g.q) for _ in range(g.r))
-                                for g in ring.summands))
-        for _ in range(n)] for _ in range(n)])
-
-
-def rand_invertible(ring, n, rng):
-    while True:
-        m = rand_matrix(ring, n, rng)
-        if is_invertible(m):
-            return m
 
 
 def int_matmul_mod(a, b, m):

@@ -1,0 +1,199 @@
+"""Differential tests: the flat per-summand kernels against the reference
+entry-by-entry kernels in ``matrix_reference`` on seeded matrices."""
+
+import copy
+import pickle
+
+import pytest
+
+from conftest import rand_element, rand_matrix
+from matrix_reference import (
+    ref_crt_project,
+    ref_mat_det,
+    ref_mat_inv,
+    ref_mat_kron,
+    ref_mat_mul,
+    ref_matrix_obj,
+    ref_vector_act,
+)
+from matcrypt.errors import NonInvertible, RingMismatch, ShapeMismatch
+from matcrypt.matrix import (
+    Matrix,
+    crt_project,
+    identity,
+    mat_det,
+    mat_inv,
+    mat_kron,
+    mat_mul,
+    matrix,
+    vector_act,
+)
+from matcrypt.ring import Zmod, field, ring_make
+from matcrypt.rng import Rng
+from matcrypt.serialize import dumps, matrix_from_obj, matrix_to_obj, ring_to_obj
+from matcrypt.trapdoor import affine_embed
+
+RINGS = {
+    "Z12": Zmod(12),                        # two summands, Z/4 (+) Z/3
+    "GF5": field(5),
+    "GF4": field(4),                        # rank 2
+    "GR(4,2)": ring_make("galois", 2, 2, 2),  # rank 2 over Z/4
+    "GF4+Z9": ring_make("direct-sum", field(4), Zmod(9)),  # mixed ranks
+}
+DEGREES = range(1, 7)
+CASES = [(name, n) for name in RINGS for n in DEGREES]
+
+
+def _seed(name, n):
+    return sum(map(ord, name)) * 100 + n
+
+
+def _non_units(ring, n, rng):
+    """A matrix whose entries are all non-units in the first summand, so the
+    first summand has no unit pivot (singular when n > 0)."""
+    g = ring.summands[0]
+    m = rand_matrix(ring, n, rng)
+    rows = []
+    for row in m.rows:
+        out = []
+        for e in row:
+            cs = list(e.coeffs)
+            cs[0] = tuple(c * g.p % g.q for c in cs[0])
+            out.append(type(e)(ring, tuple(cs)))
+        rows.append(tuple(out))
+    return Matrix(n, ring, tuple(rows))
+
+
+def _samples(ring, n, rng):
+    out = [rand_matrix(ring, n, rng) for _ in range(4)]
+    out.append(_non_units(ring, n, rng))
+    if n >= 2:
+        rows = list(rand_matrix(ring, n, rng).rows)
+        rows[-1] = rows[0]
+        out.append(Matrix(n, ring, tuple(rows)))   # repeated row
+    return out
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_mul_inv_det_match_reference(name, n):
+    ring = RINGS[name]
+    rng = Rng(_seed(name, n))
+    mats = _samples(ring, n, rng)
+    for a in mats:
+        for b in mats[:3]:
+            assert mat_mul(a, b) == Matrix(n, ring, ref_mat_mul(a, b))
+        assert mat_det(a) == ref_mat_det(a)
+        try:
+            want = ref_mat_inv(a)
+        except NonInvertible:
+            with pytest.raises(NonInvertible):
+                mat_inv(a)
+        else:
+            assert mat_inv(a).rows == want
+            assert mat_mul(a, mat_inv(a)) == identity(n, ring)
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_vector_act_matches_reference(name, n):
+    ring = RINGS[name]
+    rng = Rng(_seed(name, n) + 1)
+    for a in _samples(ring, n, rng):
+        for _ in range(3):
+            v = tuple(rand_element(ring, rng) for _ in range(n))
+            assert vector_act(v, a) == ref_vector_act(v, a)
+        zero = tuple(ring.zero() for _ in range(n))
+        assert vector_act(zero, a) == zero
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_kron_matches_reference(name, n):
+    ring = RINGS[name]
+    rng = Rng(_seed(name, n) + 2)
+    a = rand_matrix(ring, n, rng)
+    for nb in (1, 2, 3):
+        b = rand_matrix(ring, nb, rng)
+        assert mat_kron(a, b) == Matrix(n * nb, ring, ref_mat_kron(a, b))
+        assert mat_kron(b, a) == Matrix(n * nb, ring, ref_mat_kron(b, a))
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_serialization_bytes_match_reference(name, n):
+    ring = RINGS[name]
+    rng = Rng(_seed(name, n) + 3)
+    rows = rand_matrix(ring, n, rng).rows
+    a = Matrix(n, ring, rows)
+    text = dumps(matrix_to_obj(a))
+    assert text == dumps(ref_matrix_obj(n, ring_to_obj(ring), rows))
+    assert matrix_from_obj(matrix_to_obj(a)) == a
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_rows_view_round_trips(name, n):
+    ring = RINGS[name]
+    rng = Rng(_seed(name, n) + 4)
+    rows = tuple(tuple(rand_element(ring, rng) for _ in range(n))
+                 for _ in range(n))
+    a = Matrix(n, ring, rows)
+    assert a.rows == rows
+    assert all(a[i, j] == rows[i][j] for i in range(n) for j in range(n))
+    b = Matrix(n, ring, [list(row) for row in rows])   # lists flatten too
+    assert a == b and hash(a) == hash(b) and a.key() == b.key()
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("positions", [(0,), (1,), (0, 1)])
+@pytest.mark.parametrize("name", ["Z12", "GF4+Z9"])
+def test_crt_project_matches_reference(name, positions):
+    ring = RINGS[name]
+    sub = ring_make("direct-sum", *(
+        type(ring)((ring.summands[s],)) for s in positions))
+    rng = Rng(_seed(name, len(positions)) + 5)
+    for n in DEGREES:
+        a = rand_matrix(ring, n, rng)
+        assert crt_project(a, positions, sub) == \
+            Matrix(n, sub, ref_crt_project(a, positions, sub))
+
+
+def test_errors_raised_where_the_reference_raises():
+    z5, z7 = field(5), field(7)
+    rng = Rng(11)
+    a2, b2 = rand_matrix(z5, 2, rng), rand_matrix(z7, 2, rng)
+    a3 = rand_matrix(z5, 3, rng)
+    for fn in (mat_mul, ref_mat_mul):
+        with pytest.raises(RingMismatch):
+            fn(a2, b2)
+        with pytest.raises(ShapeMismatch):
+            fn(a2, a3)
+    for fn in (mat_kron, ref_mat_kron):
+        with pytest.raises(RingMismatch):
+            fn(a2, b2)
+    for fn in (vector_act, ref_vector_act):
+        with pytest.raises(ShapeMismatch):
+            fn((z5.one(),) * 3, a2)
+        with pytest.raises(RingMismatch):
+            fn((z7.one(), z7.one()), a2)
+    singular = matrix(z5, [[1, 2], [2, 4]])
+    for fn in (mat_inv, ref_mat_inv):
+        with pytest.raises(NonInvertible):
+            fn(singular)
+    with pytest.raises(ShapeMismatch):
+        matrix(z5, [[1, 2], [3]])
+    with pytest.raises(RingMismatch):
+        Matrix(1, z5, ((z7.one(),),))
+
+
+def test_matrices_are_immutable_and_copy():
+    a = matrix(Zmod(12), [[1, 2], [3, 5]])
+    with pytest.raises(AttributeError):
+        a.n = 3
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and b.rows == a.rows
+    assert copy.deepcopy(a) == a
+
+
+def test_affine_embed_of_identity_is_identity():
+    ring = field(5)
+    e = affine_embed(identity(2, ring))
+    assert e == identity(3, ring)
+    assert hash(e) == hash(identity(3, ring))
+    assert {e: 1}[identity(3, ring)] == 1

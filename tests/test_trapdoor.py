@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from conftest import rand_invertible, rand_matrix
 from matcrypt.analysis import enumerate_group, oracle_solve
 from matcrypt.errors import (
     CapExceeded,
@@ -27,7 +28,6 @@ from matcrypt.instance import (
 from matcrypt.matrix import (
     identity,
     int_rows,
-    is_invertible,
     kron_all,
     mat_add,
     mat_inv,
@@ -62,21 +62,6 @@ Z7 = Zmod(7)
 UNIPOTENT5 = leaf(base_unipotent(5))
 FACTORING = direct_same_degree(leaf(base_unipotent(3)), leaf(base_unipotent(5)))
 WREATH7 = wreath_imprimitive(leaf(base_diagonal(1, 7, gen=(2,))), 2)
-
-
-def rand_matrix(ring, n, rng):
-    from matcrypt.ring import RingElement
-    return matrix(ring, [[
-        RingElement(ring, tuple(tuple(rng.below(g.q) for _ in range(g.r))
-                                for g in ring.summands))
-        for _ in range(n)] for _ in range(n)])
-
-
-def rand_invertible(ring, n, rng):
-    while True:
-        m = rand_matrix(ring, n, rng)
-        if is_invertible(m):
-            return m
 
 
 # --- membership ----------------------------------------------------------------
