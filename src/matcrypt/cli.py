@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import MatcryptError
+from .errors import KeyMismatch, MatcryptError
 from .rng import Rng
 
 
@@ -174,22 +174,16 @@ def _random_instance_config(size: int, seed: int):
     return t, gens_a, gens_b, rng
 
 
-def _random_word(rng: Rng, n_gens: int, max_len: int = 6) -> list:
-    out = []
-    for _ in range(rng.randint(1, max_len)):
-        i = rng.randint(1, n_gens)
-        out.append(i if rng.chance(0.5) else -i)
-    return out
-
-
 def cmd_aag(args) -> int:
     from .protocol import AagConfig, aag_run
     from .serialize import matrix_to_obj
+    from .words import _random_word
     t, gens_a, gens_b, rng = _random_instance_config(args.size, args.seed)
     cfg = AagConfig(gens_a, gens_b,
                     _random_word(rng, len(gens_a)), _random_word(rng, len(gens_b)))
     key_a, key_b, transcript = aag_run(cfg)
-    assert key_a == key_b
+    if key_a != key_b:
+        raise KeyMismatch("the two parties derived different keys")
     print(f"key fingerprint {_fingerprint(matrix_to_obj(key_a))}")
     if args.transcript:
         _write(args.transcript, transcript.to_obj())
@@ -199,11 +193,13 @@ def cmd_aag(args) -> int:
 def cmd_mparty(args) -> int:
     from .protocol import multiparty_run
     from .serialize import matrix_to_obj
+    from .words import _random_word
     t, gens_a, gens_b, rng = _random_instance_config(args.size, args.seed)
     gens = gens_a + gens_b
     configs = [(gens, _random_word(rng, len(gens))) for _ in range(args.parties)]
     keys, transcript, ops = multiparty_run(args.parties, configs, args.seed)
-    assert all(k == keys[0] for k in keys)
+    if any(k != keys[0] for k in keys):
+        raise KeyMismatch("the parties derived different keys")
     print(f"key fingerprint {_fingerprint(matrix_to_obj(keys[0]))}")
     print(f"op counts {json.dumps(ops, separators=(',', ':'))}")
     if args.transcript:
@@ -213,7 +209,7 @@ def cmd_mparty(args) -> int:
 
 def cmd_gdh(args) -> int:
     from .protocol import GdhConfig, MatrixAction, PowerAction, gdh_run
-    from .words import build_solvable_pair
+    from .words import _random_word, build_solvable_pair
     rng = Rng(args.seed)
     if args.mode == "dh":
         p = args.p

@@ -117,6 +117,10 @@ class ScheduleMismatch(MatcryptError):
     pass
 
 
+class KeyMismatch(MatcryptError):
+    """The parties of one run derived different keys."""
+
+
 # --- key generation / attacks ---
 
 class DegenerateKey(MatcryptError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import (
     BadPartyCount,
@@ -18,7 +19,7 @@ from .errors import (
     InsecurityWarning,
     ScheduleMismatch,
 )
-from .matrix import Matrix, mat_inv, mat_mul, vector_act, word_eval
+from .matrix import Matrix, identity, mat_inv, mat_mul, vector_act, word_eval
 from .serialize import matrix_to_obj, vector_to_obj
 from .words import IdentityWordPair, satisfies_w1
 
@@ -81,30 +82,62 @@ def aag_run(cfg: AagConfig):
 # multi-party extension
 # ---------------------------------------------------------------------------
 
-class _Party:
-    """One participant: its generators, secret word, and conjugate tables.
+class _Table:
+    """A generator list as it crosses the channel, serialized at most once.
 
-    ``tables`` holds, per accumulated conjugator B_j, the list
-    [B_j^-1 g B_j for g in gens] together with the sign the secret carries at
-    that slot; the party's current subgroup key is the ordered product of
-    B_j^-1 a^(eps_j) B_j, each evaluated from its table.
+    Parties holding the same table and every record that sends it share this
+    object and its ``payload``; all of them only read it.
     """
 
-    def __init__(self, index: int, gens, secret_word):
+    def __init__(self, mats: list):
+        self.mats = mats
+
+    @cached_property
+    def payload(self) -> list:
+        return _matrix_list_obj(self.mats)
+
+
+def _ids(mats) -> tuple:
+    """A table's matrices told apart by object, never by value."""
+    return tuple(map(id, mats))
+
+
+def _flipped(tables: list) -> list:
+    return [(-sign, table) for sign, table in reversed(tables)]
+
+
+class _Party:
+    """One participant: its secret word, its conjugate tables and its key.
+
+    ``tables`` holds, per accumulated conjugator B_j, the table
+    [B_j^-1 g B_j for g in gens] together with the sign the secret carries at
+    that slot; the party's subgroup key is the ordered product of
+    B_j^-1 a^(eps_j) B_j.  The key is merged incrementally: a merge places
+    the old tables, reversed and with their signs flipped, on one side of the
+    newly answered tables, so the old tables multiply to the old key or its
+    inverse and only the new tables are evaluated (``merge_key``).  Tables are
+    shared with other parties and with the transcript, read-only.
+    """
+
+    def __init__(self, index: int, table: _Table, secret_word):
         self.index = index
-        self.gens = list(gens)
         self.secret_word = list(secret_word)
         for x in secret_word:
-            if x == 0 or abs(x) > len(gens):
+            if x == 0 or abs(x) > len(table.mats):
                 raise IndexOutOfRange("secret word letter out of range")
         # ops counter: group multiplications/inversions while computing keys
         self.compute_ops = 0
         self.answer_ops = 0
-        self.tables: list[tuple[int, list]] = [(1, list(gens))]
-        self.key: Matrix | None = None
+        self.tables: list[tuple[int, _Table]] = [(1, table)]
+        self.key = self.eval_tables(self.tables)
 
-    def eval_table(self, table, sign: int) -> Matrix:
+    def _mul(self, a: Matrix, b: Matrix) -> Matrix:
+        self.compute_ops += 1
+        return mat_mul(a, b)
+
+    def eval_table(self, table: _Table, sign: int) -> Matrix:
         """B^-1 a^sign B from the conjugated-generator table."""
+        mats = table.mats
         word = self.secret_word if sign > 0 else \
             [-x for x in reversed(self.secret_word)]
         out = None
@@ -112,45 +145,61 @@ class _Party:
         for x in word:
             i = abs(x) - 1
             if x > 0:
-                m = table[i]
+                m = mats[i]
             else:
                 if i not in inv_cache:
-                    inv_cache[i] = mat_inv(table[i])
+                    inv_cache[i] = mat_inv(mats[i])
                     self.compute_ops += 1
                 m = inv_cache[i]
-            if out is None:
-                out = m
-            else:
-                out = mat_mul(out, m)
-                self.compute_ops += 1
-        return out if out is not None else identity_like(table[0])
+            out = m if out is None else self._mul(out, m)
+        return out if out is not None else identity(mats[0].n, mats[0].ring)
 
-    def recompute_key(self) -> Matrix:
-        key = None
-        for sign, table in self.tables:
+    def eval_tables(self, tables: list) -> Matrix:
+        """The ordered product of the (sign, table) factors."""
+        out = None
+        for sign, table in tables:
             factor = self.eval_table(table, sign)
-            if key is None:
-                key = factor
-            else:
-                key = mat_mul(key, factor)
-                self.compute_ops += 1
-        self.key = key
-        return key
-
-    def answer_conjugation(self, elems: list) -> list:
-        """Service a cross-half query: conjugate each element by this key."""
-        kinv = mat_inv(self.key)
-        self.answer_ops += 1
-        out = []
-        for e in elems:
-            out.append(mat_mul(mat_mul(kinv, e), self.key))
-            self.answer_ops += 2
+            out = factor if out is None else self._mul(out, factor)
         return out
 
+    def merge_key(self, conjugated: list, first_half: bool) -> None:
+        """Take the tables answered in one merge into the tables and the key."""
+        if first_half:
+            # [K1, K2] = K1^-1 (K2^-1 K1 K2): the old tables, flipped, multiply
+            # to K1^-1.  That is one inversion, or none while only the initial
+            # table is held and the secret is empty or one inverted generator.
+            old = _flipped(self.tables)
+            w = self.secret_word
+            if len(old) == 1 and len(w) <= 1 and all(x < 0 for x in w):
+                old_inv = self.eval_tables(old)
+            else:
+                old_inv = mat_inv(self.key)
+                self.compute_ops += 1
+            self.tables = old + conjugated
+            self.key = self._mul(old_inv, self.eval_tables(conjugated))
+        else:
+            # [K1, K2] = (K1^-1 K2 K1)^-1 K2: the answers, flipped, multiply
+            # to (K1^-1 K2 K1)^-1, and the old tables to K2
+            new = _flipped(conjugated)
+            self.tables = new + self.tables
+            self.key = self._mul(self.eval_tables(new), self.key)
 
-def identity_like(m: Matrix) -> Matrix:
-    from .matrix import identity
-    return identity(m.n, m.ring)
+    def answer_conjugation(self, tables) -> dict:
+        """Service a cross-half query: conjugate each distinct table by this key.
+
+        Returns the answers keyed by ``_ids``; the map lives for one merge,
+        while the queried tables keep their matrices alive.
+        """
+        kinv = mat_inv(self.key)
+        self.answer_ops += 1
+        answers = {}
+        for table in tables:
+            ids = _ids(table.mats)
+            if ids not in answers:
+                answers[ids] = _Table([mat_mul(mat_mul(kinv, e), self.key)
+                                       for e in table.mats])
+                self.answer_ops += 2 * len(table.mats)
+        return answers
 
 
 def multiparty_run(s: int, configs, seed: int = 0):
@@ -159,13 +208,18 @@ def multiparty_run(s: int, configs, seed: int = 0):
     configs: per party, (generators, secret word).  Returns (keys, transcript,
     op_counts) where op_counts[i] = {"compute": ..., "answer": ...} counts
     group operations.  All keys are bit-identical; a warning fires when the
-    common key is the identity.
+    common key is the identity.  Records share their payloads read-only.
     """
     if s < 2:
         raise BadPartyCount(f"need at least two parties, got {s}")
     if len(configs) != s:
         raise BadPartyCount(f"{s} parties but {len(configs)} configs")
-    parties = [_Party(i, gens, word) for i, (gens, word) in enumerate(configs)]
+    initial: dict[tuple, _Table] = {}
+    parties = []
+    for i, (gens, word) in enumerate(configs):
+        gens = list(gens)
+        table = initial.setdefault(_ids(gens), _Table(gens))
+        parties.append(_Party(i, table, word))
     transcript = Transcript()
     rnd = [0]
     _agree(parties, list(range(s)), transcript, rnd)
@@ -178,38 +232,39 @@ def multiparty_run(s: int, configs, seed: int = 0):
 
 
 def _agree(parties, members: list[int], transcript: Transcript, rnd) -> None:
-    """Recursively establish the common key of the member set."""
+    """Recursively establish the common key of the member set.
+
+    A leaf's key is its initial table, evaluated when the party was made.
+    """
     if len(members) == 1:
-        parties[members[0]].recompute_key()
         return
     half = (len(members) + 1) // 2
     s1, s2 = members[:half], members[half:]
     _agree(parties, s1, transcript, rnd)
     _agree(parties, s2, transcript, rnd)
     # each party sends its tables; the other half's lowest-index party answers
+    # each distinct table once, and the records share the tables' payloads
+    merges = []
     for mine, theirs, first_half in ((s1, s2, True), (s2, s1, False)):
         answerer = parties[theirs[0]]
+        answers = answerer.answer_conjugation(
+            [table for i in mine for _, table in parties[i].tables])
         for i in mine:
             p = parties[i]
             rnd[0] += 1
             conjugated = []
             for sign, table in p.tables:
+                answered = answers[_ids(table.mats)]
                 transcript.send(rnd[0], i, answerer.index,
-                                "conjugation-query", _matrix_list_obj(table))
-                answered = answerer.answer_conjugation(table)
+                                "conjugation-query", table.payload)
                 transcript.send(rnd[0], answerer.index, i,
-                                "conjugation-answer", _matrix_list_obj(answered))
+                                "conjugation-answer", answered.payload)
                 conjugated.append((sign, answered))
-            flipped_old = [(-sign, tb) for sign, tb in reversed(p.tables)]
-            flipped_conj = [(-sign, tb) for sign, tb in reversed(conjugated)]
-            if first_half:
-                # [K1, K2] = K1^-1 (K2^-1 K1 K2)
-                p.tables = flipped_old + conjugated
-            else:
-                # [K1, K2] = (K1^-1 K2 K1)^-1 K2
-                p.tables = flipped_conj + p.tables
-    for i in members:
-        parties[i].recompute_key()
+            merges.append((p, conjugated, first_half))
+    # the answerers conjugate with their pre-merge keys, so the keys merge
+    # only once both halves have been answered
+    for p, conjugated, first_half in merges:
+        p.merge_key(conjugated, first_half)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, file round trips, determinism."""
 
+import hashlib
 import json
 import warnings
 
@@ -200,3 +201,46 @@ def test_every_written_file_reparses_canonically(tmp_path, capsys):
     for name, path in files.items():
         raw = path.read_text()
         assert dumps(json.loads(raw)) == raw, name
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_protocol_transcripts_pinned(tmp_path, capsys):
+    # mparty seed 4 is an instance with non-commuting generators
+    tr = tmp_path / "mp.json"
+    code, out, _ = run(capsys, "mparty", "--seed", "4", "--parties", "5",
+                       "--size", "40", "--transcript", str(tr))
+    assert code == 0
+    assert out.splitlines()[0] == ("key fingerprint 1f447497229ed765966388a9d9"
+                                   "a72ec9aa038a2efac9a97f2c1946181e67f5d2")
+    assert _sha256(tr) == ("b3ef398476d14405a5b0c49282eccb0b2f47cdfb1113e606"
+                           "9f18bc5f2a9fa2e7")
+    tr = tmp_path / "aag.json"
+    code, out, _ = run(capsys, "aag", "--seed", "4", "--size", "30",
+                       "--transcript", str(tr))
+    assert code == 0
+    assert out.strip() == ("key fingerprint cc32bcc2da5e9df40377eed38c129b44"
+                           "d6955c8bcf2cf2b86e8ba2e00492a098")
+    assert _sha256(tr) == ("03f58726cffc2d27dbb51758eadd37cf234aab89a3340ec6"
+                           "0b80414183ef8959")
+
+
+def test_protocol_key_mismatch_exits_one(capsys, monkeypatch):
+    from matcrypt import protocol
+    from matcrypt.matrix import identity, matrix
+    from matcrypt.ring import Zmod
+    z5 = Zmod(5)
+    one, other = identity(2, z5), matrix(z5, [[1, 1], [0, 1]])
+    monkeypatch.setattr(protocol, "aag_run",
+                        lambda cfg: (one, other, protocol.Transcript()))
+    monkeypatch.setattr(protocol, "multiparty_run",
+                        lambda s, configs, seed: ([one] * (s - 1) + [other],
+                                                  protocol.Transcript(), []))
+    for argv in (("aag", "--seed", "4", "--size", "30"),
+                 ("mparty", "--seed", "4", "--parties", "3", "--size", "30")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: KeyMismatch"), argv
