@@ -107,6 +107,10 @@ class NotDecomposable(MatcryptError):
     pass
 
 
+class UnverifiedResult(MatcryptError):
+    """A solver's answer failed the check made before it is returned."""
+
+
 # --- protocols ---
 
 class BadPartyCount(MatcryptError):

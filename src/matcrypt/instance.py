@@ -4,21 +4,27 @@ A derivation tree is the secret key: leaves carry base matrix groups over
 finite fields, internal nodes carry group operations (tensor and same-degree
 direct products, the two wreath actions, ring changes, conjugation).
 Evaluating the tree bottom-up yields the public instance: a degree, a ring
-and a generator list, plus per-leaf embedding data that replays each leaf
-group into the composite.  Homomorphisms are built by choosing a trivial map
-or a lifted Frobenius at every leaf and composing along the tree.
+and a generator list.  Homomorphisms are built by choosing a trivial map or a
+lifted Frobenius at every leaf and composing along the tree.
+
+Each leaf and operation kind is one class here (``_KINDS`` maps the stored
+kind strings to them) with its checks, lifting and assembly; its solvers are
+one class in ``trapdoor``.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
+from .analysis import enumerate_group
 from .errors import (
     BudgetTooSmall,
     CapExceeded,
     InsecurityWarning,
     InvalidAutomorphism,
+    MatcryptError,
     NotInLeafGroup,
     TreeTypeError,
 )
@@ -37,13 +43,16 @@ from .matrix import (
     ring_change,
     tensor_perm_matrix,
     word_eval,
+    wreath_rep,
 )
 from .ring import (
     GaloisRingSpec,
     RingAutomorphism,
     RingSpec,
+    direct_sum_specs,
     field,
     frobenius_apply,
+    is_prime,
     primitive_element_coeffs,
 )
 from .rng import Rng
@@ -62,12 +71,14 @@ RING_CAP = 1 << 32
 class BaseGroupSpec:
     """A leaf group with a polynomial-time membership procedure.
 
-    kinds and params:
-      unipotent-cyclic: (p,)            degree 2 over Z_p, all [[1,x],[0,1]]
+    kinds and params (each kind is a ``_LeafKind`` class below):
+      unipotent-cyclic: (p,)            degree 2 over Z_p (p prime), all [[1,x],[0,1]]
       special-linear:   (n, q)          SL(n, GF(q))
       general-linear:   (n, q)          GL(n, GF(q))
-      diagonal-cyclic:  (n, q, gen)     diagonal matrices with entries in <gen>
-      trivial:          (n, q)          the identity subgroup (homomorphism images)
+      diagonal-cyclic:  (n, q, gen)     diagonal matrices with entries in <gen>,
+                                        gen the coefficient tuple of a unit of GF(q)
+
+    Other params (not ints, n < 1, q no prime power) are a TreeTypeError.
     """
     kind: str
     params: tuple
@@ -91,22 +102,6 @@ def base_diagonal(n: int, q: int, gen: tuple | None = None) -> BaseGroupSpec:
     if gen is None:
         gen = primitive_element_coeffs(g.p, g.m, g.r, g.modulus)
     return BaseGroupSpec("diagonal-cyclic", (n, q, tuple(gen)))
-
-
-def base_trivial(n: int, q: int) -> BaseGroupSpec:
-    return BaseGroupSpec("trivial", (n, q))
-
-
-def leaf_ring(spec: BaseGroupSpec) -> RingSpec:
-    if spec.kind == "unipotent-cyclic":
-        return field(spec.params[0])
-    return field(spec.params[1])
-
-
-def leaf_degree(spec: BaseGroupSpec) -> int:
-    if spec.kind == "unipotent-cyclic":
-        return 2
-    return spec.params[0]
 
 
 def _element_order(a: RingElement, cap: int = DIAG_ORDER_CAP) -> int:
@@ -134,64 +129,185 @@ def _field_basis_elems(ring: RingSpec) -> list[RingElement]:
     return out
 
 
-def leaf_generators(spec: BaseGroupSpec) -> list[Matrix]:
-    ring = leaf_ring(spec)
-    n = leaf_degree(spec)
-    one, zero = ring.one(), ring.zero()
-    if spec.kind == "unipotent-cyclic":
-        return [Matrix(2, ring, ((one, one), (zero, one)))]
-    if spec.kind == "trivial":
-        return [identity(n, ring)]
-    if spec.kind == "diagonal-cyclic":
-        d = _diag_gen(spec)
-        gens = []
-        for i in range(n):
-            rows = [[one if a == b else zero for b in range(n)] for a in range(n)]
-            rows[i][i] = d
-            gens.append(Matrix(n, ring, tuple(tuple(r) for r in rows)))
-        return gens
-    if spec.kind in ("special-linear", "general-linear"):
-        gens = []
-        if n >= 2:
-            for i in range(n - 1):
-                for b in _field_basis_elems(ring):
-                    for (r_, c_) in ((i, i + 1), (i + 1, i)):
-                        rows = [[one if a == bb else zero for bb in range(n)]
-                                for a in range(n)]
-                        rows[r_][c_] = b
-                        gens.append(Matrix(n, ring, tuple(tuple(r) for r in rows)))
-        if spec.kind == "general-linear":
-            g = ring.summands[0]
-            zeta = ring.element([primitive_element_coeffs(g.p, g.m, g.r, g.modulus)])
-            rows = [[one if a == b else zero for b in range(n)] for a in range(n)]
-            rows[0][0] = zeta
-            gens.append(Matrix(n, ring, tuple(tuple(r) for r in rows)))
-        if not gens:  # SL(1, q) is trivial
-            gens = [identity(n, ring)]
-        return gens
-    raise TreeTypeError(f"unknown base group kind {spec.kind!r}")
+def _is_int(x) -> bool:
+    return type(x) is int
 
 
-def leaf_contains(spec: BaseGroupSpec, g: Matrix) -> bool:
-    ring = leaf_ring(spec)
-    n = leaf_degree(spec)
-    if g.ring != ring or g.n != n:
-        return False
+def _with_entry(n: int, ring: RingSpec, i: int, j: int, x: RingElement) -> Matrix:
+    """The identity with entry (i, j) replaced by x."""
     one, zero = ring.one(), ring.zero()
-    if spec.kind == "unipotent-cyclic":
+    rows = [[one if a == b else zero for b in range(n)] for a in range(n)]
+    rows[i][j] = x
+    return Matrix(n, ring, tuple(tuple(r) for r in rows))
+
+
+class _LeafKind:
+    """One leaf kind: its parameter checks and its base group.  The defaults
+    fit params (n, q) and enumerate by closing the generators."""
+
+    kind = ""
+    arity = 2
+
+    def check(self, params: tuple) -> None:
+        """TreeTypeError unless params fit this kind (n >= 1, q a prime power)."""
+        if len(params) != self.arity or not all(map(_is_int, params[:2])):
+            raise TreeTypeError(
+                f"{self.kind} takes {self.arity} parameters, n and q integers")
+        if params[0] < 1:
+            raise TreeTypeError("leaf degree must be >= 1")
+        if params[1] < 2:
+            raise TreeTypeError(f"leaf field order {params[1]} < 2")
+        try:
+            field(params[1])
+        except MatcryptError as e:  # not a prime power, or too large to factor
+            raise TreeTypeError(f"bad leaf parameters: {e}") from None
+
+    def ring(self, params: tuple) -> RingSpec:
+        return field(params[1])
+
+    def degree(self, params: tuple) -> int:
+        return params[0]
+
+    def enumerate(self, spec: BaseGroupSpec, ring: RingSpec, n: int,
+                  cap: int) -> list[Matrix]:
+        return list(enumerate_group(leaf_generators(spec), cap).matrices())
+
+
+class _Unipotent(_LeafKind):
+    kind = "unipotent-cyclic"
+    arity = 1
+
+    def check(self, params):
+        if len(params) != 1 or not _is_int(params[0]):
+            raise TreeTypeError("unipotent-cyclic takes one integer parameter p")
+        if not is_prime(params[0]):
+            raise TreeTypeError(f"unipotent-cyclic needs a prime p, not {params[0]}")
+
+    def ring(self, params):
+        return field(params[0])
+
+    def degree(self, params):
+        return 2
+
+    def generators(self, spec, ring, n):
+        return [_with_entry(2, ring, 0, 1, ring.one())]
+
+    def contains(self, spec, g):
+        one, zero = g.ring.one(), g.ring.zero()
         return g[0, 0] == one and g[1, 1] == one and g[1, 0] == zero
-    if spec.kind == "trivial":
-        return g.is_identity()
-    if spec.kind == "special-linear":
-        return mat_det(g) == one
-    if spec.kind == "general-linear":
+
+    def order(self, spec):
+        return spec.params[0]
+
+    def enumerate(self, spec, ring, n, cap):
+        one, zero = ring.one(), ring.zero()
+        return [Matrix(2, ring, ((one, x), (zero, one))) for x in ring.enumerate()]
+
+
+class _SpecialLinear(_LeafKind):
+    kind = "special-linear"
+
+    def generators(self, spec, ring, n):
+        # SL(1, q) is trivial
+        return _elementary_gens(n, ring) or [identity(n, ring)]
+
+    def contains(self, spec, g):
+        return mat_det(g) == g.ring.one()
+
+    def order(self, spec):
+        n, q = spec.params
+        o = q ** (n * (n - 1) // 2)
+        for i in range(2, n + 1):
+            o *= q ** i - 1
+        return o
+
+
+class _GeneralLinear(_LeafKind):
+    kind = "general-linear"
+
+    def generators(self, spec, ring, n):
+        g = ring.summands[0]
+        zeta = ring.element([primitive_element_coeffs(g.p, g.m, g.r, g.modulus)])
+        return _elementary_gens(n, ring) + [_with_entry(n, ring, 0, 0, zeta)]
+
+    def contains(self, spec, g):
         return is_invertible(g)
-    if spec.kind == "diagonal-cyclic":
+
+    def order(self, spec):
+        n, q = spec.params
+        o = 1
+        for i in range(n):
+            o *= q ** n - q ** i
+        return o
+
+
+def _elementary_gens(n: int, ring: RingSpec) -> list[Matrix]:
+    """Elementary transvections generating SL(n, GF(q)), n >= 2."""
+    return [_with_entry(n, ring, r_, c_, b)
+            for i in range(n - 1) for b in _field_basis_elems(ring)
+            for (r_, c_) in ((i, i + 1), (i + 1, i))]
+
+
+class _Diagonal(_LeafKind):
+    kind = "diagonal-cyclic"
+    arity = 3
+
+    def check(self, params):
+        super().check(params)
+        gen, r = params[2], field(params[1]).summands[0].r
+        if not (isinstance(gen, tuple) and len(gen) == r
+                and all(map(_is_int, gen))):
+            raise TreeTypeError(
+                f"diagonal generator must be a tuple of {r} integers")
+        d = _diag_gen(BaseGroupSpec(self.kind, params))
+        if not d.is_unit():
+            raise TreeTypeError("diagonal generator must be a unit")
+        _element_order(d)  # raises CapExceeded past the power-testing cap
+
+    def generators(self, spec, ring, n):
+        d = _diag_gen(spec)
+        return [_with_entry(n, ring, i, i, d) for i in range(n)]
+
+    def contains(self, spec, g):
         if not g.is_diagonal():
             return False
         powers = _diag_power_set(spec)
-        return all(g[i, i].coeffs in powers for i in range(n))
-    raise TreeTypeError(f"unknown base group kind {spec.kind!r}")
+        return all(g[i, i].coeffs in powers for i in range(g.n))
+
+    def order(self, spec):
+        return _element_order(_diag_gen(spec)) ** spec.params[0]
+
+    def enumerate(self, spec, ring, n, cap):
+        d = _diag_gen(spec)
+        order = _element_order(d)
+        powers = [d.pow(e) for e in range(order)]
+        zero = ring.zero()
+        return [Matrix(n, ring, tuple(tuple(diag[a] if a == b else zero
+                                            for b in range(n)) for a in range(n)))
+                for diag in itertools.product(powers, repeat=n)]
+
+
+def _leaf_kind(spec: BaseGroupSpec) -> _LeafKind:
+    return _kind_class(spec.kind, _LeafKind)
+
+
+def leaf_ring(spec: BaseGroupSpec) -> RingSpec:
+    return _leaf_kind(spec).ring(spec.params)
+
+
+def leaf_degree(spec: BaseGroupSpec) -> int:
+    return _leaf_kind(spec).degree(spec.params)
+
+
+def leaf_generators(spec: BaseGroupSpec) -> list[Matrix]:
+    return _leaf_kind(spec).generators(spec, leaf_ring(spec), leaf_degree(spec))
+
+
+def leaf_contains(spec: BaseGroupSpec, g: Matrix) -> bool:
+    kind = _leaf_kind(spec)
+    if g.ring != kind.ring(spec.params) or g.n != kind.degree(spec.params):
+        return False
+    return kind.contains(spec, g)
 
 
 _diag_powers_cache: dict = {}
@@ -212,24 +328,7 @@ def _diag_power_set(spec: BaseGroupSpec) -> dict:
 
 
 def leaf_order(spec: BaseGroupSpec) -> int:
-    if spec.kind == "unipotent-cyclic":
-        return spec.params[0]
-    if spec.kind == "trivial":
-        return 1
-    n, q = spec.params[0], spec.params[1]
-    if spec.kind == "special-linear":
-        o = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            o *= q ** i - 1
-        return o
-    if spec.kind == "general-linear":
-        o = 1
-        for i in range(n):
-            o *= q ** n - q ** i
-        return o
-    if spec.kind == "diagonal-cyclic":
-        return _element_order(_diag_gen(spec)) ** n
-    raise TreeTypeError(f"unknown base group kind {spec.kind!r}")
+    return _leaf_kind(spec).order(spec)
 
 
 _leaf_enum_cache: dict = {}
@@ -241,52 +340,9 @@ def leaf_enumerate(spec: BaseGroupSpec, cap: int = LEAF_ENUM_CAP) -> list[Matrix
         return _leaf_enum_cache[spec]
     if leaf_order(spec) > cap:
         raise CapExceeded(f"leaf group of order {leaf_order(spec)} exceeds {cap}")
-    ring = leaf_ring(spec)
-    n = leaf_degree(spec)
-    if spec.kind == "unipotent-cyclic":
-        one, zero = ring.one(), ring.zero()
-        out = [Matrix(2, ring, ((one, x), (zero, one))) for x in ring.enumerate()]
-    elif spec.kind == "trivial":
-        out = [identity(n, ring)]
-    elif spec.kind == "diagonal-cyclic":
-        d = _diag_gen(spec)
-        order = _element_order(d)
-        powers = [d.pow(e) for e in range(order)]
-        one, zero = ring.one(), ring.zero()
-        out = []
-
-        def rec(i, diag):
-            if i == n:
-                rows = tuple(tuple(diag[a] if a == b else zero
-                                   for b in range(n)) for a in range(n))
-                out.append(Matrix(n, ring, rows))
-                return
-            for p_ in powers:
-                rec(i + 1, diag + [p_])
-        rec(0, [])
-    else:
-        out = _bfs_closure(leaf_generators(spec), cap)
+    out = _leaf_kind(spec).enumerate(spec, leaf_ring(spec), leaf_degree(spec), cap)
     _leaf_enum_cache[spec] = out
     return out
-
-
-def _bfs_closure(gens: list[Matrix], cap: int) -> list[Matrix]:
-    start = identity(gens[0].n, gens[0].ring)
-    seen = {start.key(): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = mat_mul(a, g)
-                k = b.key()
-                if k not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"closure exceeds cap {cap}")
-                    seen[k] = b
-                    nxt.append(b)
-        frontier = nxt
-    return list(seen.values())
 
 
 def leaf_random(spec: BaseGroupSpec, rng: Rng) -> Matrix:
@@ -364,12 +420,12 @@ def ring_rep(child, d: int) -> DerivationTree:
 
 @dataclass(frozen=True)
 class NodeInfo:
+    impl: object    # the node's kind class: a _LeafKind or an _Op
     ring: RingSpec
     degree: int
+    leaves: int = 1
     # crt/direct nodes: per child, summand positions inside ring
     positions: tuple | None = None
-    # summand indices where elements of this group may differ from identity
-    support: tuple = ()
     conj: Matrix | None = None
     conj_inv: Matrix | None = None
 
@@ -387,13 +443,149 @@ def _info(t: DerivationTree) -> NodeInfo:
 
 def _compute_info(t: DerivationTree) -> NodeInfo:
     if t.is_leaf():
-        _validate_leaf(t.base)
-        ring = leaf_ring(t.base)
-        return NodeInfo(ring, leaf_degree(t.base),
-                        support=tuple(range(len(ring.summands))))
-    lab = t.label
-    kids = [_info(c) for c in t.children]
-    if lab.kind == "tensor":
+        kind = _leaf_kind(t.base)
+        kind.check(t.base.params)
+        ring = kind.ring(t.base.params)
+        return NodeInfo(kind, ring, kind.degree(t.base.params))
+    return _kind_class(t.label.kind, _Op).info(
+        t.label, [_info(c) for c in t.children])
+
+
+def _child_firsts(t: DerivationTree, first: int) -> list:
+    """(child, leaf id of its first leaf) for each child of t."""
+    out = []
+    for c in t.children:
+        out.append((c, first))
+        first += _info(c).leaves
+    return out
+
+
+def _factor_firsts(t: DerivationTree, first: int) -> list:
+    """(factor, leaf id of its first leaf) per factor of t."""
+    if len(t.children) == 1:
+        return [(c, first) for c in _info(t).impl.factors(t)]
+    return _child_firsts(t, first)
+
+
+class _Op:
+    """One operation kind: info(label, child infos) checks the typing and
+    returns the NodeInfo; lift(t, info, idx, h) is h from child idx as an
+    element of the node's group; assemble(t, info, parts, k) builds an
+    element from one part per factor (a part per child, or m parts of the
+    one child under a wreath node, with the permutation k there);
+    witness/unwitness build and take apart a membership witness (tag, child
+    witnesses...)."""
+
+    kind = ""
+    tag = ""
+    # factorizations are unique only up to scalar twists (see trapdoor)
+    twisted = False
+
+    def node_info(self, kids: list, ring: RingSpec, degree: int, **kw) -> NodeInfo:
+        return NodeInfo(self, ring, degree, sum(k.leaves for k in kids), **kw)
+
+    def label_size(self, t: DerivationTree) -> int:
+        return len(t.children)
+
+    def factors(self, t: DerivationTree) -> list:
+        """The subtree each part of an element belongs to."""
+        return list(t.children)
+
+    def lift(self, t: DerivationTree, info: NodeInfo, idx: int, h: Matrix) -> Matrix:
+        parts = [identity(_info(c).degree, info.ring) for c in self.factors(t)]
+        parts[idx] = h
+        return self.assemble(t, info, parts, perm_id(len(parts)))
+
+    def gens(self, t: DerivationTree, info: NodeInfo, kid_gens: list) -> list:
+        """The node's generators from its children's generator lists."""
+        return [self.lift(t, info, idx, g)
+                for idx, kg in enumerate(kid_gens) for g in kg]
+
+
+def _single(kind: str, kids: list) -> NodeInfo:
+    if len(kids) != 1:
+        raise TreeTypeError(f"{kind} takes a single child")
+    return kids[0]
+
+
+class _Unary(_Op):
+    def witness(self, subs, k=None) -> tuple:
+        return (self.tag, subs[0])
+
+    def unwitness(self, wit: tuple):
+        return (wit[1],), None
+
+    def lift(self, t, info, idx, h):
+        return self.assemble(t, info, [h])
+
+
+class _Conjugate(_Unary):
+    kind = "conjugate"
+    tag = "conjugate"
+
+    def info(self, lab, kids):
+        k = _single(self.kind, kids)
+        c = _derive_conjugator(k.ring, k.degree, lab.seed)
+        return self.node_info(kids, k.ring, k.degree, conj=c, conj_inv=mat_inv(c))
+
+    def label_size(self, t):
+        return 2
+
+    def assemble(self, t, info, parts, k=None):
+        return mat_mul(mat_mul(info.conj_inv, parts[0]), info.conj)
+
+
+class _RingExtend(_Unary):
+    kind = "ring-extend"
+    tag = "ring"
+
+    def info(self, lab, kids):
+        k = _single(self.kind, kids)
+        find_embedding(k.ring, lab.target)  # raises NoSuchEmbedding
+        return self.node_info(kids, lab.target, k.degree)
+
+    def label_size(self, t):
+        return max(1, t.label.target.order.bit_length())
+
+    def assemble(self, t, info, parts, k=None):
+        return ring_change(parts[0], ("extend-to", t.label.target))
+
+
+class _RingRep(_Unary):
+    kind = "ring-rep"
+    tag = "ring"
+
+    def info(self, lab, kids):
+        k = _single(self.kind, kids)
+        if len(k.ring.summands) != 1:
+            raise TreeTypeError("ring-rep needs a single-summand ring")
+        g = k.ring.summands[0]
+        if g.r != lab.d or lab.d < 2:
+            raise TreeTypeError("ring-rep block degree must equal the ring rank >= 2")
+        dst = RingSpec((GaloisRingSpec(g.p, g.m, 1, (0, 1)),))
+        return self.node_info(kids, dst, k.degree * lab.d)
+
+    def label_size(self, t):
+        return t.label.d * t.label.d
+
+    def assemble(self, t, info, parts, k=None):
+        return ring_change(parts[0], ("rep-to", t.label.d))
+
+
+class _Product(_Op):
+    def witness(self, subs, k=None) -> tuple:
+        return (self.tag, tuple(subs))
+
+    def unwitness(self, wit: tuple):
+        return wit[1], None
+
+
+class _Tensor(_Product):
+    kind = "tensor"
+    tag = "tensor"
+    twisted = True
+
+    def info(self, lab, kids):
         if len(kids) < 2:
             raise TreeTypeError("tensor needs at least two children")
         ring = kids[0].ring
@@ -402,31 +594,33 @@ def _compute_info(t: DerivationTree) -> NodeInfo:
         deg = 1
         for k in kids:
             deg *= k.degree
-        support = tuple(sorted(set().union(*(set(k.support) for k in kids))))
-        return NodeInfo(ring, deg, support=support)
-    if lab.kind in ("direct-same-degree", "crt-assemble"):
-        if lab.kind == "direct-same-degree" and len(kids) < 2:
-            raise TreeTypeError("direct-same-degree needs at least two children")
-        if not kids:
-            raise TreeTypeError("crt-assemble needs at least one child")
+        return self.node_info(kids, ring, deg)
+
+    def assemble(self, t, info, parts, k=None):
+        return kron_all(parts)
+
+
+class _DirectSameDegree(_Product):
+    kind = "direct-same-degree"
+    tag = "crt"
+    min_children = 2
+    # children that share one multi-summand ring are refused (see info)
+    common_ring = True
+
+    def info(self, lab, kids):
+        if len(kids) < self.min_children:
+            raise TreeTypeError(
+                f"{self.kind} needs at least {self.min_children} children")
         deg = kids[0].degree
         if any(k.degree != deg for k in kids):
             raise TreeTypeError("same-degree product children must share a degree")
         same_ring = all(k.ring == kids[0].ring for k in kids)
-        if (lab.kind == "direct-same-degree" and same_ring
-                and len(kids[0].ring.summands) > 1):
-            # common-ring mode: supports must be pairwise disjoint
-            seen: set = set()
-            for k in kids:
-                if seen & set(k.support):
-                    raise TreeTypeError(
-                        "direct-same-degree factors must live on disjoint summands")
-                seen |= set(k.support)
-            positions = tuple(k.support for k in kids)
-            return NodeInfo(kids[0].ring, deg, positions=positions,
-                            support=tuple(sorted(seen)))
-        # assemble mode: fresh direct sum, one block per child
-        from .ring import direct_sum_specs
+        if self.common_ring and same_ring and len(kids[0].ring.summands) > 1:
+            # every group acts on all summands of its ring, so no two
+            # children can live on disjoint summands of a common ring
+            raise TreeTypeError(
+                "direct-same-degree factors must live on disjoint summands")
+        # a fresh direct sum, one block of summands per child
         parts = []
         owner = []
         for i, k in enumerate(kids):
@@ -438,62 +632,96 @@ def _compute_info(t: DerivationTree) -> NodeInfo:
         for j, i in enumerate(owner):
             positions[i].append(posmap[j])
         positions = tuple(tuple(sorted(p)) for p in positions)
-        return NodeInfo(big, deg, positions=positions,
-                        support=tuple(range(len(big.summands))))
-    if lab.kind in ("wreath-imprimitive", "wreath-product"):
-        if len(kids) != 1:
-            raise TreeTypeError("wreath takes a single child")
+        return self.node_info(kids, big, deg, positions=positions)
+
+    def lift(self, t, info, idx, h):
+        return _crt_lift_multi(h, info.ring, info.positions[idx])
+
+    def assemble(self, t, info, parts, k=None):
+        out = identity(info.degree, info.ring)
+        for idx, part in enumerate(parts):
+            out = mat_mul(out, self.lift(t, info, idx, part))
+        return out
+
+
+class _CrtAssemble(_DirectSameDegree):
+    kind = "crt-assemble"
+    min_children = 1
+    common_ring = False
+
+
+class _Wreath(_Op):
+    tag = "wreath"
+    mode = ""
+
+    def info(self, lab, kids):
+        k = _single("wreath", kids)
         if lab.m < 2:
             raise TreeTypeError("wreath arity must be >= 2")
-        k = kids[0]
-        deg = k.degree * lab.m if lab.kind == "wreath-imprimitive" \
-            else k.degree ** lab.m
-        return NodeInfo(k.ring, deg, support=k.support)
-    if lab.kind == "ring-extend":
-        if len(kids) != 1:
-            raise TreeTypeError("ring-extend takes a single child")
-        find_embedding(kids[0].ring, lab.target)  # raises NoSuchEmbedding
-        return NodeInfo(lab.target, kids[0].degree,
-                        support=tuple(range(len(lab.target.summands))))
-    if lab.kind == "ring-rep":
-        if len(kids) != 1:
-            raise TreeTypeError("ring-rep takes a single child")
-        k = kids[0]
-        if len(k.ring.summands) != 1:
-            raise TreeTypeError("ring-rep needs a single-summand ring")
-        g = k.ring.summands[0]
-        if g.r != lab.d or lab.d < 2:
-            raise TreeTypeError("ring-rep block degree must equal the ring rank >= 2")
-        dst = RingSpec((GaloisRingSpec(g.p, g.m, 1, (0, 1)),))
-        return NodeInfo(dst, k.degree * lab.d, support=(0,))
-    if lab.kind == "conjugate":
-        if len(kids) != 1:
-            raise TreeTypeError("conjugate takes a single child")
-        k = kids[0]
-        c = _derive_conjugator(k.ring, k.degree, lab.seed)
-        return NodeInfo(k.ring, k.degree, support=k.support,
-                        conj=c, conj_inv=mat_inv(c))
-    raise TreeTypeError(f"unknown operation {lab.kind!r}")
+        return self.node_info(kids, k.ring, self.degree(k.degree, lab.m))
+
+    def label_size(self, t):
+        return t.label.m
+
+    def factors(self, t):
+        return [t.children[0]] * t.label.m
+
+    def witness(self, subs, k=None) -> tuple:
+        return ("wreath", k, tuple(subs))
+
+    def unwitness(self, wit: tuple):
+        return wit[2], wit[1]
+
+    def gens(self, t, info, kid_gens):
+        # then the symmetric-group part: a transposition and an m-cycle
+
+        m = t.label.m
+        perms = [tuple([1, 0] + list(range(2, m)))]
+        if m > 2:
+            perms.append(tuple(list(range(1, m)) + [0]))
+        n = _info(t.children[0]).degree
+        return super().gens(t, info, kid_gens) + [
+            self.perm_matrix(k, n, info.ring) for k in perms]
+
+    def assemble(self, t, info, parts, k=None):
+        return wreath_rep(parts, k, self.mode)
 
 
-def _validate_leaf(spec: BaseGroupSpec) -> None:
-    try:
-        ring = leaf_ring(spec)
-        n = leaf_degree(spec)
-    except Exception as e:  # bad prime / prime power
-        raise TreeTypeError(f"bad leaf parameters: {e}") from None
-    if n < 1:
-        raise TreeTypeError("leaf degree must be >= 1")
-    if spec.kind == "diagonal-cyclic":
-        d = _diag_gen(spec)
-        if not d.is_unit():
-            raise TreeTypeError("diagonal generator must be a unit")
-        _element_order(d)  # raises CapExceeded past the power-testing cap
-    elif spec.kind in ("special-linear", "general-linear"):
-        if n < 1:
-            raise TreeTypeError("degree must be positive")
-    elif spec.kind not in ("unipotent-cyclic", "trivial"):
-        raise TreeTypeError(f"unknown base group kind {spec.kind!r}")
+class _WreathImprimitive(_Wreath):
+    kind = "wreath-imprimitive"
+    mode = "imprimitive"
+    perm_matrix = staticmethod(block_perm_matrix)
+
+    def degree(self, n: int, m: int) -> int:
+        return n * m
+
+
+class _WreathProduct(_Wreath):
+    kind = "wreath-product"
+    mode = "product"
+    perm_matrix = staticmethod(tensor_perm_matrix)
+    twisted = True
+
+    def degree(self, n: int, m: int) -> int:
+        return n ** m
+
+    def lift(self, t, info, idx, h):
+        """h (x) I (x) ... (x) I."""
+        return kron_all([h] + [identity(h.n, h.ring)] * (t.label.m - 1))
+
+
+_KINDS = {cls.kind: cls() for cls in (
+    _Unipotent, _SpecialLinear, _GeneralLinear, _Diagonal,
+    _Tensor, _DirectSameDegree, _CrtAssemble, _WreathImprimitive,
+    _WreathProduct, _Conjugate, _RingExtend, _RingRep)}
+
+
+def _kind_class(kind: str, base: type):
+    impl = _KINDS.get(kind)
+    if not isinstance(impl, base):
+        what = "base group" if base is _LeafKind else "operation"
+        raise TreeTypeError(f"unknown {what} kind {kind!r}")
+    return impl
 
 
 def _derive_conjugator(ring: RingSpec, n: int, seed: int) -> Matrix:
@@ -541,17 +769,7 @@ def tree_size(t: DerivationTree) -> int:
     if t.is_leaf():
         ring = leaf_ring(t.base)
         return leaf_degree(t.base) ** 2 * max(1, ring.order.bit_length())
-    lab = t.label
-    if lab.kind == "ring-extend":
-        size = max(1, lab.target.order.bit_length())
-    elif lab.kind == "ring-rep":
-        size = lab.d * lab.d
-    elif lab.kind in ("wreath-imprimitive", "wreath-product"):
-        size = lab.m
-    elif lab.kind == "conjugate":
-        size = 2
-    else:
-        size = len(t.children)
+    size = _kind_class(t.label.kind, _Op).label_size(t)
     return size + len(t.children) + sum(tree_size(c) for c in t.children)
 
 
@@ -564,7 +782,6 @@ class GroupInstance:
     n: int
     ring: RingSpec
     gens: tuple
-    provenance: dict  # leaf_id -> tuple of embedding steps, leaf to root
 
 
 def _crt_lift_multi(h: Matrix, big: RingSpec, positions: tuple) -> Matrix:
@@ -575,146 +792,62 @@ def _crt_lift_multi(h: Matrix, big: RingSpec, positions: tuple) -> Matrix:
         h.data[back[s]] if s in back else ident[s] for s in range(len(ident))))
 
 
-def _apply_step(step: tuple, h: Matrix) -> Matrix:
-    kind = step[0]
-    if kind == "tensor":
-        _, ring, degrees, idx = step
-        parts = [identity(d, ring) for d in degrees]
-        parts[idx] = h
-        return kron_all(parts)
-    if kind == "assemble":
-        _, big, positions = step
-        return _crt_lift_multi(h, big, positions)
-    if kind == "noop":
-        return h
-    if kind == "wreath-imp":
-        _, m = step
-        return wreath_embed_imprimitive(h, m)
-    if kind == "wreath-prod":
-        _, m = step
-        return kron_all([h] + [identity(h.n, h.ring)] * (m - 1))
-    if kind == "ring-extend":
-        _, dst = step
-        return ring_change(h, ("extend-to", dst))
-    if kind == "ring-rep":
-        _, d = step
-        return ring_change(h, ("rep-to", d))
-    if kind == "conjugate":
-        _, c, cinv = step
-        return mat_mul(mat_mul(cinv, h), c)
-    raise TreeTypeError(f"unknown embedding step {kind!r}")
-
-
-def wreath_embed_imprimitive(h: Matrix, m: int) -> Matrix:
-    """Block-diagonal (h, I, ..., I) of degree h.n * m."""
-    from .matrix import wreath_rep
-    return wreath_rep([h] + [identity(h.n, h.ring)] * (m - 1),
-                      perm_id(m), "imprimitive")
-
-
-def _eval(t: DerivationTree, next_leaf: list[int]):
-    """Returns (gens, leafsteps: dict leaf_id -> list of steps leaf-to-root)."""
-    info = _info(t)
+def _eval(t: DerivationTree, leaf_gens, next_leaf: list[int]) -> list[Matrix]:
+    """Generators of t; leaf_gens(leaf id, spec) gives each leaf's list."""
     if t.is_leaf():
         lid = next_leaf[0]
         next_leaf[0] += 1
-        return list(leaf_generators(t.base)), {lid: []}
-    lab = t.label
-    gens: list[Matrix] = []
-    steps: dict[int, list] = {}
-    kid_results = []
-    for c in t.children:
-        kid_results.append(_eval(c, next_leaf))
-    if lab.kind == "tensor":
-        degrees = [_info(c).degree for c in t.children]
-        for idx, (kg, ks) in enumerate(kid_results):
-            step = ("tensor", info.ring, tuple(degrees), idx)
-            for g in kg:
-                gens.append(_apply_step(step, g))
-            for lid, s in ks.items():
-                steps[lid] = s + [step]
-    elif lab.kind in ("direct-same-degree", "crt-assemble"):
-        for idx, (kg, ks) in enumerate(kid_results):
-            child_ring = _info(t.children[idx]).ring
-            if child_ring == info.ring:
-                step = ("noop",)
-            else:
-                step = ("assemble", info.ring, info.positions[idx])
-            for g in kg:
-                gens.append(_apply_step(step, g))
-            for lid, s in ks.items():
-                steps[lid] = s + [step]
-    elif lab.kind == "wreath-imprimitive":
-        kg, ks = kid_results[0]
-        step = ("wreath-imp", lab.m)
-        gens = [_apply_step(step, g) for g in kg]
-        gens.extend(_perm_part_gens(lab.m, _info(t.children[0]).degree,
-                                    info.ring, "imprimitive"))
-        steps = {lid: s + [step] for lid, s in ks.items()}
-    elif lab.kind == "wreath-product":
-        kg, ks = kid_results[0]
-        step = ("wreath-prod", lab.m)
-        gens = [_apply_step(step, g) for g in kg]
-        gens.extend(_perm_part_gens(lab.m, _info(t.children[0]).degree,
-                                    info.ring, "product"))
-        steps = {lid: s + [step] for lid, s in ks.items()}
-    elif lab.kind == "ring-extend":
-        kg, ks = kid_results[0]
-        step = ("ring-extend", lab.target)
-        gens = [_apply_step(step, g) for g in kg]
-        steps = {lid: s + [step] for lid, s in ks.items()}
-    elif lab.kind == "ring-rep":
-        kg, ks = kid_results[0]
-        step = ("ring-rep", lab.d)
-        gens = [_apply_step(step, g) for g in kg]
-        steps = {lid: s + [step] for lid, s in ks.items()}
-    elif lab.kind == "conjugate":
-        kg, ks = kid_results[0]
-        step = ("conjugate", info.conj, info.conj_inv)
-        gens = [_apply_step(step, g) for g in kg]
-        steps = {lid: s + [step] for lid, s in ks.items()}
-    else:
-        raise TreeTypeError(f"unknown operation {lab.kind!r}")
-    return gens, steps
+        return leaf_gens(lid, t.base)
+    info = _info(t)
+    kid_gens = [_eval(c, leaf_gens, next_leaf) for c in t.children]
+    return info.impl.gens(t, info, kid_gens)
 
 
-def _perm_part_gens(m: int, n: int, ring: RingSpec, mode: str) -> list[Matrix]:
-    """Symmetric-group part: a transposition and an m-cycle on coordinates."""
-    perms = [tuple([1, 0] + list(range(2, m)))]
-    if m > 2:
-        perms.append(tuple(list(range(1, m)) + [0]))
-    build = block_perm_matrix if mode == "imprimitive" else tensor_perm_matrix
-    return [build(k, n, ring) for k in perms]
+def _replay(t: DerivationTree, wit: tuple, leaf_map=None, first: int = 0) -> Matrix:
+    """The matrix a membership witness certifies, assembled bottom-up;
+    leaf_map(leaf id, spec, h), when given, replaces each leaf part h."""
+    if t.is_leaf():
+        return wit[1] if leaf_map is None else leaf_map(first, t.base, wit[1])
+    info = _info(t)
+    subs, k = info.impl.unwitness(wit)
+    parts = [_replay(c, w, leaf_map, off)
+             for (c, off), w in zip(_factor_firsts(t, first), subs)]
+    return info.impl.assemble(t, info, parts, k)
 
 
 _eval_cache: dict = {}
 
 
 def tree_eval(t: DerivationTree) -> GroupInstance:
-    """Public instance of the tree: degree, ring, generators, leaf embeddings."""
+    """Public instance of the tree: degree, ring, generators."""
     if t in _eval_cache:
         return _eval_cache[t]
     validate_tree(t)
     info = _info(t)
-    gens, steps = _eval(t, [0])
-    inst = GroupInstance(info.degree, info.ring, tuple(gens),
-                         {lid: tuple(s) for lid, s in steps.items()})
+    inst = GroupInstance(info.degree, info.ring, tuple(_eval(
+        t, lambda lid, spec: list(leaf_generators(spec)), [0])))
     _eval_cache[t] = inst
     return inst
 
 
 def leaf_embed(t: DerivationTree, leaf_id: int, h: Matrix) -> Matrix:
-    """Replay the provenance path of a leaf element into the composite group."""
+    """Lift a leaf element along the tree path into the composite group."""
     specs = tree_leaves(t)
     if not (0 <= leaf_id < len(specs)):
         raise NotInLeafGroup(f"no leaf {leaf_id}")
     if not leaf_contains(specs[leaf_id], h):
         raise NotInLeafGroup(f"element is not in leaf group {leaf_id}")
-    inst = tree_eval(t)
-    out = h
-    for step in inst.provenance[leaf_id]:
-        out = _apply_step(step, out)
-    return out
+    tree_eval(t)  # validates t
+    return _lift_leaf(t, leaf_id, h)
+
+
+def _lift_leaf(t: DerivationTree, leaf_id: int, h: Matrix) -> Matrix:
+    if t.is_leaf():
+        return h
+    for idx, (c, first) in enumerate(_child_firsts(t, 0)):
+        if leaf_id < first + _info(c).leaves:
+            info = _info(t)
+            return info.impl.lift(t, info, idx, _lift_leaf(c, leaf_id - first, h))
 
 
 def subgroup_sample(t: DerivationTree, seed: int):
@@ -917,7 +1050,6 @@ def _try_op(op: str, rng: Rng, budget: int, forced_ring, forced_degree,
 class HomSpec:
     tree: DerivationTree
     choices: tuple       # per leaf id: ("f0",) or ("frob", e)
-    image_tree: DerivationTree
     gen_images: tuple    # images of the domain instance's generators
 
 
@@ -939,27 +1071,10 @@ def hom_build(t: DerivationTree, choices) -> HomSpec:
             raise InvalidAutomorphism(
                 f"Frobenius exponent {ch[1]} out of range for rank {g.r}")
     _validate_hom_compat(t, choices)
-    image = _image_tree(t, choices, [0])
-    validate_tree(image)
-    dom = tree_eval(t)
-    img_inst = tree_eval(image)
-    gen_images = _image_gens(t, image, choices, [0])
-    if len(gen_images) != len(dom.gens):
-        raise InvalidAutomorphism("generator image table misaligned")
-    del img_inst
-    return HomSpec(t, choices, image, tuple(gen_images))
 
-
-def _image_tree(t: DerivationTree, choices, counter) -> DerivationTree:
-    if t.is_leaf():
-        ch = choices[counter[0]]
-        counter[0] += 1
-        if ch[0] == "f0":
-            ring = leaf_ring(t.base)
-            return leaf(base_trivial(leaf_degree(t.base), ring.order))
-        return t
-    kids = [_image_tree(c, choices, counter) for c in t.children]
-    return DerivationTree(label=t.label, children=tuple(kids))
+    def leaf_images(lid, spec):
+        return [leaf_hom_apply(spec, choices[lid], g) for g in leaf_generators(spec)]
+    return HomSpec(t, choices, tuple(_eval(t, leaf_images, [0])))
 
 
 def leaf_hom_apply(spec: BaseGroupSpec, ch: tuple, h: Matrix) -> Matrix:
@@ -971,61 +1086,15 @@ def leaf_hom_apply(spec: BaseGroupSpec, ch: tuple, h: Matrix) -> Matrix:
     return Matrix(h.n, ring, rows)
 
 
-def _image_gens(t, img, choices, counter) -> list[Matrix]:
-    """Images of the node's generator list, built alongside the image tree."""
-    if t.is_leaf():
-        ch = choices[counter[0]]
-        counter[0] += 1
-        return [leaf_hom_apply(t.base, ch, g) for g in leaf_generators(t.base)]
-    lab = t.label
-    img_info = _info(img)
-    kid_images = []
-    for c, ic in zip(t.children, img.children):
-        kid_images.append(_image_gens(c, ic, choices, counter))
-    out: list[Matrix] = []
-    if lab.kind == "tensor":
-        degrees = [_info(ic).degree for ic in img.children]
-        for idx, kg in enumerate(kid_images):
-            step = ("tensor", img_info.ring, tuple(degrees), idx)
-            out.extend(_apply_step(step, g) for g in kg)
-    elif lab.kind in ("direct-same-degree", "crt-assemble"):
-        for idx, kg in enumerate(kid_images):
-            child_ring = _info(img.children[idx]).ring
-            step = ("noop",) if child_ring == img_info.ring else \
-                ("assemble", img_info.ring, img_info.positions[idx])
-            out.extend(_apply_step(step, g) for g in kg)
-    elif lab.kind == "wreath-imprimitive":
-        out = [_apply_step(("wreath-imp", lab.m), g) for g in kid_images[0]]
-        out.extend(_perm_part_gens(lab.m, _info(img.children[0]).degree,
-                                   img_info.ring, "imprimitive"))
-    elif lab.kind == "wreath-product":
-        out = [_apply_step(("wreath-prod", lab.m), g) for g in kid_images[0]]
-        out.extend(_perm_part_gens(lab.m, _info(img.children[0]).degree,
-                                   img_info.ring, "product"))
-    elif lab.kind == "ring-extend":
-        out = [_apply_step(("ring-extend", lab.target), g) for g in kid_images[0]]
-    elif lab.kind == "ring-rep":
-        out = [_apply_step(("ring-rep", lab.d), g) for g in kid_images[0]]
-    elif lab.kind == "conjugate":
-        step = ("conjugate", img_info.conj, img_info.conj_inv)
-        out = [_apply_step(step, g) for g in kid_images[0]]
-    return out
+def _subtree_signature(t: DerivationTree, choices, first: int):
+    """Effective scalar action of the composed map on t, whose leaves are
+    first, first + 1, ...: 'one', ('frob', e) or 'mixed'."""
+    sigs = {"one" if ch[0] == "f0" else ("frob", ch[1])
+            for ch in choices[first:first + _info(t).leaves]}
+    return sigs.pop() if len(sigs) == 1 else "mixed"
 
 
-def _subtree_signature(t: DerivationTree, choices, counter):
-    """Effective scalar action of the composed map: 'one', ('frob', e) or 'mixed'."""
-    if t.is_leaf():
-        ch = choices[counter[0]]
-        counter[0] += 1
-        return "one" if ch[0] == "f0" else ("frob", ch[1])
-    sigs = [_subtree_signature(c, choices, counter) for c in t.children]
-    first = sigs[0]
-    if all(s == first for s in sigs):
-        return first
-    return "mixed"
-
-
-def _validate_hom_compat(t: DerivationTree, choices) -> None:
+def _validate_hom_compat(t: DerivationTree, choices, first: int = 0) -> None:
     """Well-definedness on tensor / product-wreath nodes.
 
     Factor decompositions there are unique only up to scalar twists, so the
@@ -1034,52 +1103,38 @@ def _validate_hom_compat(t: DerivationTree, choices) -> None:
     """
     from . import trapdoor
 
-    def walk(node, counter):
-        if node.is_leaf():
-            counter[0] += 1
-            return
-        start = counter[0]
-        child_sigs = []
-        for c in node.children:
-            sub_counter = [counter[0]]
-            sig = _subtree_signature(c, choices, sub_counter)
-            child_sigs.append(sig)
-            counter[0] = sub_counter[0]
-        if node.label.kind in ("tensor", "wreath-product"):
-            kids = list(node.children)
-            if node.label.kind == "wreath-product":
-                kids = kids * node.label.m
-                child_sigs = child_sigs * node.label.m
-            zs = [trapdoor.scalar_subgroup(c) for c in kids]
-            # over a multi-summand ring with three or more factors, scalar
-            # relations can couple factors whose subgroups do not intersect;
-            # demand one common signature as soon as any factor has scalars
-            ring = _info(node).ring
-            if (len(kids) >= 3 and len(ring.summands) > 1
-                    and sum(1 for z in zs if len(z) > 1) >= 2):
-                if len(set(child_sigs)) != 1:
+    if t.is_leaf():
+        return
+    info = _info(t)
+    if info.impl.twisted:
+        factors = _factor_firsts(t, first)
+        kids = [c for c, _ in factors]
+        child_sigs = [_subtree_signature(c, choices, off) for c, off in factors]
+        zs = [trapdoor.scalar_subgroup(c) for c in kids]
+        # over a multi-summand ring with three or more factors, scalar
+        # relations can couple factors whose subgroups do not intersect;
+        # demand one common signature as soon as any factor has scalars
+        if (len(kids) >= 3 and len(info.ring.summands) > 1
+                and sum(1 for z in zs if len(z) > 1) >= 2):
+            if len(set(child_sigs)) != 1:
+                raise InvalidAutomorphism(
+                    "differing leaf maps over coupled factor scalars")
+        for i in range(len(kids)):
+            for j in range(i + 1, len(kids)):
+                overlap = [u for k, u in zs[i].items() if k in zs[j]]
+                nontrivial = [u for u in overlap if not u.is_one()]
+                if not nontrivial:
+                    continue
+                si, sj = child_sigs[i], child_sigs[j]
+                if si == "mixed" or sj == "mixed":
                     raise InvalidAutomorphism(
-                        "differing leaf maps over coupled factor scalars")
-            for i in range(len(kids)):
-                for j in range(i + 1, len(kids)):
-                    overlap = [u for k, u in zs[i].items() if k in zs[j]]
-                    nontrivial = [u for u in overlap if not u.is_one()]
-                    if not nontrivial:
-                        continue
-                    si, sj = child_sigs[i], child_sigs[j]
-                    if si == "mixed" or sj == "mixed":
+                        "mixed leaf maps over factors with shared scalars")
+                for u in nontrivial:
+                    if _scalar_image(si, u) != _scalar_image(sj, u):
                         raise InvalidAutomorphism(
-                            "mixed leaf maps over factors with shared scalars")
-                    for u in nontrivial:
-                        if _scalar_image(si, u) != _scalar_image(sj, u):
-                            raise InvalidAutomorphism(
-                                "leaf maps disagree on shared factor scalars")
-        # recurse using fresh counters per child
-        c2 = [start]
-        for c in node.children:
-            walk(c, c2)
-
-    walk(t, [0])
+                            "leaf maps disagree on shared factor scalars")
+    for c, off in _child_firsts(t, first):
+        _validate_hom_compat(c, choices, off)
 
 
 def _scalar_image(sig, u: RingElement) -> RingElement:
@@ -1098,54 +1153,5 @@ def hom_apply(h: HomSpec, g: Matrix):
     verdict = trapdoor.membership(h.tree, g)
     if not verdict.accepted:
         raise NotInGroup("element is outside the instance group")
-    return _apply_witness(h.tree, h.image_tree, h.choices, verdict.witness, [0])
-
-
-def _apply_witness(t, img, choices, wit, counter) -> Matrix:
-    if t.is_leaf():
-        ch = choices[counter[0]]
-        counter[0] += 1
-        return leaf_hom_apply(t.base, ch, wit[1])
-    lab = t.label
-    img_info = _info(img)
-    kind = wit[0]
-    if kind == "conjugate":
-        sub = _apply_witness(t.children[0], img.children[0], choices,
-                             wit[1], counter)
-        return mat_mul(mat_mul(img_info.conj_inv, sub), img_info.conj)
-    if kind == "ring":
-        sub = _apply_witness(t.children[0], img.children[0], choices,
-                             wit[1], counter)
-        if lab.kind == "ring-extend":
-            return ring_change(sub, ("extend-to", lab.target))
-        return ring_change(sub, ("rep-to", lab.d))
-    if kind == "crt":
-        parts = []
-        for idx, w in enumerate(wit[1]):
-            parts.append(_apply_witness(t.children[idx], img.children[idx],
-                                        choices, w, counter))
-        out = identity(img_info.degree, img_info.ring)
-        for idx, part in enumerate(parts):
-            child_ring = _info(img.children[idx]).ring
-            step = ("noop",) if child_ring == img_info.ring else \
-                ("assemble", img_info.ring, img_info.positions[idx])
-            out = mat_mul(out, _apply_step(step, part))
-        return out
-    if kind == "tensor":
-        parts = []
-        for idx, w in enumerate(wit[1]):
-            parts.append(_apply_witness(t.children[idx], img.children[idx],
-                                        choices, w, counter))
-        return kron_all(parts)
-    if kind == "wreath":
-        _, k, subs = wit
-        parts = []
-        saved = counter[0]
-        for w in subs:
-            counter[0] = saved
-            parts.append(_apply_witness(t.children[0], img.children[0],
-                                        choices, w, counter))
-        mode = "imprimitive" if lab.kind == "wreath-imprimitive" else "product"
-        from .matrix import wreath_rep
-        return wreath_rep(parts, k, mode)
-    raise TreeTypeError(f"unknown witness node {kind!r}")
+    return _replay(h.tree, verdict.witness,
+                   lambda lid, spec, m: leaf_hom_apply(spec, h.choices[lid], m))

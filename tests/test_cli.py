@@ -244,3 +244,24 @@ def test_protocol_key_mismatch_exits_one(capsys, monkeypatch):
         assert code == 1, argv
         assert out == ""
         assert err.startswith("error: KeyMismatch"), argv
+
+
+def test_bad_leaf_parameters_exit_one(tmp_path, capsys):
+    # unipotent-cyclic over GF(4) would accept [[1, x], [0, 1]], which is not
+    # in the order-2 group its generator makes; "trivial" was an internal kind
+    from matcrypt.matrix import Matrix
+    from matcrypt.ring import field
+    from matcrypt.serialize import matrix_to_obj
+    gf4 = field(4)
+    one, zero, x = gf4.one(), gf4.zero(), gf4.element([(0, 1)])
+    elem, sec = tmp_path / "elem.json", tmp_path / "sec.json"
+    elem.write_text(json.dumps(matrix_to_obj(Matrix(2, gf4, ((one, x), (zero, one))))))
+    for raw in ({"kind": "unipotent-cyclic", "params": [4]},
+                {"kind": "general-linear", "params": ["a", 3]},
+                {"kind": "general-linear", "params": [2]},
+                {"kind": "diagonal-cyclic", "params": [1, 4, [1]]},
+                {"kind": "trivial", "params": [2, 4]}):
+        sec.write_text(json.dumps({"leaf": raw}))
+        code, out, err = run(capsys, "member", "--sec", str(sec), "--elem", str(elem))
+        assert code == 1, raw
+        assert out == "" and err.startswith("error: TreeTypeError"), raw

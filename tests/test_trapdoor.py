@@ -241,6 +241,18 @@ def test_ltp_solution_is_member():
         assert membership(t, g).accepted
 
 
+def test_ltp_solve_checks_its_answer(monkeypatch):
+    # the checks must hold under python -O too, so they are not asserts
+    from matcrypt import trapdoor
+    from matcrypt.errors import UnverifiedResult
+    u, v = vector(Z5, [1, 0]), vector(Z5, [1, 2])
+    for wrong in (identity(2, Z5),                    # does not map u to v
+                  matrix(Z5, [[1, 2], [0, 3]])):      # maps u to v, not a member
+        monkeypatch.setattr(trapdoor, "_ltp", lambda t, pairs, g=wrong: (g, True))
+        with pytest.raises(UnverifiedResult):
+            ltp_solve(UNIPOTENT5, u, v)
+
+
 # --- matching ---------------------------------------------------------------------
 
 def test_max_matching():
