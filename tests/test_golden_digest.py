@@ -6,6 +6,11 @@ subgroups, leaf embeddings and homomorphism images.  The pinned values were
 computed before the node kinds were moved into per-kind classes, so any
 refactor of ``instance`` or ``trapdoor`` that changes a result, a draw or an
 error shows up here as a changed section.
+
+The ``homcrypt`` section pins the free-group cryptosystem the same way: key
+pairs, ciphertexts at several pad lengths, decryptions, the pull-back f^-1
+and sampled relator products.  It was computed before the free-word kernels
+were made linear-time.
 """
 
 import hashlib
@@ -15,6 +20,16 @@ import pytest
 from conftest import rand_matrix
 from matcrypt.cli import _witness_obj, instance_to_obj, tree_to_obj
 from matcrypt.errors import MatcryptError
+from matcrypt.homcrypt import (
+    dihedral4,
+    f_inverse_word,
+    hc_decrypt,
+    hc_encrypt,
+    hc_keygen,
+    klein_four,
+    sample_relator,
+    sym3,
+)
 from matcrypt.instance import (
     base_diagonal,
     base_general_linear,
@@ -48,6 +63,7 @@ from matcrypt.trapdoor import (
     sample_transportable_vector,
     scalar_subgroup,
 )
+from matcrypt.words import FreeWord, fw_mul
 
 HAND_TREES = [
     leaf(base_unipotent(5)),
@@ -154,6 +170,34 @@ def _hom_record(t, seed: int) -> dict:
             "images": images}
 
 
+def _homcrypt_record(make, seed: int) -> dict:
+    """Key pair, ciphertexts, decryptions, f^-1 images and relator samples of
+    one preset at one seed."""
+    pres = make()
+    k = pres.k
+    pk, sk = hc_keygen(pres, seed)
+    rng = Rng(seed ^ 0x5C)
+    msgs = [FreeWord(k, tuple(_word(rng, k, 1, 12))) for _ in range(2)]
+    ciphers = {}
+    for pad in (None, 0, 1, 3):
+        ciphers[pad] = [hc_encrypt(pk, m, seed + j, pad_length=pad)
+                        for j, m in enumerate(msgs)]
+    return {
+        "x_words": [list(w) for w in pk.x_words],
+        "f_table": list(pk.f_table),
+        "sigma": list(sk.sigma),
+        "messages": [list(m.letters) for m in msgs],
+        "ciphers": [[list(c.letters) for c in ciphers[pad]]
+                    for pad in (None, 0, 1, 3)],
+        "plains": [[list(hc_decrypt(sk, c).letters) for c in ciphers[pad]]
+                   + [list(hc_decrypt(sk, fw_mul(*ciphers[pad])).letters)]
+                   for pad in (None, 0, 1, 3)],
+        "pullback": [list(f_inverse_word(pk, m).letters) for m in msgs],
+        "relators": [list(sample_relator(pres, t, seed * 7 + t).letters)
+                     for t in (0, 1, 2, 4, 8)],
+    }
+
+
 def _sections() -> dict:
     return {
         "desk": [_tree_record(tree_random(45, i, max_degree=9, max_ring=4000),
@@ -163,6 +207,9 @@ def _sections() -> dict:
         "hom": [_hom_record(t, i) for i, t in enumerate(HAND_TREES)]
         + [_hom_record(tree_random(45, i, max_degree=9, max_ring=4000), i)
            for i in range(40)],
+        "homcrypt": [_homcrypt_record(make, i)
+                     for make in (klein_four, sym3, dihedral4)
+                     for i in range(40)],
     }
 
 
@@ -171,6 +218,7 @@ PINNED = {
     "gen": "47d35174688190b9437b89d37ac3cd31fa64acaf7e8b753da980b93e40055cc2",
     "hand": "1ca9020cc2998325689019c6d2eb8e579d11135e81a5e1b949951eee4492230d",
     "hom": "71c4fc00bcecc69d12ab6d3b1522ab0a88d2f4813f794043ff202e9846d13130",
+    "homcrypt": "88095530cbd26fc0893e98c72f540cd7850eea6ff99f913ee8d22cccb8f6dbe8",
 }
 
 
