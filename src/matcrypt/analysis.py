@@ -33,7 +33,7 @@ from .matrix import (
 )
 from .ring import RingSpec, ring_inv
 from .rng import Rng
-from .words import FreeWord, fw_inv, fw_mul
+from .words import FreeWord, fw_inv, fw_mul, push_reduced
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +459,6 @@ class CosetAttack:
 
     def decrypt(self, cipher: FreeWord):
         """Model image of the plaintext, or INCONCLUSIVE."""
-        from .homcrypt import f_inverse_word
         for key, rep_word in self.table:
             q = fw_mul(cipher, fw_inv(rep_word))
             hit = self.searched.get(q.letters)
@@ -497,21 +496,15 @@ def coset_attack(pk, model, length_bound: int) -> CosetAttack:
     steps = []
     for idx, xw in enumerate(pk.x_words):
         y = pk.f_table[idx] + 1
-        inv = tuple(-x for x in reversed(xw))
-        steps.append((tuple(xw), model.gen_key(y, 1)))
-        steps.append((inv, model.gen_key(y, -1)))
+        x = FreeWord(k, tuple(xw))
+        steps.append((x.letters, model.gen_key(y, 1)))
+        steps.append((fw_inv(x).letters, model.gen_key(y, -1)))
     frontier2 = [((), model.identity_key())]
     for _ in range(length_bound):
         nxt = []
         for letters, img in frontier2:
             for chunk, gk in steps:
-                buf = list(letters)
-                for x in chunk:
-                    if buf and buf[-1] == -x:
-                        buf.pop()
-                    else:
-                        buf.append(x)
-                w2 = tuple(buf)
+                w2 = tuple(push_reduced(list(letters), chunk))
                 if w2 not in searched:
                     img2 = model.mul_key(img, gk)
                     searched[w2] = img2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import DegenerateKey, IndexOutOfRange, ShapeMismatch
 from .matrix import Matrix, mat_inv, mat_mul
 from .rng import Rng
-from .words import FreeWord, fw_inv, fw_mul
+from .words import FreeWord, fw_inv, fw_mul, fw_substitute, push_reduced
 
 KEYGEN_RETRIES = 64
 
@@ -160,23 +160,45 @@ def dihedral4() -> Presentation:
 # keys
 # ---------------------------------------------------------------------------
 
+def _is_permutation(seq, k: int) -> bool:
+    """seq lists each of 0..k-1 once, as ints."""
+    return (len(seq) == k and all(type(i) is int for i in seq)
+            and set(seq) == set(range(k)))
+
+
 @dataclass
 class HomPublicKey:
     presentation: Presentation
     x_words: tuple       # k letter-tuples over Y
     f_table: tuple       # index into x_words -> Y generator index (0-based)
 
+    def __post_init__(self):
+        k = self.presentation.k
+        if len(self.x_words) != k:
+            raise DegenerateKey(f"{len(self.x_words)} public words for {k} generators")
+        if not _is_permutation(self.f_table, k):
+            raise DegenerateKey(f"f_table is not a permutation of 0..{k - 1}")
+
 
 @dataclass
 class HomSecretKey:
     sigma: tuple         # permutation of 0..k-1
 
+    def __post_init__(self):
+        if not _is_permutation(self.sigma, len(self.sigma)):
+            raise DegenerateKey("sigma is not a permutation")
+
 
 def phi_apply(sigma: tuple, w: FreeWord) -> FreeWord:
-    """The free-group automorphism induced by the generator permutation."""
-    return FreeWord(w.k, tuple(
-        (sigma[x - 1] + 1) if x > 0 else -(sigma[-x - 1] + 1)
-        for x in w.letters))
+    """The free-group automorphism induced by the generator permutation.
+
+    A permutation of the generators maps reduced words to reduced words."""
+    if not _is_permutation(sigma, w.k):
+        raise DegenerateKey(f"sigma is not a permutation of 0..{w.k - 1}")
+    image = {}
+    for i, j in enumerate(sigma, 1):
+        image[i], image[-i] = j + 1, -j - 1
+    return FreeWord._of(w.k, tuple(map(image.__getitem__, w.letters)))
 
 
 def sample_relator(pres: Presentation, target_length: int, seed: int) -> FreeWord:
@@ -216,7 +238,7 @@ def assemble_keypair(pres: Presentation, sigma: tuple, paddings):
     """
     k = pres.k
     sigma = tuple(sigma)
-    if sorted(sigma) != list(range(k)):
+    if not _is_permutation(sigma, k):
         raise DegenerateKey("sigma is not a permutation")
     sigma_inv = tuple(_perm_inv(sigma))
     x_words = []
@@ -250,24 +272,23 @@ def hc_keygen(pres: Presentation, seed: int):
         except DegenerateKey:
             continue
         # shuffle the published order of the x-words
-        order = rng.shuffle(list(range(pres.k)))
-        pk.x_words = tuple(pk.x_words[i] for i in order)
-        pk.f_table = tuple(order)
-        return pk, sk
+        order = tuple(rng.shuffle(list(range(pres.k))))
+        return HomPublicKey(pres, tuple(pk.x_words[i] for i in order), order), sk
     raise DegenerateKey(f"no usable paddings after {KEYGEN_RETRIES} attempts")
+
+
+def _pullback_images(pk: HomPublicKey) -> list[FreeWord]:
+    """f^-1 of each Y generator: its public x-word, reduced and checked."""
+    k = pk.presentation.k
+    back = [None] * k
+    for idx, y in enumerate(pk.f_table):
+        back[y] = FreeWord(k, tuple(pk.x_words[idx]))
+    return back
 
 
 def f_inverse_word(pk: HomPublicKey, w: FreeWord) -> FreeWord:
     """Replace every Y letter by its public x-word (sign-respecting)."""
-    k = pk.presentation.k
-    back = [None] * k
-    for idx, y in enumerate(pk.f_table):
-        back[y] = FreeWord(k, pk.x_words[idx])
-    out = FreeWord(k, ())
-    for x in w.letters:
-        piece = back[abs(x) - 1]
-        out = fw_mul(out, piece if x > 0 else fw_inv(piece))
-    return out
+    return fw_substitute(w, _pullback_images(pk))
 
 
 def hc_encrypt(pk: HomPublicKey, message: FreeWord, seed: int,
@@ -276,20 +297,24 @@ def hc_encrypt(pk: HomPublicKey, message: FreeWord, seed: int,
 
     pad_length overrides the default target length (drawn uniformly from
     [k, 2k]) of each sampled relator product; shorter paddings keep
-    ciphertexts within reach of the bounded coset attack in tests.
+    ciphertexts within reach of the bounded coset attack in tests.  The
+    padded message s_1 x_1 s'_1 s_2 x_2 s'_2 ... is reduced as it is built
+    and pulled back by one substitution: f^-1 is a homomorphism and reduced
+    forms are unique, so this equals the product of the pulled-back chunks.
     """
     k = pk.presentation.k
     if any(abs(x) > k for x in message.letters):
         raise IndexOutOfRange("message letter outside the alphabet")
     rng = Rng(seed)
-    out = FreeWord(k, ())
+    padded: list[int] = []
     for x in message.letters:
         length = pad_length if pad_length is not None else rng.randint(k, 2 * k)
         s = sample_relator(pk.presentation, length, rng.fork(1).seed)
         sp = sample_relator(pk.presentation, length, rng.fork(2).seed)
-        chunk = fw_mul(fw_mul(s, FreeWord(k, (x,))), sp)
-        out = fw_mul(out, f_inverse_word(pk, chunk))
-    return out
+        push_reduced(padded, s.letters)
+        push_reduced(padded, (x,))
+        push_reduced(padded, sp.letters)
+    return fw_substitute(FreeWord._of(k, tuple(padded)), _pullback_images(pk))
 
 
 def hc_decrypt(sk: HomSecretKey, cipher: FreeWord) -> FreeWord:

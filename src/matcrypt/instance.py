@@ -79,9 +79,18 @@ class BaseGroupSpec:
                                         gen the coefficient tuple of a unit of GF(q)
 
     Other params (not ints, n < 1, q no prime power) are a TreeTypeError.
+    Params that are not ints or tuples of ints fail at construction, so that
+    no spec equals (and shares a cache entry with) a well-typed one, as
+    (2.0, 3) would equal (2, 3).
     """
     kind: str
     params: tuple
+
+    def __post_init__(self):
+        for p in self.params:
+            if type(p) is not int and not (
+                    type(p) is tuple and all(type(c) is int for c in p)):
+                raise TreeTypeError(f"{self.kind} parameters must be integers")
 
 
 def base_unipotent(p: int) -> BaseGroupSpec:
@@ -361,11 +370,18 @@ def leaf_random(spec: BaseGroupSpec, rng: Rng) -> Matrix:
 
 @dataclass(frozen=True)
 class OpLabel:
+    """An operation label; m, d and seed must be ints (checked here, for the
+    same reason as leaf parameters)."""
     kind: str
     m: int = 0                      # wreath arity
     d: int = 0                      # ring-rep block degree
     seed: int = 0                   # conjugate
     target: RingSpec | None = None  # ring-extend target
+
+    def __post_init__(self):
+        if not (type(self.m) is int and type(self.d) is int
+                and type(self.seed) is int):
+            raise TreeTypeError(f"{self.kind} label fields m, d and seed must be integers")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .errors import (
     FactorizationTooLarge,
+    IndexOutOfRange,
     NonPrimeP,
     NonUnit,
     ReducibleModulus,
@@ -77,7 +78,9 @@ def _gcd(a: int, b: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n (n < 2^48), as {prime: multiplicity}."""
+    """Prime factorization of n (1 <= n < 2^48), as {prime: multiplicity}."""
+    if n < 1:
+        raise IndexOutOfRange(f"cannot factorize {n} < 1")
     if n >= FACTOR_LIMIT:
         raise FactorizationTooLarge(f"{n} >= 2^48")
     out: dict[int, int] = {}

@@ -36,8 +36,22 @@ def reduce_letters(letters) -> tuple[int, ...]:
     return tuple(out)
 
 
+def push_reduced(stack: list, letters: tuple) -> list:
+    """Append a reduced letter tuple to a reduced stack.  Both are reduced,
+    so letters cancel only where they meet, and the stack stays reduced."""
+    i, n = 0, min(len(stack), len(letters))
+    while i < n and stack[-1 - i] == -letters[i]:
+        i += 1
+    del stack[len(stack) - i:]
+    stack.extend(letters[i:])
+    return stack
+
+
 @dataclass(frozen=True)
 class FreeWord:
+    """A freely reduced word.  The public constructor reduces and checks the
+    letters; the kernels below build their results with ``_of`` from reduced
+    operands, so no word is reduced or checked twice."""
     k: int  # alphabet size
     letters: tuple[int, ...] = ()
 
@@ -47,6 +61,14 @@ class FreeWord:
             object.__setattr__(self, "letters", reduced)
         if any(abs(x) > self.k for x in self.letters):
             raise IndexOutOfRange(f"letter outside alphabet of size {self.k}")
+
+    @classmethod
+    def _of(cls, k: int, letters: tuple) -> "FreeWord":
+        """Word from a reduced letter tuple inside the alphabet (no checks)."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "k", k)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     def __len__(self):
         return len(self.letters)
@@ -62,20 +84,24 @@ def fw(k: int, letters) -> FreeWord:
 def fw_mul(a: FreeWord, b: FreeWord) -> FreeWord:
     if a.k != b.k:
         raise AlphabetMismatch(f"alphabet sizes {a.k} vs {b.k}")
-    return FreeWord(a.k, a.letters + b.letters)
+    return FreeWord._of(a.k, tuple(push_reduced(list(a.letters), b.letters)))
 
 
 def fw_inv(a: FreeWord) -> FreeWord:
-    return FreeWord(a.k, tuple(-x for x in reversed(a.letters)))
+    return FreeWord._of(a.k, tuple(-x for x in reversed(a.letters)))
 
 
 def fw_pow(a: FreeWord, e: int) -> FreeWord:
+    """a = u c u^-1 with c cyclically reduced, so a^e = u c^e u^-1."""
     if e < 0:
         return fw_pow(fw_inv(a), -e)
-    out = FreeWord(a.k, ())
-    for _ in range(e):
-        out = fw_mul(out, a)
-    return out
+    x = a.letters
+    if e == 0 or not x:
+        return FreeWord._of(a.k, ())
+    t = 0
+    while 2 * t + 1 < len(x) and x[t] == -x[-1 - t]:
+        t += 1
+    return FreeWord._of(a.k, x[:t] + x[t:len(x) - t] * e + x[len(x) - t:])
 
 
 def fw_commutator(a: FreeWord, b: FreeWord) -> FreeWord:
@@ -84,18 +110,23 @@ def fw_commutator(a: FreeWord, b: FreeWord) -> FreeWord:
 
 
 def fw_substitute(w: FreeWord, images: list[FreeWord]) -> FreeWord:
-    """Replace generator i by images[i-1] (inverses map to inverse images)."""
+    """Replace generator i by images[i-1] (inverses map to inverse images).
+
+    The images share one alphabet, which may differ from w's; there is one
+    image per generator of w."""
     k = images[0].k
+    if len(images) != w.k or any(img.k != k for img in images):
+        raise AlphabetMismatch(
+            f"{len(images)} images over alphabets "
+            f"{sorted({img.k for img in images})} for a word over {w.k}")
+    table = {}
+    for i, img in enumerate(images, 1):
+        table[i] = img.letters
+        table[-i] = fw_inv(img).letters
     out: list[int] = []
     for x in w.letters:
-        img = images[abs(x) - 1]
-        chunk = img.letters if x > 0 else fw_inv(img).letters
-        for y in chunk:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    return FreeWord(k, tuple(out))
+        push_reduced(out, table[x])
+    return FreeWord._of(k, tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,30 @@ def test_hom_cipher_deterministic(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def test_bad_hom_keys_exit_one(tmp_path, capsys):
+    # sigma [0, 0] used to decrypt to a wrong plaintext with exit 0; the two
+    # f_table files used to escape as AttributeError and IndexError
+    pub, sec = tmp_path / "hp.json", tmp_path / "hs.json"
+    cipher = tmp_path / "c.json"
+    run(capsys, "hom", "keygen", "--preset", "klein4", "--seed", "3",
+        "--pub", str(pub), "--sec", str(sec))
+    run(capsys, "hom", "encrypt", "--pub", str(pub), "--message", "1,2",
+        "--seed", "1", "--out", str(cipher))
+    raw_sec = json.loads(sec.read_text())
+    sec.write_text(json.dumps(dict(raw_sec, sigma=[0, 0])))
+    code, out, err = run(capsys, "hom", "decrypt", "--sec", str(sec),
+                         "--cipher", str(cipher))
+    assert code == 1 and out == "" and err.startswith("error: DegenerateKey")
+    raw_pub = json.loads(pub.read_text())
+    for table in ([0, 0], [0, 5]):
+        pub.write_text(json.dumps(dict(raw_pub, f_table=table)))
+        code, out, err = run(capsys, "hom", "encrypt", "--pub", str(pub),
+                             "--message", "1,2", "--seed", "1",
+                             "--out", str(cipher))
+        assert code == 1 and out == "", table
+        assert err.startswith("error: DegenerateKey"), table
+
+
 def test_attack_commands(tmp_path, capsys):
     code, out, _ = run(capsys, "attack", "scsp", "--q", "17", "--seed", "2")
     assert code == 0 and "conjugator fingerprint" in out
@@ -262,6 +286,36 @@ def test_bad_leaf_parameters_exit_one(tmp_path, capsys):
                 {"kind": "diagonal-cyclic", "params": [1, 4, [1]]},
                 {"kind": "trivial", "params": [2, 4]}):
         sec.write_text(json.dumps({"leaf": raw}))
+        code, out, err = run(capsys, "member", "--sec", str(sec), "--elem", str(elem))
+        assert code == 1, raw
+        assert out == "" and err.startswith("error: TreeTypeError"), raw
+
+
+def test_bad_operation_labels_exit_one(tmp_path, capsys):
+    # a string wreath arity used to escape as TypeError from the comparison
+    pub, sec, elem = (tmp_path / f"{n}.json" for n in ("pub", "sec", "elem"))
+    run(capsys, "gen", "--size", "60", "--seed", "5", "--pub", str(pub),
+        "--sec", str(sec), "--sample", str(elem))
+    tree = json.loads(sec.read_text())
+    assert tree["op"] == {"kind": "wreath-imprimitive", "m": 2}
+    gl = {"leaf": {"kind": "general-linear", "params": [1, 4]}}
+    bad = [dict(tree, op={"kind": "wreath-imprimitive", "m": "2"}),
+           dict(tree, op={"kind": "wreath-imprimitive", "m": True}),
+           {"op": {"kind": "ring-rep", "d": "2"}, "children": [gl]},
+           {"op": {"kind": "ring-rep", "d": 2.0}, "children": [gl]},
+           {"op": {"kind": "conjugate", "seed": "5"}, "children": [gl]},
+           {"op": {"kind": "conjugate", "seed": False}, "children": [gl]},
+           {"leaf": {"kind": "general-linear", "params": [2.0, 3]}}]
+    # the well-typed trees these equal are evaluated first: a bad label or
+    # parameter must not be answered from their cache entries
+    for raw in ({"op": {"kind": "ring-rep", "d": 2}, "children": [gl]},
+                {"op": {"kind": "conjugate", "seed": 0}, "children": [gl]},
+                {"leaf": {"kind": "general-linear", "params": [2, 3]}}):
+        sec.write_text(json.dumps(raw))
+        _code, _out, err = run(capsys, "member", "--sec", str(sec), "--elem", str(elem))
+        assert "TreeTypeError" not in err, raw
+    for raw in bad:
+        sec.write_text(json.dumps(raw))
         code, out, err = run(capsys, "member", "--sec", str(sec), "--elem", str(elem))
         assert code == 1, raw
         assert out == "" and err.startswith("error: TreeTypeError"), raw

@@ -4,6 +4,7 @@ import pytest
 
 from matcrypt.errors import DegenerateKey, IndexOutOfRange, ShapeMismatch
 from matcrypt.homcrypt import (
+    HomPublicKey,
     HomSecretKey,
     PermModel,
     assemble_keypair,
@@ -162,3 +163,67 @@ def test_encrypt_determinism():
     pk, _ = hc_keygen(KLEIN, 5)
     msg = fw(2, [1, 2, -1])
     assert hc_encrypt(pk, msg, 77) == hc_encrypt(pk, msg, 77)
+
+
+def test_keys_check_themselves():
+    pk, _ = hc_keygen(KLEIN, 5)
+    for sigma in ((0, 0), (1, 2), (0, "1"), (True, 0)):
+        with pytest.raises(DegenerateKey):
+            HomSecretKey(sigma)
+    for table in ((0, 0), (0, 5), (0,), (0, 1, 2), (1.0, 0)):
+        with pytest.raises(DegenerateKey):
+            HomPublicKey(KLEIN, pk.x_words, table)
+    with pytest.raises(DegenerateKey):
+        HomPublicKey(KLEIN, pk.x_words[:1], (0,))
+    # a permutation of another alphabet size is not a key for this cipher
+    with pytest.raises(DegenerateKey):
+        hc_decrypt(HomSecretKey((0, 1, 2)), fw(2, [1]))
+    with pytest.raises(DegenerateKey):
+        phi_apply((0, 0), fw(2, [1, 2]))
+
+
+def test_pullback_checks_public_words():
+    pk, _ = hc_keygen(KLEIN, 5)
+    bad = HomPublicKey(KLEIN, (pk.x_words[0], (1, 3)), pk.f_table)
+    with pytest.raises(IndexOutOfRange):
+        f_inverse_word(bad, fw(2, [1, 2]))
+    with pytest.raises(IndexOutOfRange):
+        hc_encrypt(bad, fw(2, [1, 2]), 0)
+
+
+def test_encrypt_equals_chunkwise_pullback():
+    # one substitution of the reduced padded message equals the product of
+    # f^-1 of every padded letter (f^-1 is a homomorphism)
+    pk, _ = hc_keygen(dihedral4(), 2)
+    rng = Rng(8)
+    for pad in (None, 0, 2):
+        msg = random_message(rng, 2, 12)
+        s = rng.below(1 << 30)
+        chunks = Rng(s)
+        want = FreeWord(2, ())
+        for x in msg.letters:
+            length = pad if pad is not None else chunks.randint(2, 4)
+            r = sample_relator(pk.presentation, length, chunks.fork(1).seed)
+            rp = sample_relator(pk.presentation, length, chunks.fork(2).seed)
+            piece = fw_mul(fw_mul(r, fw(2, [x])), rp)
+            want = fw_mul(want, f_inverse_word(pk, piece))
+        assert hc_encrypt(pk, msg, s, pad_length=pad) == want
+
+
+def test_encrypt_linear_time():
+    # 2000 letters with no cancellation: rebuilding the ciphertext after
+    # every letter took 46 s of CPU time, one substitution takes about 0.3 s
+    import time
+    pres = dihedral4()
+    pk, sk = hc_keygen(pres, 0)
+    rng = Rng(5)
+    letters: list[int] = []
+    while len(letters) < 2000:
+        x = rng.choice([1, -1, 2, -2])
+        if not letters or letters[-1] != -x:
+            letters.append(x)
+    msg = FreeWord(2, tuple(letters))
+    t0 = time.process_time()
+    cipher = hc_encrypt(pk, msg, 1)
+    assert time.process_time() - t0 < 2.0
+    assert pres.model.eval_key(hc_decrypt(sk, cipher)) == pres.model.eval_key(msg)

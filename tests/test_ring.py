@@ -2,7 +2,13 @@
 
 import pytest
 
-from matcrypt.errors import NonPrimeP, NonUnit, ReducibleModulus, RingMismatch
+from matcrypt.errors import (
+    MatcryptError,
+    NonPrimeP,
+    NonUnit,
+    ReducibleModulus,
+    RingMismatch,
+)
 from matcrypt.ring import (
     RingAutomorphism,
     RingSpec,
@@ -71,6 +77,16 @@ def test_factorize():
     assert factorize(15) == {3: 1, 5: 1}
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(10403) == {101: 1, 103: 1}
+    assert factorize(1) == {}
+
+
+def test_factorize_rejects_below_one():
+    # -3 first: factorize(0) used to loop forever in the trial division
+    for n in (-3, -1, 0):
+        with pytest.raises(MatcryptError):
+            factorize(n)
+    with pytest.raises(MatcryptError):
+        field(0)
 
 
 def test_add_examples():

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from matcrypt.errors import (
+    AlphabetMismatch,
     DegeneratePair,
     InsecurityWarning,
     TerminalLetterViolation,
@@ -14,6 +15,7 @@ from matcrypt.ring import Zmod
 from matcrypt.rng import Rng
 from matcrypt.words import (
     W1_STABLE_INNER,
+    FreeWord,
     build_exponent_pair,
     build_solvable_pair,
     extract_schedule,
@@ -22,6 +24,7 @@ from matcrypt.words import (
     fw_inv,
     fw_mul,
     fw_pow,
+    fw_substitute,
     satisfies_w1,
     schedule_words,
     validate_pair,
@@ -53,6 +56,75 @@ def test_fw_mul_associative_inv_involution_sampled():
         assert fw_mul(fw_mul(a, b), c) == fw_mul(a, fw_mul(b, c))
         assert fw_inv(fw_inv(a)) == a
         assert fw_mul(a, fw_inv(a)).is_empty()
+
+
+def _reduced_word(rng: Rng, k: int, n: int) -> FreeWord:
+    letters: list[int] = []
+    while len(letters) < n:
+        x = rng.choice([g * s for g in range(1, k + 1) for s in (1, -1)])
+        if not letters or letters[-1] != -x:
+            letters.append(x)
+    return FreeWord(k, tuple(letters))
+
+
+def _kernel_cases(seed: int):
+    """Seeded pairs (a, b) = (u v, v^-1 w): full cancellation when u or w is
+    empty, partial otherwise, none when v is empty."""
+    rng = Rng(seed)
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        u, v, w = (_reduced_word(rng, k, rng.choice([0, 0, 1, 3, 9]))
+                   for _ in range(3))
+        yield k, fw_mul(u, v), fw_mul(fw_inv(v), w)
+
+
+def _unchanged(result: FreeWord) -> bool:
+    """The public constructor leaves a kernel result as it is."""
+    return FreeWord(result.k, result.letters) == result and \
+        type(result.letters) is tuple
+
+
+def test_kernels_return_reduced_words():
+    from matcrypt.homcrypt import phi_apply
+    for k, a, b in _kernel_cases(11):
+        prod = fw_mul(a, b)
+        assert _unchanged(prod)
+        assert prod == FreeWord(k, a.letters + b.letters)
+        assert _unchanged(fw_inv(a)) and fw_mul(a, fw_inv(a)).is_empty()
+        for e in (-3, -1, 0, 1, 2, 5):
+            p = fw_pow(prod, e)
+            base = prod.letters if e >= 0 else fw_inv(prod).letters
+            assert _unchanged(p) and p == FreeWord(k, base * abs(e))
+        images = [fw_mul(a, FreeWord(k, (g,))) for g in range(1, k + 1)]
+        sub = fw_substitute(prod, images)
+        chunks = [images[x - 1].letters if x > 0 else fw_inv(images[-x - 1]).letters
+                  for x in prod.letters]
+        assert _unchanged(sub) and sub == FreeWord(k, sum(chunks, ()))
+        sigma = tuple(range(1, k)) + (0,)
+        phi = phi_apply(sigma, prod)
+        assert _unchanged(phi) and phi_apply(sigma, fw_inv(prod)) == fw_inv(phi)
+
+
+def test_kernels_cancel_fully_and_partly():
+    # u v * v^-1 w = u w: the cases above include both kinds of cancellation
+    full = partial = 0
+    for _k, a, b in _kernel_cases(11):
+        cancelled = (len(a) + len(b) - len(fw_mul(a, b))) // 2
+        full += cancelled > 0 and cancelled == min(len(a), len(b))
+        partial += 0 < cancelled < min(len(a), len(b))
+    assert full > 0 and partial > 0
+
+
+def test_kernels_reject_mixed_alphabets():
+    with pytest.raises(AlphabetMismatch):
+        fw_mul(fw(2, [1]), fw(3, [1]))
+    with pytest.raises(AlphabetMismatch):
+        fw_substitute(fw(2, [1, 2]), [fw(2, [1]), fw(3, [3])])
+    with pytest.raises(AlphabetMismatch):
+        fw_substitute(fw(3, [1, 3]), [fw(2, [1]), fw(2, [2])])
+    # one alphabet for the images, another for the word, is a substitution
+    assert fw_substitute(fw(2, [1, -2]), [fw(3, [3]), fw(3, [1, 2])]).letters \
+        == (3, -2, -1)
 
 
 def test_commutator_examples():
