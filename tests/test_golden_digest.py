@@ -11,9 +11,16 @@ The ``homcrypt`` section pins the free-group cryptosystem the same way: key
 pairs, ciphertexts at several pad lengths, decryptions, the pull-back f^-1
 and sampled relator products.  It was computed before the free-word kernels
 were made linear-time.
+
+Run as a script, ``PYTHONPATH=src:tests python tests/test_golden_digest.py
+OUTDIR`` writes each section's canonical JSON to ``OUTDIR/<section>.json``
+(its sha256 is the section's digest), so two versions can be compared field
+by field before a section is re-pinned.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +240,10 @@ _SECTIONS: dict = {}
 
 def setup_module(module):
     _SECTIONS.update(_sections())
+
+
+if __name__ == "__main__":
+    out = Path(sys.argv[1])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, value in _sections().items():
+        (out / f"{name}.json").write_text(dumps(value))
