@@ -496,6 +496,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a separate value such as the message -2,1, which starts
+    # with "-" but is not one number, for an option; attach it instead
+    for i, a in enumerate(argv[:-1]):
+        if a == "--message" and argv[i + 1][:1] == "-" and argv[i + 1][1:2].isdigit():
+            argv[i:i + 2] = [f"--message={argv[i + 1]}"]
+            break
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

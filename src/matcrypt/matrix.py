@@ -342,6 +342,8 @@ def _int_det(x: tuple, n: int, g: GaloisRingSpec) -> int:
             if a[piv][col] % p:
                 break
         else:
+            if g.m == 1:
+                return 0  # over a field, a column without a pivot is dependent
             # determinant is a non-unit: expand the rest exactly by cofactors
             sub = [[(v,) for v in row[col:]] for row in a[col:]]
             return det * _cofactor_det(sub, g)[0] % q
@@ -372,6 +374,8 @@ def _summand_det(mat, g: GaloisRingSpec):
                 piv = i
                 break
         if piv is None:
+            if g.m == 1:
+                return g.zero()  # as in _int_det
             # determinant is a non-unit: expand the rest exactly by cofactors
             sub = [row[col:] for row in a[col:]]
             d = _cofactor_det(sub, g)

@@ -130,6 +130,27 @@ def test_hom_pipeline(tmp_path, capsys):
     assert want == pres.model.eval_key(FreeWord(2, (1, 2)))
 
 
+def test_hom_message_starting_with_an_inverse_letter(tmp_path, capsys):
+    # argparse used to read -2,1 as an option and exit 2
+    pub, sec = tmp_path / "hp.json", tmp_path / "hs.json"
+    cipher = tmp_path / "c.json"
+    run(capsys, "hom", "keygen", "--preset", "klein4", "--seed", "3",
+        "--pub", str(pub), "--sec", str(sec))
+    code, out, err = run(capsys, "hom", "encrypt", "--pub", str(pub),
+                         "--message", "-2,1", "--seed", "1", "--out", str(cipher))
+    assert code == 0, err
+    code, out, _ = run(capsys, "hom", "decrypt", "--sec", str(sec),
+                       "--cipher", str(cipher))
+    assert code == 0
+    from matcrypt.homcrypt import HomSecretKey, hc_decrypt, klein_four
+    from matcrypt.words import FreeWord
+    pres = klein_four()
+    sk = HomSecretKey(tuple(json.loads(sec.read_text())["sigma"]))
+    c = FreeWord(2, tuple(json.loads(cipher.read_text())))
+    assert pres.model.eval_key(hc_decrypt(sk, c)) == \
+        pres.model.eval_key(FreeWord(2, (-2, 1)))
+
+
 def test_hom_cipher_deterministic(tmp_path, capsys):
     pub, sec = tmp_path / "hp.json", tmp_path / "hs.json"
     run(capsys, "hom", "keygen", "--preset", "s3", "--seed", "4",

@@ -93,6 +93,39 @@ def test_mul_inv_det_match_reference(name, n):
             assert mat_mul(a, mat_inv(a)) == identity(n, ring)
 
 
+def _singular(ring, n, rng):
+    """A * D * B for random A, B and a diagonal D with one zero, so the
+    pivot search meets a column without a unit in the middle of the
+    elimination."""
+    zero_at = rng.below(n)
+    d = matrix(ring, [[(0 if i == zero_at else rng.below(5) + 1) if i == j
+                       else 0 for j in range(n)] for i in range(n)])
+    return mat_mul(mat_mul(rand_matrix(ring, n, rng), d),
+                   rand_matrix(ring, n, rng))
+
+
+@pytest.mark.parametrize("n", DEGREES)
+@pytest.mark.parametrize("name", ["GF2", "GF9", "Z4"])
+def test_singular_det_matches_reference(name, n):
+    ring = {"GF2": field(2), "GF9": field(9), "Z4": Zmod(4)}[name]
+    rng = Rng(_seed(name, n) + 6)
+    for _ in range(4):
+        a = _singular(ring, n, rng)
+        assert mat_det(a) == ref_mat_det(a)
+
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_field_det_with_a_zero_column_is_zero(q):
+    # no pivot in a column means a zero determinant over a field; a cofactor
+    # expansion of the rest took seconds already at degree 10
+    ring = field(q)
+    rng = Rng(q)
+    a = Matrix(24, ring, tuple(
+        tuple(ring.zero() if j == 0 else rand_element(ring, rng)
+              for j in range(24)) for _ in range(24)))
+    assert mat_det(a) == ring.zero()
+
+
 @pytest.mark.parametrize("name,n", CASES)
 def test_vector_act_matches_reference(name, n):
     ring = RINGS[name]
