@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from math import gcd
 
 from .analysis import enumerate_group
 from .errors import (
@@ -54,6 +55,7 @@ from .ring import (
     frobenius_apply,
     is_prime,
     primitive_element_coeffs,
+    root_of_unity,
 )
 from .rng import Rng
 
@@ -1115,7 +1117,9 @@ def _validate_hom_compat(t: DerivationTree, choices, first: int = 0) -> None:
 
     Factor decompositions there are unique only up to scalar twists, so the
     child maps must agree on the shared scalar subgroups; a trivial overlap
-    imposes nothing.
+    imposes nothing.  Two factors share, per summand, the cyclic group of
+    order gcd(d_i, d_j) of their scalar orders; the maps agree on it when
+    they agree on its generator.
     """
     from . import trapdoor
 
@@ -1124,28 +1128,28 @@ def _validate_hom_compat(t: DerivationTree, choices, first: int = 0) -> None:
     info = _info(t)
     if info.impl.twisted:
         factors = _factor_firsts(t, first)
-        kids = [c for c, _ in factors]
         child_sigs = [_subtree_signature(c, choices, off) for c, off in factors]
-        zs = [trapdoor.scalar_subgroup(c) for c in kids]
+        zs = [trapdoor.scalar_subgroup(c) for c, _ in factors]
         # over a multi-summand ring with three or more factors, scalar
         # relations can couple factors whose subgroups do not intersect;
         # demand one common signature as soon as any factor has scalars
-        if (len(kids) >= 3 and len(info.ring.summands) > 1
-                and sum(1 for z in zs if len(z) > 1) >= 2):
+        if (len(zs) >= 3 and len(info.ring.summands) > 1
+                and sum(1 for z in zs if max(z) > 1) >= 2):
             if len(set(child_sigs)) != 1:
                 raise InvalidAutomorphism(
                     "differing leaf maps over coupled factor scalars")
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                overlap = [u for k, u in zs[i].items() if k in zs[j]]
-                nontrivial = [u for u in overlap if not u.is_one()]
-                if not nontrivial:
+        for i in range(len(zs)):
+            for j in range(i + 1, len(zs)):
+                shared = [root_of_unity(info.ring, s, gcd(di, dj))
+                          for s, (di, dj) in enumerate(zip(zs[i], zs[j]))
+                          if gcd(di, dj) > 1]
+                if not shared:
                     continue
                 si, sj = child_sigs[i], child_sigs[j]
                 if si == "mixed" or sj == "mixed":
                     raise InvalidAutomorphism(
                         "mixed leaf maps over factors with shared scalars")
-                for u in nontrivial:
+                for u in shared:
                     if _scalar_image(si, u) != _scalar_image(sj, u):
                         raise InvalidAutomorphism(
                             "leaf maps disagree on shared factor scalars")

@@ -652,3 +652,16 @@ def primitive_element_coeffs(p: int, m: int, r: int, modulus: tuple) -> tuple:
         if all(_ppow(cs, n // d, g.modulus, g.q) != one for d in prime_divs):
             return cs
     raise NonUnit("no primitive element found")
+
+
+def root_of_unity(ring: RingSpec, s: int, d: int) -> RingElement:
+    """A unit of order d in summand s, one in the other summands.
+
+    Summand s must be a field (m = 1), whose unit group is cyclic of order
+    q - 1, and d must divide q - 1.
+    """
+    g = ring.summands[s]
+    z = _ppow(primitive_element_coeffs(g.p, g.m, g.r, g.modulus),
+              g.units_order() // d, g.modulus, g.q)
+    return RingElement(ring, tuple(
+        z if i == s else h.one() for i, h in enumerate(ring.summands)))

@@ -4,8 +4,10 @@ Knowing the derivation tree, membership testing recurses through each node:
 conjugations are undone, ring changes inverted, CRT blocks projected, wreath
 elements split into (coordinate list, permutation) by block/probe structure,
 and tensor factors recovered by Kronecker factorization.  Tensor-style
-factorizations are unique only up to scalar twists, so the recursion under
-tensor and product-wreath nodes carries explicit unit-twist sets.
+factorizations are unique only up to scalars: the twists {u : h*u in G} of
+a factor h are empty or a coset u0 * Z of the scalar subgroup Z of G, which
+over field summands is cyclic and held as its order.  So the recursion
+under tensor and product-wreath nodes carries one unit u0 per factor.
 
 The Linear Transporter Problem reduces at wreath nodes to bipartite maximum
 matching over per-coordinate solvability, exactly mirroring the membership
@@ -19,6 +21,7 @@ Each leaf and operation kind has one solver class here, found through
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .analysis import enumerate_group
@@ -33,6 +36,7 @@ from .errors import (
 from .instance import (
     DerivationTree,
     NodeInfo,
+    _diag_power_set,
     _info,
     _replay,
     leaf_contains,
@@ -49,7 +53,6 @@ from .matrix import (
     _zero,
     crt_project,
     find_embedding,
-    identity,
     is_invertible,
     kron_all,
     mat_det,
@@ -60,10 +63,9 @@ from .matrix import (
     tensor_perm_matrix,
     vector_act,
 )
-from .ring import RingSpec, _pmul, _ppow, ring_inv
+from .ring import RingSpec, _pmul, _ppow, ring_inv, root_of_unity
 from .ring import units as ring_units
 
-TWIST_CAP = 4096
 UNITS_CAP = 4096
 PERM_CAP = 720  # 6! candidate permutations in product-action splitting
 
@@ -246,43 +248,74 @@ def product_split_candidates(g: Matrix, n: int, m: int):
 _scalar_cache: dict = {}
 
 
-def scalar_subgroup(t: DerivationTree) -> dict:
-    """{key: u} for all units u with u*I in the group of t (desk-scale sets)."""
-    if t in _scalar_cache:
-        return _scalar_cache[t]
-    info, solver = _solver(t)
-    out = solver.scalars(t, info)
-    if len(out) > TWIST_CAP:
-        raise UnsupportedDecomposition("scalar subgroup exceeds the twist cap")
-    _scalar_cache[t] = out
-    return out
+def scalar_subgroup(t: DerivationTree) -> tuple:
+    """Per ring summand s, the order d_s of the scalars of G(t) there: u*I is
+    in G(t) exactly when u_s^d_s = 1 in every summand.  (Every summand of a
+    tree's ring is a field, so its unit group is cyclic and a subgroup is
+    given by its order.)"""
+    if t not in _scalar_cache:
+        info, solver = _solver(t)
+        _scalar_cache[t] = solver.scalars(t, info)
+    return _scalar_cache[t]
 
 
-def _elem_key(u: RingElement):
-    return u.coeffs
+def _spow(x: RingElement, exps) -> RingElement:
+    """x_s^e_s in each summand s; e_s may be negative."""
+    return RingElement(x.ring, tuple(
+        _ppow(cs, e % g.units_order(), g.modulus, g.q)
+        for g, cs, e in zip(x.ring.summands, x.coeffs, exps)))
 
 
-def _iter_units(ring: RingSpec):
-    if ring.units_count() > UNITS_CAP:
-        raise UnsupportedDecomposition("unit group exceeds the enumeration cap")
-    return list(ring_units(ring))
+def _bezout(ms: list) -> list:
+    """Integers c with sum c_i * ms[i] = gcd(ms)."""
+    g, cs = 0, []
+    for m in ms:
+        # extended Euclid; each row (r, a, b) has a * g + b * m = r
+        row0, row1 = (g, 1, 0), (m, 0, 1)
+        while row1[0]:
+            k = row0[0] // row1[0]
+            row0, row1 = row1, tuple(x - k * y for x, y in zip(row0, row1))
+        g, a, b = row0
+        cs = [c * a for c in cs] + [b]
+    return cs
 
 
-def _product_sets(sets: list[dict]) -> dict:
-    out = None
-    for z in sets:
-        if out is None:
-            out = dict(z)
-            continue
-        nxt = {}
-        for a in out.values():
-            for b in z.values():
-                c = a * b
-                nxt[_elem_key(c)] = c
-                if len(nxt) > TWIST_CAP:
-                    raise UnsupportedDecomposition("scalar product set too large")
-        out = nxt
-    return out or {}
+def _split_scalar(x: RingElement, orders: list):
+    """[z_i] with z_i in the scalar subgroup of orders[i] and prod z_i = x, or
+    None when x is outside the product of those subgroups.
+
+    Per summand, cyclic subgroups of orders d_i multiply to the one of order
+    L = lcm(d_i); the L / d_i have gcd 1, so Bezout gives sum c_i L / d_i = 1
+    and z_i = x^(c_i L / d_i) needs no discrete logarithm.
+    """
+    lcms, exps = [], []
+    for ds in zip(*orders):
+        lcm = math.lcm(*ds)
+        ms = [lcm // d for d in ds]
+        lcms.append(lcm)
+        exps.append([c * m for c, m in zip(_bezout(ms), ms)])
+    if not _spow(x, lcms).is_one():
+        return None
+    return [_spow(x, [e[i] for e in exps]) for i in range(len(orders))]
+
+
+def _nth_root(c: RingElement, n: int):
+    """x with x^n = c in the unit group of a field, or None.  The group is
+    cyclic of order coprime * rest, rest made of the primes of n: x is
+    c^(n^-1) on the part of order coprime and is searched for on the rest."""
+    order = c.ring.summands[0].units_order()
+    rest = 1
+    while math.gcd(order // rest, n) > 1:
+        rest *= math.gcd(order // rest, n)
+    coprime = order // rest
+    e = rest * pow(rest, -1, coprime)  # 1 mod coprime, 0 mod rest
+    x, c_rest = c.pow(e * pow(n, -1, coprime)), c.pow(order + 1 - e)
+    h, y = root_of_unity(c.ring, 0, rest), c.ring.one()
+    for _ in range(rest):
+        if y.pow(n) == c_rest:
+            return x * y
+        y = y * h
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -348,67 +381,22 @@ def _unrep(g: Matrix, src: RingSpec, d: int):
     return Matrix._of(n0, src, (tuple(out),))
 
 
-def _twist_combine(children: list, factors: list[Matrix]):
-    """Per-factor twist witnesses whose units multiply to one, or None."""
-    twist_sets = []
-    for c, f in zip(children, factors):
-        tw = member_twists(c, f)
-        if not tw:
-            return None
-        twist_sets.append(list(tw.values()))
-    one = factors[0].ring.one()
-    return _search_unit_product(twist_sets, one)
-
-
-def _search_unit_product(twist_sets, target):
-    """Pick one (u, witness) per set with product of units == target."""
-    last = {u.coeffs: (u, wit) for u, wit in twist_sets[-1]}
-
-    def rec(i, acc):
-        if i == len(twist_sets) - 1:
-            need = ring_inv(acc) * target
-            hit = last.get(need.coeffs)
-            return None if hit is None else [hit[1]]
-        for u, wit in twist_sets[i]:
-            sub = rec(i + 1, acc * u)
-            if sub is not None:
-                return [wit] + sub
-        return None
-
-    return rec(0, target.ring.one())
-
-
-_twist_memo: dict = {}
-
-
-def member_twists(t: DerivationTree, a: Matrix) -> dict:
-    """{key: (u, witness)} over units u with a*u in G(t)."""
-    memo_key = (t, a.key())
-    if memo_key in _twist_memo:
-        return _twist_memo[memo_key]
+def member_twists(t: DerivationTree, a: Matrix):
+    """A unit u0 with a*u0 in G(t), or None.  The units u with a*u in G(t)
+    are then exactly u0 times the scalars of ``scalar_subgroup(t)``."""
     info, solver = _solver(t)
-    out = solver.twists(t, info, a)
-    if len(out) > TWIST_CAP:
-        raise UnsupportedDecomposition("twist set exceeds cap")
-    if len(_twist_memo) > 20000:
-        _twist_memo.clear()
-    _twist_memo[memo_key] = out
-    return out
+    return solver.twists(t, info, a)
 
 
-def _add_twists(out: dict, per: list, witness, keep_first: bool) -> None:
-    """Add (u, witness(child witnesses)) to out per combination of the factor
-    twist sets, u the product of their units; a repeated u keeps its first
-    witness when keep_first, else its last."""
-    for combo in itertools.product(*(tw.values() for tw in per)):
-        u = combo[0][0]
-        for v, _ in combo[1:]:
-            u = u * v
-        key = _elem_key(u)
-        if not (keep_first and key in out):
-            out[key] = (u, witness(tuple(w for _, w in combo)))
-        if len(out) > TWIST_CAP:
-            raise UnsupportedDecomposition("twist set exceeds cap")
+def _factor_twists(factors: list, hs: list):
+    """Each factor's twist unit u0, or None when one factor has none."""
+    us = []
+    for c, h in zip(factors, hs):
+        u = member_twists(c, h)
+        if u is None:
+            return None
+        us.append(u)
+    return us
 
 
 def replay_witness(t: DerivationTree, wit: tuple) -> Matrix:
@@ -615,6 +603,30 @@ def vector_tensor_split(vec: tuple, degrees: list, ring: RingSpec):
     return [a_vec] + vector_tensor_split(b_vec, degrees[1:], ring)
 
 
+def _iter_units(ring: RingSpec):
+    if ring.units_count() > UNITS_CAP:
+        raise UnsupportedDecomposition("unit group exceeds the enumeration cap")
+    return list(ring_units(ring))
+
+
+def _search_unit_product(twist_sets, target):
+    """Pick one (u, witness) per set with product of units == target."""
+    last = {u.coeffs: (u, wit) for u, wit in twist_sets[-1]}
+
+    def rec(i, acc):
+        if i == len(twist_sets) - 1:
+            need = ring_inv(acc) * target
+            hit = last.get(need.coeffs)
+            return None if hit is None else [hit[1]]
+        for u, wit in twist_sets[i]:
+            sub = rec(i + 1, acc * u)
+            if sub is not None:
+                return [wit] + sub
+        return None
+
+    return rec(0, target.ring.one())
+
+
 def _ltp_twists(t: DerivationTree, u: tuple, v: tuple) -> tuple[dict, bool]:
     """{key: (w, g)} with u^g = v*w over units w; plus a certified flag."""
     ring = _info(t).ring
@@ -625,7 +637,7 @@ def _ltp_twists(t: DerivationTree, u: tuple, v: tuple) -> tuple[dict, bool]:
         g, cert = _ltp(t, [(u, vw)])
         certified = certified and cert
         if g is not None:
-            out[_elem_key(w)] = (w, g)
+            out[w.coeffs] = (w, g)
     return out, certified
 
 
@@ -681,22 +693,17 @@ def _kron_vectors(parts: list) -> tuple:
 # ---------------------------------------------------------------------------
 
 class _Solver:
-    """The tree-directed solvers of one node kind.  scalars: {key: u} over
-    units u with u*I in G(t); member: a witness for g, or None; twists:
-    {key: (u, witness)} over units u with a*u in G(t); ltp: (g | None,
-    certified) with u^g = v for every (u, v) pair; sample: a vector the ltp
-    recursion can decompose."""
+    """The tree-directed solvers of one node kind.  scalars: the per-summand
+    orders of the scalar subgroup of G(t); member: a witness for g, or None;
+    twists: a unit u0 with a*u0 in G(t), or None; ltp: (g | None, certified)
+    with u^g = v for every (u, v) pair; sample: a vector the ltp recursion
+    can decompose."""
 
     def sample(self, t: DerivationTree, info: NodeInfo, rng) -> tuple:
         return _random_vector(info.ring, info.degree, rng)
 
 
 class _LeafSolver(_Solver):
-    def scalars(self, t, info):
-        # u*I is in the group exactly when I*u is: the twists of I
-        ident = identity(info.degree, info.ring)
-        return {key: u for key, (u, _) in self.twists(t, info, ident).items()}
-
     def member(self, t, info, g):
         return ("leaf", g) if leaf_contains(t.base, g) else None
 
@@ -708,14 +715,16 @@ class _LeafSolver(_Solver):
 
 
 class _UnipotentSolver(_LeafSolver):
+    def scalars(self, t, info):
+        return (1,)
+
     def twists(self, t, info, a):
         d = a[1, 1]
         if d.is_unit():
             u = ring_inv(d)
-            cand = mat_scale(a, u)
-            if leaf_contains(t.base, cand):
-                return {_elem_key(u): (u, ("leaf", cand))}
-        return {}
+            if leaf_contains(t.base, mat_scale(a, u)):
+                return u
+        return None
 
     def ltp(self, t, info, pairs):
         # g = [[1,x],[0,1]]: (u0, u1) -> (u0, u0 x + u1)
@@ -744,45 +753,48 @@ class _UnipotentSolver(_LeafSolver):
 
 
 class _SpecialLinearSolver(_LeafSolver):
+    def scalars(self, t, info):
+        n, q = t.base.params
+        return (math.gcd(n, q - 1),)
+
     def twists(self, t, info, a):
+        # det(a * u) = det(a) * u^n
         det = mat_det(a)
-        one = info.ring.one()
-        return {_elem_key(u): (u, ("leaf", mat_scale(a, u)))
-                for u in _iter_units(info.ring) if det * u.pow(a.n) == one}
+        return _nth_root(ring_inv(det), a.n) if det.is_unit() else None
 
 
 class _GeneralLinearSolver(_LeafSolver):
+    def scalars(self, t, info):
+        return (t.base.params[1] - 1,)
+
     def twists(self, t, info, a):
-        if not is_invertible(a):
-            return {}
-        return {_elem_key(u): (u, ("leaf", mat_scale(a, u)))
-                for u in _iter_units(info.ring)}
+        return info.ring.one() if is_invertible(a) else None
 
 
 class _DiagonalSolver(_LeafSolver):
+    def scalars(self, t, info):
+        return (len(_diag_power_set(t.base)),)
+
     def twists(self, t, info, a):
-        out: dict = {}
-        if not a.is_diagonal():
-            return out
-        for u in _iter_units(info.ring):
-            cand = mat_scale(a, u)
-            if leaf_contains(t.base, cand):
-                out[_elem_key(u)] = (u, ("leaf", cand))
-        return out
+        if not (a.is_diagonal() and a[0, 0].is_unit()):
+            return None
+        u = ring_inv(a[0, 0])
+        powers = _diag_power_set(t.base)
+        if all((a[i, i] * u).coeffs in powers for i in range(1, a.n)):
+            return u
+        return None
 
 
 class _UnarySolver(_Solver):
     """One-child nodes: down(t, info, g) is the child's query (or None) and
     pairs_down its transporter pairs; answers come back by assembly."""
 
-    def units_up(self, t, info, items):
-        """(v, x) for each (u, x) whose child scalar u is a node scalar v."""
-        return items
+    def up(self, t, info, u):
+        """A node unit in the coset u * Z(child) of child twist units, or None."""
+        return u
 
     def scalars(self, t, info):
-        z = scalar_subgroup(t.children[0]).values()
-        return {_elem_key(v): v for v, _ in self.units_up(
-            t, info, [(u, None) for u in z])}
+        return scalar_subgroup(t.children[0])
 
     def member(self, t, info, g):
         g0 = self.down(t, info, g)
@@ -790,11 +802,8 @@ class _UnarySolver(_Solver):
 
     def twists(self, t, info, a):
         a0 = self.down(t, info, a)
-        if a0 is None:
-            return {}
-        sub = member_twists(t.children[0], a0)
-        return {_elem_key(v): (v, info.impl.witness((w,)))
-                for v, w in self.units_up(t, info, sub.values())}
+        u = None if a0 is None else member_twists(t.children[0], a0)
+        return None if u is None else self.up(t, info, u)
 
     def ltp(self, t, info, pairs):
         g0, cert = _ltp(t.children[0], self.pairs_down(t, info, pairs))
@@ -820,9 +829,8 @@ class _RingExtendSolver(_UnarySolver):
     def down(self, t, info, g):
         return _unembed(g, _info(t.children[0]).ring, t.label.target)
 
-    def units_up(self, t, info, items):
-        emb = find_embedding(_info(t.children[0]).ring, t.label.target)
-        return [(emb.apply(u), x) for u, x in items]
+    def up(self, t, info, u):
+        return find_embedding(_info(t.children[0]).ring, t.label.target).apply(u)
 
     def pairs_down(self, t, info, pairs):
         emb = find_embedding(_info(t.children[0]).ring, t.label.target)
@@ -836,13 +844,18 @@ class _RingRepSolver(_UnarySolver):
     def down(self, t, info, g):
         return _unrep(g, _info(t.children[0]).ring, t.label.d)
 
-    def units_up(self, t, info, items):
-        out = []
-        for u, x in items:
-            cs = u.coeffs[0]
-            if all(c == 0 for c in cs[1:]):
-                out.append((info.ring.element([(cs[0],)]), x))
-        return out
+    def scalars(self, t, info):
+        # the child's scalars that lie in the prime field
+        return (math.gcd(scalar_subgroup(t.children[0])[0],
+                         info.ring.summands[0].units_order()),)
+
+    def up(self, t, info, u):
+        # u = v * z with v in the prime field (the units of order p - 1) and
+        # z a child scalar; v, a constant, is the node's twist
+        parts = _split_scalar(u, [(info.ring.summands[0].units_order(),),
+                                  scalar_subgroup(t.children[0])])
+        return None if parts is None else info.ring.element(
+            [parts[0].coeffs[0][:1]])
 
     def pairs_down(self, t, info, pairs):
         child_ring = _info(t.children[0]).ring
@@ -864,33 +877,17 @@ class _SameDegreeSolver(_Solver):
     info.positions[idx] of the node's ring."""
 
     def scalars(self, t, info):
-        per_child = [scalar_subgroup(c) for c in t.children]
-        out = {}
-        for combo in itertools.product(*(z.values() for z in per_child)):
-            el = _combine(info, combo)
-            out[_elem_key(el)] = el
-            if len(out) > TWIST_CAP:
-                raise UnsupportedDecomposition("scalar subgroup too large")
-        return out
+        return _place(info, [scalar_subgroup(c) for c in t.children])
 
     def member(self, t, info, g):
         return _members(info, ((c, crt_project(g, pos, _info(c).ring))
                                for c, pos in zip(t.children, info.positions)))
 
     def twists(self, t, info, a):
-        out: dict = {}
-        per_child = []
-        for idx, c in enumerate(t.children):
-            tw = member_twists(c, crt_project(a, info.positions[idx], _info(c).ring))
-            if not tw:
-                return out
-            per_child.append(tw)
-        for combo in itertools.product(*(tw.values() for tw in per_child)):
-            cand_u = _combine(info, [w for w, _ in combo])
-            out[_elem_key(cand_u)] = (cand_u, info.impl.witness([w for _, w in combo]))
-            if len(out) > TWIST_CAP:
-                raise UnsupportedDecomposition("twist set exceeds cap")
-        return out
+        us = _factor_twists(t.children, [
+            crt_project(a, pos, _info(c).ring)
+            for c, pos in zip(t.children, info.positions)])
+        return None if us is None else _combine(info, us)
 
     def ltp(self, t, info, pairs):
         parts = []
@@ -918,13 +915,18 @@ class _SameDegreeSolver(_Solver):
                      for i in range(info.degree))
 
 
+def _place(info: NodeInfo, parts) -> tuple:
+    """Per node summand, the entry of parts[idx] for child idx, which owns it."""
+    out = [None] * len(info.ring.summands)
+    for part, positions in zip(parts, info.positions):
+        for tpos, pos in enumerate(positions):
+            out[pos] = part[tpos]
+    return tuple(out)
+
+
 def _combine(info: NodeInfo, elems) -> RingElement:
     """The node-ring element whose block idx holds the coefficients of elems[idx]."""
-    coeffs = [None] * len(info.ring.summands)
-    for e, positions in zip(elems, info.positions):
-        for tpos, pos in enumerate(positions):
-            coeffs[pos] = e.coeffs[tpos]
-    return RingElement(info.ring, tuple(coeffs))
+    return RingElement(info.ring, _place(info, [e.coeffs for e in elems]))
 
 
 class _TwistedSolver(_Solver):
@@ -932,25 +934,36 @@ class _TwistedSolver(_Solver):
     factors, permutation); factors are recovered only up to scalar twists."""
 
     def scalars(self, t, info):
-        return _product_sets([scalar_subgroup(c) for c in info.impl.factors(t)])
+        return tuple(math.lcm(*ds) for ds in zip(
+            *(scalar_subgroup(c) for c in info.impl.factors(t))))
 
     def member(self, t, info, g):
         factors = info.impl.factors(t)
         for hs, k in self.splits(t, info, g):
-            subs = _twist_combine(factors, hs)
-            if subs is not None:
-                return info.impl.witness(subs, k)
+            us = _factor_twists(factors, hs)
+            if us is None:
+                continue
+            # factor i is twisted by u_i * z_i, z_i a scalar of its group,
+            # and the twists must multiply to one
+            zs = _split_scalar(ring_inv(math.prod(us[1:], start=us[0])),
+                               [scalar_subgroup(c) for c in factors])
+            if zs is None:
+                continue
+            subs = [_member(c, mat_scale(h, u * z))
+                    for c, h, u, z in zip(factors, hs, us, zs)]
+            if None in subs:
+                raise UnverifiedResult(
+                    "a factor times one of its twists is not a member")
+            return info.impl.witness(subs, k)
         return None
 
     def twists(self, t, info, a):
-        out: dict = {}
         factors = info.impl.factors(t)
-        for hs, k in self.splits(t, info, a):
-            per = [member_twists(c, h) for c, h in zip(factors, hs)]
-            if all(per):
-                _add_twists(out, per, lambda ws: info.impl.witness(ws, k),
-                            self.keep_first)
-        return out
+        for hs, _ in self.splits(t, info, a):
+            us = _factor_twists(factors, hs)
+            if us is not None:
+                return math.prod(us[1:], start=us[0])
+        return None
 
     def ltp(self, t, info, pairs):
         if len(pairs) == 1:
@@ -966,8 +979,6 @@ class _TwistedSolver(_Solver):
 
 
 class _TensorSolver(_TwistedSolver):
-    keep_first = False  # one split; a repeated twist unit keeps its last witness
-
     def splits(self, t, info, g):
         try:
             return [(tensor_split(g, [_info(c).degree for c in t.children]), None)]
@@ -991,8 +1002,6 @@ class _TensorSolver(_TwistedSolver):
 
 
 class _WreathProductSolver(_TwistedSolver):
-    keep_first = True  # the first permutation's witness stays
-
     def splits(self, t, info, g):
         return product_split_candidates(g, _info(t.children[0]).degree, t.label.m)
 
@@ -1036,18 +1045,14 @@ class _WreathImprimitiveSolver(_Solver):
             info, [(t.children[0], h) for h in hs], k)
 
     def twists(self, t, info, a):
-        hs, k = self.split(t, a)
-        if hs is None:
-            return {}
-        per = [member_twists(t.children[0], h) for h in hs]
-        if not all(per):
-            return {}
-        keys = set(per[0])
-        for tw in per[1:]:
-            keys &= set(tw)
-        return {key: (per[0][key][0],
-                      info.impl.witness([tw[key][1] for tw in per], k))
-                for key in keys}
+        # every block's twists are a coset of the child's scalars: they meet
+        # when every block's u0 is the first block's times a scalar
+        hs, _ = self.split(t, a)
+        us = None if hs is None else _factor_twists(info.impl.factors(t), hs)
+        if us is None:
+            return None
+        z, inv = scalar_subgroup(t.children[0]), ring_inv(us[0])
+        return us[0] if all(_spow(u * inv, z).is_one() for u in us[1:]) else None
 
     def ltp(self, t, info, pairs):
         m = t.label.m

@@ -129,8 +129,8 @@ def _ltp_obj(t, u, v):
     return matrix_to_obj(res)
 
 
-def _scalar_keys(t):
-    return [[list(cs) for cs in k] for k in scalar_subgroup(t)]
+def _scalar_orders(t):
+    return list(scalar_subgroup(t))
 
 
 def _tree_record(t, seed: int, ltp: bool) -> dict:
@@ -142,7 +142,7 @@ def _tree_record(t, seed: int, ltp: bool) -> dict:
     out["member"] = [_member_obj(t, word_eval(gens, _word(rng, len(gens))))
                      for _ in range(3)]
     out["random"] = _member_obj(t, rand_matrix(inst.ring, inst.n, rng))
-    out["scalars"] = _try(lambda: _scalar_keys(t))
+    out["scalars"] = _try(lambda: _scalar_orders(t))
     if ltp:
         def ltp_pair():
             u = sample_transportable_vector(t, rng)
@@ -221,9 +221,9 @@ def _sections() -> dict:
 
 
 PINNED = {
-    "desk": "8b66c4f215b53a7e890b58f544ab515bf74316cac77bc3a354037dbc9becfc52",
-    "gen": "47d35174688190b9437b89d37ac3cd31fa64acaf7e8b753da980b93e40055cc2",
-    "hand": "1ca9020cc2998325689019c6d2eb8e579d11135e81a5e1b949951eee4492230d",
+    "desk": "bafbcee0b3db43336be409f21e472bfc460f59d482adcb31f6572e89f0c764aa",
+    "gen": "841c2e9bb2d915c4425f4a1294b713de93daa3bb27a2caa2bc09116f0772b546",
+    "hand": "56b0a62017576fc67f195a527a606c2a44a2f40e537e8930c191df7b94903199",
     "hom": "71c4fc00bcecc69d12ab6d3b1522ab0a88d2f4813f794043ff202e9846d13130",
     "homcrypt": "88095530cbd26fc0893e98c72f540cd7850eea6ff99f913ee8d22cccb8f6dbe8",
 }

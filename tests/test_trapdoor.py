@@ -14,6 +14,7 @@ from matcrypt.errors import (
 )
 from matcrypt.instance import (
     base_diagonal,
+    base_general_linear,
     base_special_linear,
     base_unipotent,
     conjugate,
@@ -113,6 +114,19 @@ def test_membership_matches_oracle_random_trees():
                 g = rand_matrix(inst.ring, inst.n, rng)
             want = enum.contains(g)
             assert membership(t, g).accepted == want
+
+
+@pytest.mark.parametrize("first", [base_general_linear, base_special_linear])
+def test_membership_over_a_large_field_tensor(first):
+    # the twists of a GL(2, 4099) factor are all 4098 units, which the
+    # recursion once enumerated, past its cap
+    t = tensor(leaf(first(2, 4099)), leaf(base_general_linear(2, 4099)))
+    inst = tree_eval(t)
+    g = mat_mul(inst.gens[0], inst.gens[-1])
+    verdict = membership(t, g)
+    assert verdict.accepted
+    assert replay_witness(t, verdict.witness) == g
+    assert not membership(t, rand_matrix(inst.ring, 4, Rng(5))).accepted
 
 
 # --- splitting -------------------------------------------------------------------
