@@ -1117,9 +1117,8 @@ def _validate_hom_compat(t: DerivationTree, choices, first: int = 0) -> None:
 
     Factor decompositions there are unique only up to scalar twists, so the
     child maps must agree on the shared scalar subgroups; a trivial overlap
-    imposes nothing.  Two factors share, per summand, the cyclic group of
-    order gcd(d_i, d_j) of their scalar orders; the maps agree on it when
-    they agree on its generator.
+    imposes nothing.  Per summand the overlap is cyclic of order
+    gcd(d_i, d_j), so the maps are compared on its generator.
     """
     from . import trapdoor
 

@@ -249,10 +249,8 @@ _scalar_cache: dict = {}
 
 
 def scalar_subgroup(t: DerivationTree) -> tuple:
-    """Per ring summand s, the order d_s of the scalars of G(t) there: u*I is
-    in G(t) exactly when u_s^d_s = 1 in every summand.  (Every summand of a
-    tree's ring is a field, so its unit group is cyclic and a subgroup is
-    given by its order.)"""
+    """Per ring summand s (a field), the order d_s of the scalars of G(t):
+    u*I is in G(t) exactly when u_s^d_s = 1 in every summand."""
     if t not in _scalar_cache:
         info, solver = _solver(t)
         _scalar_cache[t] = solver.scalars(t, info)
@@ -262,7 +260,8 @@ def scalar_subgroup(t: DerivationTree) -> tuple:
 def _spow(x: RingElement, exps) -> RingElement:
     """x_s^e_s in each summand s; e_s may be negative."""
     return RingElement(x.ring, tuple(
-        _ppow(cs, e % g.units_order(), g.modulus, g.q)
+        (pow(cs[0], e % g.units_order(), g.q),) if g.r == 1
+        else _ppow(cs, e % g.units_order(), g.modulus, g.q)
         for g, cs, e in zip(x.ring.summands, x.coeffs, exps)))
 
 
@@ -282,12 +281,11 @@ def _bezout(ms: list) -> list:
 
 def _split_scalar(x: RingElement, orders: list):
     """[z_i] with z_i in the scalar subgroup of orders[i] and prod z_i = x, or
-    None when x is outside the product of those subgroups.
-
-    Per summand, cyclic subgroups of orders d_i multiply to the one of order
-    L = lcm(d_i); the L / d_i have gcd 1, so Bezout gives sum c_i L / d_i = 1
-    and z_i = x^(c_i L / d_i) needs no discrete logarithm.
-    """
+    None when x is outside their product, which per summand is the cyclic
+    group of order L = lcm(d_i): Bezout gives sum c_i L / d_i = 1, and
+    z_i = x^(c_i L / d_i) needs no discrete logarithm."""
+    if x.is_one():  # the common case
+        return [x] * len(orders)
     lcms, exps = [], []
     for ds in zip(*orders):
         lcm = math.lcm(*ds)
@@ -309,7 +307,10 @@ def _nth_root(c: RingElement, n: int):
         rest *= math.gcd(order // rest, n)
     coprime = order // rest
     e = rest * pow(rest, -1, coprime)  # 1 mod coprime, 0 mod rest
-    x, c_rest = c.pow(e * pow(n, -1, coprime)), c.pow(order + 1 - e)
+    x = c.pow(e * pow(n, -1, coprime))
+    if rest == 1:
+        return x
+    c_rest = c.pow(order + 1 - e)
     h, y = root_of_unity(c.ring, 0, rest), c.ring.one()
     for _ in range(rest):
         if y.pow(n) == c_rest:
@@ -949,7 +950,8 @@ class _TwistedSolver(_Solver):
                                [scalar_subgroup(c) for c in factors])
             if zs is None:
                 continue
-            subs = [_member(c, mat_scale(h, u * z))
+            # h itself, when its twist is one, keeps its cached inverse
+            subs = [_member(c, h if (u * z).is_one() else mat_scale(h, u * z))
                     for c, h, u, z in zip(factors, hs, us, zs)]
             if None in subs:
                 raise UnverifiedResult(
