@@ -5,21 +5,18 @@ the queries here are group elements g, their scalar multiples u*g and their
 products g*D with a diagonal unit matrix D (which scales blocks and diagonal
 factors independently): a scalar twist that the recursion gets wrong shows
 up as a wrong verdict there.  Every accepted witness must replay to its
-query.  The closed forms
-behind this are checked against the enumerated group as well: the scalars
-u with u*I in G are the units with u_s^d_s = 1 for the orders d_s of
-``scalar_subgroup``, and the twists {u : a*u in G} of a matrix a are empty
-exactly when ``member_twists`` returns None, else its u0 times those
-scalars.
+query.  The closed forms behind this are checked against the enumerated
+group as well: the scalars u with u*I in G are the units with u_s^d_s = 1
+for the orders d_s of ``scalar_subgroup``, and the twists {u : a*u in G} of
+a matrix a are empty exactly when ``member_twists`` returns None, else its
+u0 times those scalars.
 """
 
 import warnings
 
-import pytest
-
+from conftest import rand_matrix
 from matcrypt.analysis import enumerate_group
 from matcrypt.errors import CapExceeded
-from conftest import rand_matrix
 from matcrypt.instance import (
     base_diagonal,
     base_special_linear,
@@ -42,7 +39,7 @@ from matcrypt.trapdoor import (
 
 warnings.simplefilter("ignore")
 
-ENUM_CAP = 600   # 170 of desk trees 0-199 enumerate, in about 4 s
+ENUM_CAP = 600   # 170 of desk trees 0-199 enumerate under it
 TREES = range(200)
 ELEMENTS = 4     # group elements per tree
 MULTIPLES = 3    # scalar multiples u*g per element
