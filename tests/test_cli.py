@@ -204,6 +204,29 @@ def test_attack_commands(tmp_path, capsys):
     assert code == 0 and "plaintext model element" in out
 
 
+ATTACK_PINS = {
+    0: "9b671ac8ebb4fae9cf2148f5339b9357b1678b2ed799aacd84c3eb0289c05efc",
+    1: "6b60475218e3ad752c5e746acd30ef752d2f6445c7f06f747059060cf3cc312a",
+    2: "dcc7f2138ff7bcbdafce8482311ce6835b1d0e2eca0c5fa593a81f2988e578d1",
+    3: "5f19dac9b0ef228456983882323667ce2d13a71d99af1b185290f34e8bb8a627",
+    4: "ecd84dbcd1b7a605ba4c65f04e6d0d787474bf7f922b99982e2b147861fb3270",
+}
+
+
+def test_attack_outputs_pinned(capsys):
+    # over prime fields the elimination's pivot choices fix every line
+    for seed, fingerprint in ATTACK_PINS.items():
+        code, out, _ = run(capsys, "attack", "scsp", "--q", "17",
+                           "--seed", str(seed))
+        assert code == 0
+        assert out == (f"conjugator fingerprint {fingerprint}\n"
+                       "span dimension 4, draws 1\n"), seed
+        code, out, _ = run(capsys, "attack", "linearity", "--seed", str(seed))
+        assert code == 0
+        assert out == ("prediction verified; span dimension 4; "
+                       "consistent True\n"), seed
+
+
 def test_oracle_commands(tmp_path, capsys):
     pub, sec = tmp_path / "pub.json", tmp_path / "sec.json"
     elem = tmp_path / "elem.json"
