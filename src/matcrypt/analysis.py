@@ -23,15 +23,17 @@ from .errors import (
 from .matrix import (
     Matrix,
     RingElement,
+    _eliminate,
     identity,
     is_invertible,
     mat_add,
     mat_inv,
     mat_mul,
     mat_scale,
+    regular_rep_block,
     vector_act,
 )
-from .ring import RingSpec, ring_inv
+from .ring import RingSpec
 from .rng import Rng
 from .words import FreeWord, fw_inv, fw_mul, push_reduced
 
@@ -108,100 +110,52 @@ def oracle_solve(problem: str, enum: EnumeratedGroup, query):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over the ring (per-summand valuation Gaussian)
+# linear algebra over the ring (per summand, on the kernel of matrix.py)
 # ---------------------------------------------------------------------------
 
-def _val(c: int, p: int, m: int) -> int:
-    """p-adic valuation of a coefficient vector entry inside Z_{p^m}."""
-    if c == 0:
-        return m
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
+def _local_rows(columns: list, s: int, g) -> list:
+    """Rows over Z/q of summand s of the system with these columns.
 
-
-def _elem_val(cs: tuple, p: int, m: int) -> int:
-    return min(_val(c, p, m) for c in cs)
+    Through the regular representation an unknown of a rank r summand has r
+    integer unknowns, its coefficients; column j becomes the r columns
+    x^t * columns[j], and row i the r rows of its coefficients.
+    """
+    cols = []
+    for col in columns:
+        blocks = [regular_rep_block(e.coeffs[s], g) for e in col]
+        cols.extend([c for b in blocks for c in b[t]] for t in range(g.r))
+    return [list(row) for row in zip(*cols)]
 
 
 def solve_linear(ring: RingSpec, columns: list, target) -> list | None:
-    """Solve sum_i c_i * columns[i] = target for ring scalars c_i.
+    """Solve sum_i c_i * columns[i] = target for ring scalars c_i, or None.
 
-    columns and target are equal-length tuples of RingElements.  Works per
-    CRT summand by Gaussian elimination with minimum-valuation pivots, which
-    is exact over each local summand.
+    columns and target are equal-length tuples of RingElements.  Each CRT
+    summand is eliminated over Z/p^m by ``matrix._eliminate`` (see
+    ``_local_rows``) and solved by back substitution, free unknowns zero.
+    Its least-valuation pivots make this exact: None means no solution.
     """
     if not columns:
         return None
-    height = len(target)
     per_summand = []
-    for s, gs in enumerate(ring.summands):
-        sol = _solve_local(
-            [[col[i].coeffs[s] for col in columns] for i in range(height)],
-            [target[i].coeffs[s] for i in range(height)], gs)
-        if sol is None:
+    for s, g in enumerate(ring.summands):
+        q, width = g.q, len(columns) * g.r
+        rhs = [c for e in target for c in e.coeffs[s]]
+        a = [row + [b] for row, b in zip(_local_rows(columns, s, g), rhs)]
+        pivots, _ = _eliminate(a, width, g.p, q)
+        if any(row[width] for row in a[len(pivots):]):
             return None
-        per_summand.append(sol)
-    out = []
-    for j in range(len(columns)):
-        out.append(RingElement(ring, tuple(per_summand[s][j]
-                                           for s in range(len(ring.summands)))))
-    return out
-
-
-def _solve_local(rows, rhs, gs) -> list | None:
-    """Solve over one Galois ring summand; rows of coefficient tuples."""
-    from .ring import _pmul, _psub, _ppow
-    p, m, q, mod = gs.p, gs.m, gs.q, gs.modulus
-    nrow = len(rows)
-    ncol = len(rows[0]) if nrow else 0
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    piv_cols = []
-    row_at = 0
-    for col in range(ncol):
-        best, best_val = None, m + 1
-        for i in range(row_at, nrow):
-            val = _elem_val(a[i][col], p, m)
-            if val < best_val:
-                best, best_val = i, val
-        if best is None or best_val >= m:
-            continue
-        a[row_at], a[best] = a[best], a[row_at]
-        pivot = a[row_at][col]
-        # pivot = p^v * unit; normalize the unit part away
-        unit = tuple(c // (p ** best_val) for c in pivot)
-        uinv = _ppow(unit, gs.units_order() - 1, mod, q)
-        a[row_at] = [_pmul(c, uinv, mod, q) for c in a[row_at]]
-        for i in range(nrow):
-            if i == row_at:
-                continue
-            val_i = _elem_val(a[i][col], p, m)
-            if val_i >= best_val:
-                f = tuple(c // (p ** best_val) for c in a[i][col])
-                a[i] = [_psub(c, _pmul(f, d, mod, q), q)
-                        for c, d in zip(a[i], a[row_at])]
-        piv_cols.append((row_at, col, best_val))
-        row_at += 1
-        if row_at == nrow:
-            break
-    sol = [gs.zero() for _ in range(ncol)]
-    for i, col, val in piv_cols:
-        b = a[i][ncol]
-        pv = p ** val
-        if any(c % pv for c in b):
-            return None
-        sol[col] = tuple((c // pv) % q for c in b)
-    # verify (free columns may make the system inconsistent rows)
-    for i in range(nrow):
-        acc = gs.zero()
-        from .ring import _padd
-        for j in range(ncol):
-            acc = _padd(acc, _pmul(rows[i][j], sol[j], mod, q), q)
-        if acc != tuple(c % q for c in rhs[i]):
-            return None
-    return sol
+        x = [0] * width
+        for k in reversed(range(len(pivots))):
+            # the scaled pivot p^v divides the rest of its row, so the row
+            # is solvable exactly when p^v divides its right-hand side
+            row, c = a[k], pivots[k][0]
+            b = (row[width] - sum(row[d] * x[d] for d, _ in pivots[k + 1:])) % q
+            if b % row[c]:
+                return None
+            x[c] = b // row[c]
+        per_summand.append([tuple(x[j:j + g.r]) for j in range(0, width, g.r)])
+    return [RingElement(ring, cs) for cs in zip(*per_summand)]
 
 
 def _vectorize(mat: Matrix) -> tuple:
@@ -304,48 +258,29 @@ def _random_elem(ring: RingSpec, rng: Rng) -> RingElement:
 
 
 def _nullspace(ring: RingSpec, columns: list) -> list:
-    """Basis-ish spanning set of {c : sum c_i columns_i = 0} over a field ring.
+    """A basis of {c : sum c_i columns_i = 0} over a single finite field.
 
-    Only used over single-summand fields (m = 1), where plain Gaussian
-    elimination yields an exact nullspace basis; each output vector is a
-    tuple of scalar coefficients re-expressed as matrix-space vectors.
+    The reduced echelon form from ``matrix._eliminate`` (a field of rank
+    r > 1 through the regular representation, as in ``solve_linear``) gives
+    one vector per free column: a one there, and in each pivot column minus
+    the free column's entry in that pivot's row.
     """
     g = ring.summands[0]
     if len(ring.summands) != 1 or g.m != 1:
         raise ShapeMismatch("nullspace solver expects a single finite field")
-    ncols = len(columns)
-    height = len(columns[0]) if ncols else 0
-    rows = [[columns[j][i] for j in range(ncols)] for i in range(height)]
-    # Gaussian elimination over the field
-    pivots = {}
-    work = [row[:] for row in rows]
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if not work[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = ring_inv(work[r][c])
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][c].is_zero():
-                f_ = work[i][c]
-                work[i] = [x - f_ * y for x, y in zip(work[i], work[r])]
-        pivots[c] = r
-        r += 1
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    r, q = g.r, g.q
+    a = _local_rows(columns, 0, g)
+    pivots, _ = _eliminate(a, len(columns) * r, g.p, q)
+    pivot_cols = {c for c, _ in pivots}
     out = []
-    one, zero = ring.one(), ring.zero()
-    for fc in free_cols:
-        coeffs = [zero] * ncols
-        coeffs[fc] = one
-        for c, ri in pivots.items():
-            coeffs[c] = -work[ri][fc]
-        out.append(tuple(coeffs))
+    for fc in range(0, len(columns) * r, r):
+        if fc in pivot_cols:
+            continue
+        coeffs = [[0] * r for _ in columns]
+        coeffs[fc // r][0] = 1
+        for row, (c, _) in zip(a, pivots):
+            coeffs[c // r][c % r] = -row[fc] % q
+        out.append(tuple(RingElement(ring, (tuple(cs),)) for cs in coeffs))
     return out
 
 

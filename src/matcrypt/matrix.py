@@ -1,9 +1,10 @@
 """Matrices over direct sums of Galois rings.
 
-Exact products and inverses (Gaussian elimination per CRT summand with unit
-pivots), Kronecker products, the two linear representations of wreath
-products, ring-change group embeddings, and word evaluation over generator
-sets.  Vectors are rows acting on the right.
+Exact products, inverses and determinants (per CRT summand, one Gauss-Jordan
+kernel over Z/p^m whose pivots have least p-adic valuation), Kronecker
+products, the two linear representations of wreath products, ring-change
+group embeddings, and word evaluation over generator sets.  Vectors are rows
+acting on the right.
 
 A matrix is stored flat per CRT summand (see ``Matrix``); the kernels work on
 those tuples of plain ints or coefficient tuples, and ``RingElement`` entries
@@ -13,7 +14,8 @@ are built only when a caller reads ``rows`` or ``a[i, j]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from math import gcd
 from operator import mul
 
 from .errors import (
@@ -31,9 +33,9 @@ from .ring import (
     RingElement,
     RingSpec,
     _padd,
+    _pinv,
     _pmul,
     _pneg,
-    _ppow,
     _preduce,
     _psub,
 )
@@ -307,107 +309,143 @@ def mat_scale(a: Matrix, c: RingElement) -> Matrix:
 
 
 # --- per-summand dense elimination ----------------------------------------
+#
+# Pivots have least p-adic valuation (the Howell/Smith-form rule; Storjohann,
+# "Algorithms for Matrix Canonical Forms", ETH thesis, 2000), which keeps the
+# elimination exact over Z/p^m: each pivot p^v*u divides every entry right of
+# it and below it.  An entry's valuation is read as gcd(entry, q) = p^v, which
+# is q for a zero entry.
+
+def _pivot(a: list, k: int, j: int, ncols: int, val, q: int):
+    """(row, column) of the pivot for column j of the rows from k on, when
+    that column has no unit there; None when it is zero there.
+
+    The pivot is the column's first entry of least valuation.  Only when
+    that valuation is above the least one among columns j..ncols-1 is the
+    pivot taken from the first column that reaches it; over a field or on an
+    invertible matrix a column without a unit is zero, so that never happens.
+    """
+    n = len(a)
+    if all(val(a[i][j]) == q for i in range(k, n)):
+        return None
+    _, c, i = min((val(a[i][c]), c, i) for c in range(j, ncols) for i in range(k, n))
+    return i, c
+
+
+def _swap_columns(a: list, j: int, c: int) -> None:
+    for row in a:
+        row[j], row[c] = row[c], row[j]
+
+
+def _eliminate(a: list, ncols: int, p: int, q: int):
+    """Gauss-Jordan over Z/q, q = p^m, in place on the row lists ``a``.
+
+    Columns 0..ncols-1 are eliminated in order; any further columns (an
+    identity, a right-hand side) ride along.  The pivot is the column's
+    first unit among the rows without a pivot, else ``_pivot`` picks it or
+    skips the column; it is swapped into place.  The pivot row is scaled by
+    the inverse of the pivot's unit part, so the pivot becomes p^v, and
+    every other row is reduced by it (rows above keep a remainder below
+    p^v).  Column swaps are undone at the end.
+
+    Returns (pivots, sign): pivot k sits in row k as (column, entry before
+    scaling), and sign is -1 when the row and column swaps are odd in number.
+    """
+    n = len(a)
+    order = list(range(ncols))
+    pivots = []
+    sign = 1
+    for j in range(ncols):
+        k = len(pivots)
+        if k == n:
+            break
+        for i in range(k, n):
+            if a[i][j] % p:
+                g = 1
+                break
+        else:
+            piv = _pivot(a, k, j, ncols, partial(gcd, q), q)
+            if piv is None:
+                continue
+            i, c = piv
+            if c != j:
+                _swap_columns(a, j, c)
+                order[j], order[c] = order[c], order[j]
+                sign = -sign
+            g = gcd(a[i][j], q)
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        x = a[k][j]
+        inv_u = pow(x // g, -1, q)
+        # columns left of j are zero in the pivot row
+        prow = [v * inv_u % q for v in a[k][j:]]
+        a[k][j:] = prow
+        for r, row in enumerate(a):
+            f = row[j] // g
+            if f and r != k:
+                row[j:] = [(u - f * v) % q for u, v in zip(row[j:], prow)]
+        pivots.append((order[j], x))
+    if order != list(range(ncols)):
+        for row in a:
+            row[:ncols] = [v for _, v in sorted(zip(order, row))]
+    return pivots, sign
+
 
 def _int_inv(x: tuple, n: int, p: int, q: int) -> tuple:
-    """Inverse over Z_q, q a power of the prime p: Gauss-Jordan, unit pivots."""
+    """Inverse over Z_q, q a power of the prime p: ``_eliminate`` on [x | I]."""
     a = _square(x, n)
     for i, row in enumerate(a):
         row.extend([0] * n)
         row[n + i] = 1
-    for col in range(n):
-        for piv in range(col, n):
-            if a[piv][col] % p:
-                break
-        else:
-            raise NonInvertible("no unit pivot")
-        a[col], a[piv] = a[piv], a[col]
-        inv_p = pow(a[col][col], -1, q)
-        # columns left of col are already zero in every row but their pivot's
-        prow = [v * inv_p % q for v in a[col][col:]]
-        a[col][col:] = prow
-        for i, row in enumerate(a):
-            f = row[col]
-            if f and i != col:
-                row[col:] = [(u - f * v) % q for u, v in zip(row[col:], prow)]
+    pivots, _ = _eliminate(a, n, p, q)
+    if len(pivots) < n or any(v % p == 0 for _, v in pivots):
+        raise NonInvertible("no unit pivot")
     return tuple(v for row in a for v in row[n:])
 
 
-def _int_det(x: tuple, n: int, g: GaloisRingSpec) -> int:
-    """Determinant over Z_q by elimination with unit pivots."""
-    p, q = g.p, g.q
-    a = _square(x, n)
-    det = 1
-    for col in range(n):
-        for piv in range(col, n):
-            if a[piv][col] % p:
-                break
-        else:
-            if g.m == 1:
-                return 0  # over a field, a column without a pivot is dependent
-            # determinant is a non-unit: expand the rest exactly by cofactors
-            sub = [[(v,) for v in row[col:]] for row in a[col:]]
-            return det * _cofactor_det(sub, g)[0] % q
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        prow = a[col][col:]
-        det = det * prow[0] % q
-        inv_p = pow(prow[0], -1, q)
-        for row in a[col + 1:]:
-            if row[col]:
-                f = row[col] * inv_p % q
-                row[col:] = [(u - f * v) % q for u, v in zip(row[col:], prow)]
-    return det % q
-
-
 def _summand_det(mat, g: GaloisRingSpec):
-    """Determinant over a local ring via elimination (unit pivots, no scaling)."""
+    """Determinant over a rank > 1 summand (coefficient tuples): forward
+    elimination with the pivot rule of ``_eliminate``, no scaling.
+
+    The regular representation would give the norm of the determinant, so
+    these summands do not go through the integer kernel.
+    """
     n = len(mat)
     p, q, mod = g.p, g.q, g.modulus
+
+    def val(cs):
+        return gcd(q, *cs)
+
     a = [row[:] for row in mat]
-    sign = 1
     det = g.one()
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if any(c % p for c in a[i][col]):
-                piv = i
-                break
-        if piv is None:
-            if g.m == 1:
-                return g.zero()  # as in _int_det
-            # determinant is a non-unit: expand the rest exactly by cofactors
-            sub = [row[col:] for row in a[col:]]
-            d = _cofactor_det(sub, g)
-            d = _pmul(det, d, mod, q)
-            return d if sign == 1 else _pneg(d, q)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        pivot = a[col][col]
-        det = _pmul(det, pivot, mod, q)
-        inv_p = _ppow(pivot, g.units_order() - 1, mod, q)
-        for i in range(col + 1, n):
-            if any(a[i][col]):
-                f = _pmul(a[i][col], inv_p, mod, q)
-                a[i] = [_psub(c, _pmul(f, d, mod, q), q)
-                        for c, d in zip(a[i], a[col])]
-    return det if sign == 1 else _pneg(det, q)
-
-
-def _cofactor_det(mat, g: GaloisRingSpec):
-    n = len(mat)
-    q, mod = g.q, g.modulus
-    if n == 1:
-        return mat[0][0]
-    acc = g.zero()
+    sign = 1
     for j in range(n):
-        if not any(mat[0][j]):
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = _pmul(mat[0][j], _cofactor_det(minor, g), mod, q)
-        acc = _padd(acc, term, q) if j % 2 == 0 else _psub(acc, term, q)
-    return acc
+        for i in range(j, n):
+            if any(cv % p for cv in a[i][j]):
+                break
+        else:
+            piv = _pivot(a, j, j, n, val, q)
+            if piv is None:
+                return g.zero()
+            i, c = piv
+            if c != j:
+                _swap_columns(a, j, c)
+                sign = -sign
+        if i != j:
+            a[j], a[i] = a[i], a[j]
+            sign = -sign
+        x = a[j][j]
+        det = _pmul(det, x, mod, q)
+        pv = val(x)
+        # x = p^v * u: a row below subtracts (its entry / p^v) * u^-1 times row j
+        inv_u = _pinv(tuple(cv // pv for cv in x), g)
+        for row in a[j + 1:]:
+            if any(row[j]):
+                f = _pmul(tuple(cv // pv for cv in row[j]), inv_u, mod, q)
+                row[j:] = [_psub(u, _pmul(f, v, mod, q), q)
+                           for u, v in zip(row[j:], a[j][j:])]
+    return det if sign == 1 else _pneg(det, q)
 
 
 def mat_inv(a: Matrix) -> Matrix:
@@ -436,9 +474,17 @@ def _inverse(a: Matrix) -> Matrix:
 
 def mat_det(a: Matrix) -> RingElement:
     n = a.n
-    return RingElement(a.ring, tuple(
-        (_int_det(x, n, g),) if g.r == 1 else _summand_det(_square(x, n), g)
-        for g, x in zip(a.ring.summands, a.data)))
+    out = []
+    for g, x in zip(a.ring.summands, a.data):
+        if g.r > 1:
+            out.append(_summand_det(_square(x, n), g))
+            continue
+        # the product of the pivots, or 0 when a column has none
+        pivots, det = _eliminate(_square(x, n), n, g.p, g.q)
+        for _, v in pivots:
+            det *= v
+        out.append((det % g.q if len(pivots) == n else 0,))
+    return RingElement(a.ring, tuple(out))
 
 
 def is_invertible(a: Matrix) -> bool:
@@ -639,7 +685,7 @@ def _find_root(modulus_src: tuple, g: GaloisRingSpec) -> tuple:
         if all(c == 0 for c in val):
             return root
         dval = _poly_eval(deriv, root, g)
-        dinv = _ppow(dval, g.units_order() - 1, g.modulus, g.q)
+        dinv = _pinv(dval, g)
         root = _psub(root, _pmul(val, dinv, g.modulus, g.q), g.q)
     raise NoSuchEmbedding("Hensel lifting did not converge")
 
@@ -662,9 +708,10 @@ def find_embedding(src: RingSpec, dst: RingSpec) -> SubringEmbedding:
 def _embedding_decode(emb: SubringEmbedding):
     """Per summand: (selected row indices, inverse r x r integer matrix mod q).
 
-    Columns of the coordinate matrix are the dst coordinates of root^i; an
-    invertible row-submatrix mod p exists because the root powers are a basis
-    of the subring.
+    Columns of the coordinate matrix are the dst coordinates of root^i; the
+    root powers are a basis of the subring, so eliminating the transposed
+    matrix gives unit pivots in r of its columns, and those rows are
+    invertible mod p.
     """
     out = []
     for gs, gd, root in zip(emb.src.summands, emb.dst.summands, emb.roots):
@@ -673,42 +720,15 @@ def _embedding_decode(emb: SubringEmbedding):
         for _ in range(gs.r):
             cols.append(power)
             power = _pmul(power, root, gd.modulus, gd.q)
-        # select gs.r rows of the (gd.r x gs.r) matrix invertible mod p
-        sel = _select_invertible_rows(cols, gs.r, gd)
         r = gs.r
+        pivots, _ = _eliminate([list(c) for c in cols], gd.r, gd.p, gd.q)
+        if len(pivots) < r or any(v % gd.p == 0 for _, v in pivots):
+            raise NoSuchEmbedding("embedding coordinate matrix is degenerate")
+        sel = tuple(c for c, _ in pivots)
         inv = _int_inv(tuple(cols[j][i] for i in sel for j in range(r)),
                        r, gd.p, gd.q)
         out.append((sel, [inv[i:i + r] for i in range(0, r * r, r)]))
     return tuple(out)
-
-
-def _select_invertible_rows(cols, r, g: GaloisRingSpec):
-    """Greedy unit-pivot row selection over the residue field F_p."""
-    p = g.p
-    rows = list(range(g.r))
-    work = [[cols[j][i] % g.q for j in range(r)] for i in range(g.r)]
-    sel = []
-    used_cols = []
-    cur = [row[:] for row in work]
-    for j in range(r):
-        found = None
-        for i in rows:
-            if i in sel:
-                continue
-            if cur[i][j] % p:
-                found = i
-                break
-        if found is None:
-            raise NoSuchEmbedding("embedding coordinate matrix is degenerate")
-        sel.append(found)
-        used_cols.append(j)
-        pv = cur[found][j]
-        pinv = pow(pv, -1, p)
-        for i in rows:
-            if i != found and cur[i][j] % p:
-                f = cur[i][j] * pinv % p
-                cur[i] = [(a - f * b) % p for a, b in zip(cur[i], cur[found])]
-    return tuple(sel)
 
 
 def regular_rep_block(a_coeffs: tuple, g: GaloisRingSpec):

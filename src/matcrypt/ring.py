@@ -162,6 +162,11 @@ def _ppow(a: tuple, e: int, modulus: tuple, q: int) -> tuple:
     return out
 
 
+def _pinv(a: tuple, g: GaloisRingSpec) -> tuple:
+    """Inverse of a unit coefficient tuple of summand g: a^(|units| - 1)."""
+    return _ppow(a, g.units_order() - 1, g.modulus, g.q)
+
+
 # polynomial arithmetic over F_p with variable length (for irreducibility)
 
 def _fp_trim(a: list[int]) -> list[int]:
@@ -524,8 +529,7 @@ def ring_inv(a: RingElement) -> RingElement:
     if not a.is_unit():
         raise NonUnit("not a unit (zero divisor or nilpotent)")
     return RingElement(a.ring, tuple(
-        _ppow(cs, g.units_order() - 1, g.modulus, g.q)
-        for g, cs in zip(a.ring.summands, a.coeffs)))
+        _pinv(cs, g) for g, cs in zip(a.ring.summands, a.coeffs)))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ from .matrix import (
     tensor_perm_matrix,
     vector_act,
 )
-from .ring import RingSpec, _pmul, _ppow, ring_inv, root_of_unity
+from .ring import RingSpec, _pinv, _pmul, _ppow, ring_inv, root_of_unity
 from .ring import units as ring_units
 
 UNITS_CAP = 4096
@@ -122,17 +122,13 @@ def _split2_summand(d: tuple, g, n1: int, n2: int):
         winv = pow(d[k], -1, q)
         b = tuple(x * winv % q for x in block)
     else:
-        winv = _pow_unit_inv(d[k], g)
+        winv = _pinv(d[k], g)
         b = tuple(_pmul(x, winv, mod, q) for x in block)
     a = tuple(d[(i * n2 + k0) * n + j * n2 + l0]
               for i in range(n1) for j in range(n1))
     if _kron_summand(a, n1, b, n2, g) != d:
         raise NotDecomposable("entries inconsistent with a Kronecker product")
     return a, b
-
-
-def _pow_unit_inv(cs, gspec):
-    return _ppow(cs, gspec.units_order() - 1, gspec.modulus, gspec.q)
 
 
 def _split2(g: Matrix, n1: int, n2: int) -> tuple[Matrix, Matrix]:
@@ -592,7 +588,7 @@ def vector_tensor_split(vec: tuple, degrees: list, ring: RingSpec):
         if k is None:
             raise NotDecomposable("no unit coordinate in a summand")
         i0, j0 = divmod(k, rest)
-        winv = _pow_unit_inv(ent[k], gs)
+        winv = _pinv(ent[k], gs)
         b = [_pmul(ent[i0 * rest + j], winv, gs.modulus, gs.q)
              for j in range(rest)]
         a = [ent[i * rest + j0] for i in range(n1)]

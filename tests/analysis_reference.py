@@ -1,0 +1,132 @@
+"""Reference linear algebra for the differential tests.
+
+These are the per-summand solver and the field nullspace that
+``matcrypt.analysis`` used before its linear algebra moved onto the shared
+elimination kernel of ``matcrypt.matrix``, kept unchanged apart from the
+imports.  ``ref_solve_linear`` can decline a solvable system over Z/p^m
+with m > 1 (its pivots are of least valuation within a column only), so the
+tests compare against it over fields and against brute force elsewhere.
+"""
+
+from matcrypt.errors import ShapeMismatch
+from matcrypt.ring import RingElement, _padd, _pmul, _ppow, _psub, ring_inv
+
+
+def _val(c, p, m):
+    if c == 0:
+        return m
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
+def _elem_val(cs, p, m):
+    return min(_val(c, p, m) for c in cs)
+
+
+def ref_solve_linear(ring, columns, target):
+    if not columns:
+        return None
+    height = len(target)
+    per_summand = []
+    for s, gs in enumerate(ring.summands):
+        sol = _solve_local(
+            [[col[i].coeffs[s] for col in columns] for i in range(height)],
+            [target[i].coeffs[s] for i in range(height)], gs)
+        if sol is None:
+            return None
+        per_summand.append(sol)
+    out = []
+    for j in range(len(columns)):
+        out.append(RingElement(ring, tuple(per_summand[s][j]
+                                           for s in range(len(ring.summands)))))
+    return out
+
+
+def _solve_local(rows, rhs, gs):
+    p, m, q, mod = gs.p, gs.m, gs.q, gs.modulus
+    nrow = len(rows)
+    ncol = len(rows[0]) if nrow else 0
+    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    piv_cols = []
+    row_at = 0
+    for col in range(ncol):
+        best, best_val = None, m + 1
+        for i in range(row_at, nrow):
+            val = _elem_val(a[i][col], p, m)
+            if val < best_val:
+                best, best_val = i, val
+        if best is None or best_val >= m:
+            continue
+        a[row_at], a[best] = a[best], a[row_at]
+        pivot = a[row_at][col]
+        unit = tuple(c // (p ** best_val) for c in pivot)
+        uinv = _ppow(unit, gs.units_order() - 1, mod, q)
+        a[row_at] = [_pmul(c, uinv, mod, q) for c in a[row_at]]
+        for i in range(nrow):
+            if i == row_at:
+                continue
+            val_i = _elem_val(a[i][col], p, m)
+            if val_i >= best_val:
+                f = tuple(c // (p ** best_val) for c in a[i][col])
+                a[i] = [_psub(c, _pmul(f, d, mod, q), q)
+                        for c, d in zip(a[i], a[row_at])]
+        piv_cols.append((row_at, col, best_val))
+        row_at += 1
+        if row_at == nrow:
+            break
+    sol = [gs.zero() for _ in range(ncol)]
+    for i, col, val in piv_cols:
+        b = a[i][ncol]
+        pv = p ** val
+        if any(c % pv for c in b):
+            return None
+        sol[col] = tuple((c // pv) % q for c in b)
+    for i in range(nrow):
+        acc = gs.zero()
+        for j in range(ncol):
+            acc = _padd(acc, _pmul(rows[i][j], sol[j], mod, q), q)
+        if acc != tuple(c % q for c in rhs[i]):
+            return None
+    return sol
+
+
+def ref_nullspace(ring, columns):
+    g = ring.summands[0]
+    if len(ring.summands) != 1 or g.m != 1:
+        raise ShapeMismatch("nullspace solver expects a single finite field")
+    ncols = len(columns)
+    height = len(columns[0]) if ncols else 0
+    rows = [[columns[j][i] for j in range(ncols)] for i in range(height)]
+    pivots = {}
+    work = [row[:] for row in rows]
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(work)):
+            if not work[i][c].is_zero():
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = ring_inv(work[r][c])
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and not work[i][c].is_zero():
+                f_ = work[i][c]
+                work[i] = [x - f_ * y for x, y in zip(work[i], work[r])]
+        pivots[c] = r
+        r += 1
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    out = []
+    one, zero = ring.one(), ring.zero()
+    for fc in free_cols:
+        coeffs = [zero] * ncols
+        coeffs[fc] = one
+        for c, ri in pivots.items():
+            coeffs[c] = -work[ri][fc]
+        out.append(tuple(coeffs))
+    return out
