@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .errors import (
@@ -318,17 +318,20 @@ def mat_scale(a: Matrix, c: RingElement) -> Matrix:
 
 def _pivot(a: list, k: int, j: int, ncols: int, val, q: int):
     """(row, column) of the pivot for column j of the rows from k on, when
-    that column has no unit there; None when it is zero there.
+    that column has no unit there; None when it is zero there.  ``val`` maps
+    an entry to p^v, and a zero entry to q.
 
     The pivot is the column's first entry of least valuation.  Only when
     that valuation is above the least one among columns j..ncols-1 is the
-    pivot taken from the first column that reaches it; over a field or on an
-    invertible matrix a column without a unit is zero, so that never happens.
+    pivot taken from the first column that reaches it.  Over a field a
+    column without a unit is zero, and on an invertible matrix every column
+    has one, so neither meets a swap.
     """
     n = len(a)
     if all(val(a[i][j]) == q for i in range(k, n)):
         return None
-    _, c, i = min((val(a[i][c]), c, i) for c in range(j, ncols) for i in range(k, n))
+    _, c, i = min((val(a[i][c]), c, i)
+                  for c in range(j, ncols) for i in range(k, n))
     return i, c
 
 
@@ -348,20 +351,20 @@ def _eliminate(a: list, ncols: int, p: int, q: int):
     every other row is reduced by it (rows above keep a remainder below
     p^v).  Column swaps are undone at the end.
 
-    Returns (pivots, sign): pivot k sits in row k as (column, entry before
-    scaling), and sign is -1 when the row and column swaps are odd in number.
+    Returns the pivots: pivot k sits in row k as (column, d), d the entry
+    before scaling, negated for each row or column swap made for it.  With
+    len(a) pivots of a square matrix, the product of the d is its determinant.
     """
     n = len(a)
-    order = list(range(ncols))
     pivots = []
-    sign = 1
+    swaps = []
     for j in range(ncols):
         k = len(pivots)
         if k == n:
             break
         for i in range(k, n):
             if a[i][j] % p:
-                g = 1
+                c, g = j, 1
                 break
         else:
             piv = _pivot(a, k, j, ncols, partial(gcd, q), q)
@@ -370,12 +373,10 @@ def _eliminate(a: list, ncols: int, p: int, q: int):
             i, c = piv
             if c != j:
                 _swap_columns(a, j, c)
-                order[j], order[c] = order[c], order[j]
-                sign = -sign
+                swaps.append((j, c))
             g = gcd(a[i][j], q)
         if i != k:
             a[k], a[i] = a[i], a[k]
-            sign = -sign
         x = a[k][j]
         inv_u = pow(x // g, -1, q)
         # columns left of j are zero in the pivot row
@@ -385,11 +386,16 @@ def _eliminate(a: list, ncols: int, p: int, q: int):
             f = row[j] // g
             if f and r != k:
                 row[j:] = [(u - f * v) % q for u, v in zip(row[j:], prow)]
-        pivots.append((order[j], x))
-    if order != list(range(ncols)):
+        # one swap, of rows or of columns, negates the determinant
+        pivots.append((j, -x if (i != k) != (c != j) else x))
+    if swaps:
+        order = list(range(ncols))  # order[j]: the input column now at j
+        for j, c in swaps:
+            order[j], order[c] = order[c], order[j]
         for row in a:
             row[:ncols] = [v for _, v in sorted(zip(order, row))]
-    return pivots, sign
+        pivots = [(order[j], d) for j, d in pivots]
+    return pivots
 
 
 def _int_inv(x: tuple, n: int, p: int, q: int) -> tuple:
@@ -398,7 +404,7 @@ def _int_inv(x: tuple, n: int, p: int, q: int) -> tuple:
     for i, row in enumerate(a):
         row.extend([0] * n)
         row[n + i] = 1
-    pivots, _ = _eliminate(a, n, p, q)
+    pivots = _eliminate(a, n, p, q)
     if len(pivots) < n or any(v % p == 0 for _, v in pivots):
         raise NonInvertible("no unit pivot")
     return tuple(v for row in a for v in row[n:])
@@ -480,10 +486,9 @@ def mat_det(a: Matrix) -> RingElement:
             out.append(_summand_det(_square(x, n), g))
             continue
         # the product of the pivots, or 0 when a column has none
-        pivots, det = _eliminate(_square(x, n), n, g.p, g.q)
-        for _, v in pivots:
-            det *= v
-        out.append((det % g.q if len(pivots) == n else 0,))
+        pivots = _eliminate(_square(x, n), n, g.p, g.q)
+        det = prod(v for _, v in pivots) if len(pivots) == n else 0
+        out.append((det % g.q,))
     return RingElement(a.ring, tuple(out))
 
 
@@ -721,7 +726,7 @@ def _embedding_decode(emb: SubringEmbedding):
             cols.append(power)
             power = _pmul(power, root, gd.modulus, gd.q)
         r = gs.r
-        pivots, _ = _eliminate([list(c) for c in cols], gd.r, gd.p, gd.q)
+        pivots = _eliminate([list(c) for c in cols], gd.r, gd.p, gd.q)
         if len(pivots) < r or any(v % gd.p == 0 for _, v in pivots):
             raise NoSuchEmbedding("embedding coordinate matrix is degenerate")
         sel = tuple(c for c, _ in pivots)

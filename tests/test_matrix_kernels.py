@@ -18,6 +18,7 @@ from matrix_reference import (
     ref_matrix_obj,
     ref_vector_act,
 )
+from matcrypt import matrix as matrix_module
 from matcrypt.errors import NonInvertible, RingMismatch, ShapeMismatch
 from matcrypt.matrix import (
     Matrix,
@@ -30,7 +31,7 @@ from matcrypt.matrix import (
     matrix,
     vector_act,
 )
-from matcrypt.ring import Zmod, field, ring_make
+from matcrypt.ring import RingElement, Zmod, field, ring_make
 from matcrypt.rng import Rng
 from matcrypt.serialize import dumps, matrix_from_obj, matrix_to_obj, ring_to_obj
 from matcrypt.trapdoor import affine_embed
@@ -119,6 +120,34 @@ def test_singular_det_matches_reference(name, n):
     for _ in range(4):
         a = _singular(ring, n, rng)
         assert mat_det(a) == ref_mat_det(a)
+
+
+def _mostly_non_units(ring, n, rng):
+    """Entries that are mostly multiples of p, so that some columns have no
+    unit while a later column does."""
+    def entry():
+        return RingElement(ring, tuple(
+            tuple(rng.below(g.q) * (1 if rng.below(6) == 0
+                                    else g.p ** (1 + rng.below(g.m))) % g.q
+                  for _ in range(g.r))
+            for g in ring.summands))
+    return Matrix(n, ring, tuple(tuple(entry() for _ in range(n))
+                                 for _ in range(n)))
+
+
+@pytest.mark.parametrize("name", ["Z8", "Z9", "GR(4,2)"])
+def test_det_with_column_swaps_matches_reference(name, monkeypatch):
+    ring = SINGULAR_RINGS[name]
+    swaps = []
+    real_swap = matrix_module._swap_columns
+    monkeypatch.setattr(matrix_module, "_swap_columns",
+                        lambda a, j, c: swaps.append(c) or real_swap(a, j, c))
+    rng = Rng(_seed(name, 0))
+    for n in range(1, 6):
+        for _ in range(20):
+            a = _mostly_non_units(ring, n, rng)
+            assert mat_det(a) == ref_mat_det(a)
+    assert swaps
 
 
 def test_non_unit_det_is_polynomial():
