@@ -142,7 +142,7 @@ def solve_linear(ring: RingSpec, columns: list, target) -> list | None:
         q, width = g.q, len(columns) * g.r
         rhs = [c for e in target for c in e.coeffs[s]]
         a = [row + [b] for row, b in zip(_local_rows(columns, s, g), rhs)]
-        pivots = _eliminate(a, width, g.p, q)
+        pivots = list(_eliminate(a, width, g.p, q))
         if any(row[width] for row in a[len(pivots):]):
             return None
         x = [0] * width
@@ -270,7 +270,7 @@ def _nullspace(ring: RingSpec, columns: list) -> list:
         raise ShapeMismatch("nullspace solver expects a single finite field")
     r, q = g.r, g.q
     a = _local_rows(columns, 0, g)
-    pivots = _eliminate(a, len(columns) * r, g.p, q)
+    pivots = list(_eliminate(a, len(columns) * r, g.p, q))
     pivot_cols = {c for c, _ in pivots}
     out = []
     for fc in range(0, len(columns) * r, r):

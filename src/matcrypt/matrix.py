@@ -349,17 +349,19 @@ def _eliminate(a: list, ncols: int, p: int, q: int):
     skips the column; it is swapped into place.  The pivot row is scaled by
     the inverse of the pivot's unit part, so the pivot becomes p^v, and
     every other row is reduced by it (rows above keep a remainder below
-    p^v).  Column swaps are undone at the end.
+    p^v).
 
-    Returns the pivots: pivot k sits in row k as (column, d), d the entry
-    before scaling, negated for each row or column swap made for it.  With
-    len(a) pivots of a square matrix, the product of the d is its determinant.
+    A generator: it yields each pivot once its column is eliminated, so a
+    caller may stop at the first pivot it cannot use.  Pivot k sits in row k
+    as (column, d), d the entry before scaling, negated for each row or
+    column swap made for it; with len(a) pivots of a square matrix the
+    product of the d is its determinant.  Column swaps are undone once the
+    generator is exhausted.
     """
     n = len(a)
-    pivots = []
-    swaps = []
+    order = list(range(ncols))  # order[j]: the input column now at j
+    k = 0
     for j in range(ncols):
-        k = len(pivots)
         if k == n:
             break
         for i in range(k, n):
@@ -373,7 +375,7 @@ def _eliminate(a: list, ncols: int, p: int, q: int):
             i, c = piv
             if c != j:
                 _swap_columns(a, j, c)
-                swaps.append((j, c))
+                order[j], order[c] = order[c], order[j]
             g = gcd(a[i][j], q)
         if i != k:
             a[k], a[i] = a[i], a[k]
@@ -387,26 +389,25 @@ def _eliminate(a: list, ncols: int, p: int, q: int):
             if f and r != k:
                 row[j:] = [(u - f * v) % q for u, v in zip(row[j:], prow)]
         # one swap, of rows or of columns, negates the determinant
-        pivots.append((j, -x if (i != k) != (c != j) else x))
-    if swaps:
-        order = list(range(ncols))  # order[j]: the input column now at j
-        for j, c in swaps:
-            order[j], order[c] = order[c], order[j]
+        yield order[j], (-x if (i != k) != (c != j) else x)
+        k += 1
+    if order != list(range(ncols)):
         for row in a:
             row[:ncols] = [v for _, v in sorted(zip(order, row))]
-        pivots = [(order[j], d) for j, d in pivots]
-    return pivots
 
 
 def _int_inv(x: tuple, n: int, p: int, q: int) -> tuple:
-    """Inverse over Z_q, q a power of the prime p: ``_eliminate`` on [x | I]."""
+    """Inverse over Z_q, q a power of the prime p: ``_eliminate`` on [x | I],
+    stopped at the first pivot that is missing, moved or not a unit."""
     a = _square(x, n)
     for i, row in enumerate(a):
         row.extend([0] * n)
         row[n + i] = 1
     pivots = _eliminate(a, n, p, q)
-    if len(pivots) < n or any(v % p == 0 for _, v in pivots):
-        raise NonInvertible("no unit pivot")
+    for k in range(n):
+        c, d = next(pivots, (None, 0))
+        if c != k or d % p == 0:
+            raise NonInvertible("no unit pivot")
     return tuple(v for row in a for v in row[n:])
 
 
@@ -486,7 +487,7 @@ def mat_det(a: Matrix) -> RingElement:
             out.append(_summand_det(_square(x, n), g))
             continue
         # the product of the pivots, or 0 when a column has none
-        pivots = _eliminate(_square(x, n), n, g.p, g.q)
+        pivots = list(_eliminate(_square(x, n), n, g.p, g.q))
         det = prod(v for _, v in pivots) if len(pivots) == n else 0
         out.append((det % g.q,))
     return RingElement(a.ring, tuple(out))
@@ -726,7 +727,7 @@ def _embedding_decode(emb: SubringEmbedding):
             cols.append(power)
             power = _pmul(power, root, gd.modulus, gd.q)
         r = gs.r
-        pivots = _eliminate([list(c) for c in cols], gd.r, gd.p, gd.q)
+        pivots = list(_eliminate([list(c) for c in cols], gd.r, gd.p, gd.q))
         if len(pivots) < r or any(v % gd.p == 0 for _, v in pivots):
             raise NoSuchEmbedding("embedding coordinate matrix is degenerate")
         sel = tuple(c for c, _ in pivots)
