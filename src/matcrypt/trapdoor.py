@@ -22,12 +22,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .analysis import enumerate_group
 from .errors import (
     CapExceeded,
     NotDecomposable,
     NotWreathShaped,
+    RingMismatch,
     ShapeMismatch,
     UnsupportedDecomposition,
     UnverifiedResult,
@@ -565,10 +567,73 @@ def _ltp_brute(t: DerivationTree, pairs: list):
     except CapExceeded:
         raise UnsupportedDecomposition(
             "node group too large for the exhaustive transporter fallback") from None
-    for g in elems:
-        if all(vector_act(u, g) == tuple(v) for u, v in pairs):
-            return g, True
-    return None, True
+    return _first_transporter(elems, pairs, inst.ring, inst.n), True
+
+
+# Leaf and fallback scans compare u^h with v on flat integers, one coordinate
+# (one column of h) at a time, so most h are dropped after one dot product.
+# Over a rank r > 1 summand, coefficient t of u_i * h_ij is linear in the
+# coefficients of h_ij (row l of the regular representation of u_i holds
+# u_i * x^l), so entry j of u^h is r dot products with column j of h read
+# as n*r ints, and needs no reduction by the modulus.
+
+def _flat_pairs(pairs, ring: RingSpec, n: int):
+    """Each (u, v) pair as, per summand g of ring, (x, y): x the entries of u
+    (plain ints; for rank r > 1, r rows over the n*r coefficients of a
+    column), y the stored entries of v.  None when v, of another length or
+    ring, is no image; u is checked as vector_act checks it."""
+    out = []
+    for u, v in pairs:
+        if len(u) != n:
+            raise ShapeMismatch(f"vector length {len(u)} vs degree {n}")
+        if any(e.ring is not ring and e.ring != ring for e in u):
+            raise RingMismatch("vector and matrix over different rings")
+        if len(v) != n or any(e.ring is not ring and e.ring != ring for e in v):
+            return None
+        per = []
+        for s, g in enumerate(ring.summands):
+            if g.r == 1:
+                per.append(([e.coeffs[s][0] for e in u],
+                            [e.coeffs[s][0] for e in v]))
+                continue
+            r = g.r
+            reps = [regular_rep_block(e.coeffs[s], g) for e in u]
+            per.append(([[rep[l][t] for rep in reps for l in range(r)]
+                         for t in range(r)],
+                        [e.coeffs[s] for e in v]))
+        out.append(per)
+    return out
+
+
+def _coord(x: list, d: tuple, j: int, n: int, g):
+    """Entry j of the flat row vector x times the flat summand tuple d."""
+    q = g.q
+    if g.r == 1:
+        return sum(map(mul, x, d[j::n])) % q
+    col = d[j::n]
+    return tuple([sum(map(mul, row, itertools.chain.from_iterable(col))) % q
+                  for row in x])
+
+
+def _maps(h: Matrix, flat: list) -> bool:
+    """u^h = v for every flat pair; False at the first entry that differs."""
+    n = h.n
+    for per in flat:
+        for (x, y), g, d in zip(per, h.ring.summands, h.data):
+            for j in range(n):
+                if _coord(x, d, j, n, g) != y[j]:
+                    return False
+    return True
+
+
+def _first_transporter(elems, pairs: list, ring: RingSpec, n: int):
+    """The first h of elems with u^h = v for every (u, v) pair, or None."""
+    flat = _flat_pairs(pairs, ring, n)
+    if flat is not None:
+        for h in elems:
+            if _maps(h, flat):
+                return h
+    return None
 
 
 def vector_tensor_split(vec: tuple, degrees: list, ring: RingSpec):
@@ -632,16 +697,8 @@ def _search_unit_product(twist_sets, target):
 
 def _ltp_twists(t: DerivationTree, u: tuple, v: tuple) -> tuple[dict, bool]:
     """{key: (w, g)} with u^g = v*w over units w; plus a certified flag."""
-    ring = _info(t).ring
-    out = {}
-    certified = True
-    for w in _iter_units(ring):
-        vw = tuple(e * w for e in v)
-        g, cert = _ltp(t, [(u, vw)])
-        certified = certified and cert
-        if g is not None:
-            out[w.coeffs] = (w, g)
-    return out, certified
+    info, solver = _solver(t)
+    return solver.ltp_twists(t, info, u, v)
 
 
 def _pure_tensor_factors(t: DerivationTree, info: NodeInfo, pair) -> tuple:
@@ -699,11 +756,24 @@ class _Solver:
     """The tree-directed solvers of one node kind.  scalars: the per-summand
     orders of the scalar subgroup of G(t); member: a witness for g, or None;
     twists: a unit u0 with a*u0 in G(t), or None; ltp: (g | None, certified)
-    with u^g = v for every (u, v) pair; sample: a vector the ltp recursion
-    can decompose."""
+    with u^g = v for every (u, v) pair; ltp_twists: ltp for (u, v*w) at every
+    unit w; sample: a vector the ltp recursion can decompose."""
 
     def sample(self, t: DerivationTree, info: NodeInfo, rng) -> tuple:
         return _random_vector(info.ring, info.degree, rng)
+
+    def ltp_twists(self, t, info, u, v) -> tuple[dict, bool]:
+        """{w.coeffs: (w, g)} with u^g = v*w, one entry per unit w that has
+        a transporter g, in canonical unit order; plus a certified flag."""
+        out = {}
+        certified = True
+        for w in _iter_units(info.ring):
+            vw = tuple(e * w for e in v)
+            g, cert = self.ltp(t, info, [(u, vw)])
+            certified = certified and cert
+            if g is not None:
+                out[w.coeffs] = (w, g)
+        return out, certified
 
 
 class _LeafSolver(_Solver):
@@ -711,13 +781,55 @@ class _LeafSolver(_Solver):
         return ("leaf", g) if leaf_contains(t.base, g) else None
 
     def ltp(self, t, info, pairs):
+        return _first_transporter(leaf_enumerate(t.base), pairs,
+                                  info.ring, info.degree), True
+
+    def ltp_twists(self, t, info, u, v):
+        # one scan answers every unit: at the first unit entry k of v,
+        # u^h = v*w forces w = (u^h)_k / v_k, so h is checked in full only
+        # for a unit w that has no transporter yet, and the scan stops once
+        # every unit has one; h is still the first in enumeration order
+        ring, n = info.ring, info.degree
+        units = _iter_units(ring)
+        k = next((j for j, e in enumerate(v) if e.is_unit()), None)
+        flat = _flat_pairs([(u, v)], ring, n)
+        if k is None or flat is None:
+            return super().ltp_twists(t, info, u, v)
+        (x, y), = flat[0]  # a leaf's ring is one field GF(q)
+        g = ring.summands[0]
+        q, mod = g.q, g.modulus
+        if g.r == 1:
+            def times(a, b):
+                return a * b % q
+        else:
+            def times(a, b):
+                return _pmul(a, b, mod, q)
+        vk_inv = _to_entry(g, _pinv(_to_coeffs(g, y[k]), g))
+        zero = _zero(g)
+        found = {}
         for h in leaf_enumerate(t.base):
-            if all(vector_act(u, h) == v for u, v in pairs):
-                return h, True
-        return None, True
+            d = h.data[0]
+            c = _coord(x, d, k, n, g)
+            if c == zero:
+                continue
+            w = times(c, vk_inv)
+            if w not in found and all(_coord(x, d, j, n, g) == times(e, w)
+                                      for j, e in enumerate(y) if j != k):
+                found[w] = h
+                if len(found) == len(units):
+                    break
+        out = {}
+        for w in units:
+            h = found.get(_to_entry(g, w.coeffs[0]))
+            if h is not None:
+                out[w.coeffs] = (w, h)
+        return out, True
 
 
 class _UnipotentSolver(_LeafSolver):
+    # ltp is closed-form, so each unit's transporter is cheap on its own
+    ltp_twists = _Solver.ltp_twists
+
     def scalars(self, t, info):
         return (1,)
 
