@@ -388,9 +388,25 @@ class OpLabel:
 
 @dataclass(frozen=True)
 class DerivationTree:
+    """A leaf (base) or an operation (label) on children.  Trees key every
+    per-tree cache, so a node computes its hash once, on first use; equality
+    compares the fields.  Pickles leave the hash out: a string's hash differs
+    from one process to the next."""
     base: BaseGroupSpec | None = None
     label: OpLabel | None = None
     children: tuple = ()
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.base, self.label,
+                                               self.children))
+        return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def is_leaf(self) -> bool:
         return self.base is not None

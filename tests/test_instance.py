@@ -278,3 +278,34 @@ def test_homspec_serialization_roundtrip():
     h2 = homspec_from_obj(obj)
     assert dumps(homspec_to_obj(h2)) == dumps(obj)
     assert h2.gen_images == h.gen_images
+
+
+def test_tree_hash_cached_on_first_use_and_left_out_of_pickles():
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    t = tree_random(45, 3, max_degree=9, max_ring=4000)
+    same = tree_from_obj(tree_to_obj(t))
+    assert "_hash" not in vars(same)     # built without hashing
+    assert same == t and same is not t and hash(same) == hash(t)
+    assert vars(same)["_hash"] == hash(same)
+    assert repr(same) == repr(t)         # the cached hash is not a field
+    # a pickle written by a process with another string-hash seed
+    code = ("import pickle, sys\n"
+            "from matcrypt.instance import tree_random\n"
+            "t = tree_random(45, 3, max_degree=9, max_ring=4000)\n"
+            "print(hash(t))\n"
+            "sys.stdout.flush()\n"
+            "sys.stdout.buffer.write(pickle.dumps(t))\n")
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, check=True).stdout
+    their_hash, _, blob = out.partition(b"\n")
+    assert int(their_hash) != hash(t)    # the two processes hash differently
+    loaded = pickle.loads(blob)
+    assert "_hash" not in vars(loaded)
+    assert loaded == t and hash(loaded) == hash(t)
+    assert {t: "found"}[loaded] == "found"
