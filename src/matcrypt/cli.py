@@ -286,25 +286,28 @@ def cmd_hom(args) -> int:
     raise MatcryptError(f"unknown hom subcommand {args.hom_cmd!r}")
 
 
+def _random_invertible(ring, n: int, rng):
+    """A uniform invertible n x n matrix over ring, by rejection; each entry
+    takes one draw per coefficient, so over Z/p one draw."""
+    from .analysis import _random_elem
+    from .matrix import Matrix, is_invertible
+    while True:
+        m = Matrix(n, ring, [[_random_elem(ring, rng) for _ in range(n)]
+                             for _ in range(n)])
+        if is_invertible(m):
+            return m
+
+
 def cmd_attack(args) -> int:
     if args.attack_cmd == "scsp":
         from .analysis import scsp_linear_attack
         from .instance import base_general_linear, leaf_generators
-        from .matrix import is_invertible, mat_inv, mat_mul, matrix
-        from .ring import Zmod
+        from .matrix import mat_inv, mat_mul
         rng = Rng(args.seed)
-        ring = Zmod(args.q)
-
-        def rand_gl():
-            while True:
-                m = matrix(ring, [[rng.below(args.q) for _ in range(args.n)]
-                                  for _ in range(args.n)])
-                if is_invertible(m):
-                    return m
-        g = rand_gl()
-        h = rand_gl()
-        f = mat_mul(mat_mul(mat_inv(h), g), h)
         gens = leaf_generators(base_general_linear(args.n, args.q))
+        g = _random_invertible(gens[0].ring, args.n, rng)
+        h = _random_invertible(gens[0].ring, args.n, rng)
+        f = mat_mul(mat_mul(mat_inv(h), g), h)
         report = scsp_linear_attack(args.n, args.q, gens, f, g, args.seed)
         from .serialize import matrix_to_obj
         print(f"conjugator fingerprint {_fingerprint(matrix_to_obj(report.h))}")
@@ -313,23 +316,13 @@ def cmd_attack(args) -> int:
     if args.attack_cmd == "linearity":
         from .analysis import INCONCLUSIVE, linearity_attack
         from .instance import base_general_linear, leaf_generators
-        from .matrix import is_invertible, mat_inv, mat_mul, matrix
-        from .ring import Zmod
+        from .matrix import mat_inv, mat_mul
         rng = Rng(args.seed)
-        ring = Zmod(args.q)
         gens = leaf_generators(base_general_linear(2, args.q))
-        while True:
-            c = matrix(ring, [[rng.below(args.q) for _ in range(2)]
-                              for _ in range(2)])
-            if is_invertible(c):
-                break
+        c = _random_invertible(gens[0].ring, 2, rng)
         cinv = mat_inv(c)
         images = [mat_mul(mat_mul(cinv, g), c) for g in gens]
-        while True:
-            q = matrix(ring, [[rng.below(args.q) for _ in range(2)]
-                              for _ in range(2)])
-            if is_invertible(q):
-                break
+        q = _random_invertible(gens[0].ring, 2, rng)
         report = linearity_attack(gens, images, q)
         truth = mat_mul(mat_mul(cinv, q), c)
         verdict = "inconclusive" if report.prediction == INCONCLUSIVE else \

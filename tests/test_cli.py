@@ -227,6 +227,18 @@ def test_attack_outputs_pinned(capsys):
                        "consistent True\n"), seed
 
 
+def test_attacks_over_gf9(capsys):
+    # q = 9 is not a prime: the secret and the query are drawn over GF(9),
+    # the ring of the generators, not over Z/9
+    for seed in range(3):
+        code, out, err = run(capsys, "attack", "scsp", "--q", "9",
+                             "--seed", str(seed))
+        assert code == 0 and out.startswith("conjugator fingerprint "), err
+        code, out, err = run(capsys, "attack", "linearity", "--q", "9",
+                             "--seed", str(seed))
+        assert code == 0 and out.startswith("prediction verified"), err
+
+
 def test_oracle_commands(tmp_path, capsys):
     pub, sec = tmp_path / "pub.json", tmp_path / "sec.json"
     elem = tmp_path / "elem.json"
