@@ -790,11 +790,11 @@ class _LeafSolver(_Solver):
         # for a unit w that has no transporter yet, and the scan stops once
         # every unit has one; h is still the first in enumeration order
         ring, n = info.ring, info.degree
-        units = _iter_units(ring)
         k = next((j for j, e in enumerate(v) if e.is_unit()), None)
         flat = _flat_pairs([(u, v)], ring, n)
         if k is None or flat is None:
             return super().ltp_twists(t, info, u, v)
+        units = _iter_units(ring)
         (x, y), = flat[0]  # a leaf's ring is one field GF(q)
         g = ring.summands[0]
         q, mod = g.q, g.modulus

@@ -6,6 +6,7 @@ import pytest
 
 from matcrypt import trapdoor
 from matcrypt.analysis import enumerate_group
+from matcrypt.errors import UnsupportedDecomposition
 from matcrypt.instance import (
     base_diagonal,
     base_general_linear,
@@ -160,3 +161,11 @@ def test_twist_query_enumerates_the_leaf_once(monkeypatch):
     tw, _ = trapdoor._ltp_twists(t, u, v)
     assert len(tw) == 4
     assert calls == [t.base]
+
+
+def test_twist_query_keeps_the_units_cap():
+    t = leaf(base_general_linear(1, 4099))  # 4098 units > UNITS_CAP
+    ring = tree_eval(t).ring
+    for v in ((ring.one(),), (ring.zero(),)):
+        with pytest.raises(UnsupportedDecomposition):
+            trapdoor._ltp_twists(t, (ring.one(),), v)
