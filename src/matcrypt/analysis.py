@@ -11,6 +11,7 @@ cryptosystem.  Every attack verifies its own output before reporting success.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -35,7 +36,7 @@ from .matrix import (
 )
 from .ring import RingSpec
 from .rng import Rng
-from .words import FreeWord, fw_inv, fw_mul, push_reduced
+from .words import FreeWord, fw_inv, fw_mul
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +387,16 @@ def _consistency_check(ring, gens, images, basis, vectors, img_table) -> bool:
 
 @dataclass
 class CosetAttack:
+    """The coset attack's tables for one public key and one model group.
+
+    ``table`` holds one representative X-word per model element.
+    ``searched`` is the ball of reduced products of at most ``bound`` public
+    X-words and their inverses, in breadth-first order; each word is keyed by
+    its packed letters (``_pack``: the native 4-byte ints of
+    ``array('i', letters)``), not by its letter tuple.
+    """
     table: list          # (model element key, representative X-word)
-    searched: dict       # free word letters -> model image key of the f-image
+    searched: dict       # packed free word -> model image key of the f-image
     bound: int
     pk: object
     model: object
@@ -396,7 +405,7 @@ class CosetAttack:
         """Model image of the plaintext, or INCONCLUSIVE."""
         for key, rep_word in self.table:
             q = fw_mul(cipher, fw_inv(rep_word))
-            hit = self.searched.get(q.letters)
+            hit = self.searched.get(_pack(q.letters))
             if hit is not None and hit == self.model.identity_key():
                 return key
         return INCONCLUSIVE
@@ -426,23 +435,77 @@ def coset_attack(pk, model, length_bound: int) -> CosetAttack:
                         nxt.append(w2)
         frontier = nxt
     table = [(key, f_inverse_word(pk, w)) for key, w in reps.items()]
-    # bounded-length search table: products of X-generators and inverses
-    searched: dict = {(): model.identity_key()}
+    # bounded-length search table: products of X-generators and inverses;
+    # step 2i is x-word i and step 2i + 1 its inverse
     steps = []
     for idx, xw in enumerate(pk.x_words):
         y = pk.f_table[idx] + 1
         x = FreeWord(k, tuple(xw))
         steps.append((x.letters, model.gen_key(y, 1)))
         steps.append((fw_inv(x).letters, model.gen_key(y, -1)))
-    frontier2 = [((), model.identity_key())]
-    for _ in range(length_bound):
-        nxt = []
-        for letters, img in frontier2:
-            for chunk, gk in steps:
-                w2 = tuple(push_reduced(list(letters), chunk))
-                if w2 not in searched:
-                    img2 = model.mul_key(img, gk)
-                    searched[w2] = img2
-                    nxt.append((w2, img2))
-        frontier2 = nxt
+    searched = _word_ball(model, steps, length_bound)
     return CosetAttack(table, searched, length_bound, pk, model)
+
+
+_WIDTH = array("i").itemsize
+
+
+def _pack(letters) -> bytes:
+    """A word's letters as its key in ``CosetAttack.searched``."""
+    return array("i", letters).tobytes()
+
+
+def _word_ball(model, steps, bound: int) -> dict:
+    """Packed reduced word -> model image, for every product of at most
+    bound steps, in breadth-first order (steps in order within a level).
+
+    A word extends by one bytes concatenation; only where the step's first
+    letter cancels the word's last letter does the cancellation run, on a
+    memoryview of the word.  The step that undoes the word's last step
+    (s ^ 1) is skipped: it gives back the parent word.  Images are indices
+    into ``images``, and ``moves[i][s]`` is the image of image i times step
+    s, computed once per image the search reaches.
+    """
+    ident = model.identity_key()
+    images, index, moves = [ident], {ident: 0}, [None]
+    # per step: its letters, their packing, and the packed letter that
+    # its first letter cancels (None for an empty step)
+    packed = [(letters, _pack(letters),
+               _pack((-letters[0],)) if letters else None)
+              for letters, _ in steps]
+    searched, size = {b"": ident}, 1
+    frontier = [(b"", 0, -1)]
+    for _ in range(bound):
+        nxt = []
+        for word, img, last in frontier:
+            row = moves[img]
+            if row is None:
+                row = moves[img] = []
+                for _letters, gk in steps:
+                    key = model.mul_key(images[img], gk)
+                    if key not in index:
+                        index[key] = len(images)
+                        images.append(key)
+                        moves.append(None)
+                    row.append(index[key])
+            tail, undone = word[-_WIDTH:], last ^ 1
+            for s, (letters, chunk, undo) in enumerate(packed):
+                if s == undone:
+                    continue
+                if tail == undo:
+                    # the word is reduced, so letters cancel only where
+                    # they meet (as in words.push_reduced)
+                    stack = memoryview(word).cast("i")
+                    i, n = 1, min(len(stack), len(letters))
+                    while i < n and stack[-1 - i] == -letters[i]:
+                        i += 1
+                    w2 = word[:len(word) - _WIDTH * i] + chunk[_WIDTH * i:]
+                else:
+                    w2 = word + chunk
+                img2 = row[s]
+                searched.setdefault(w2, images[img2])
+                if len(searched) > size:
+                    size += 1
+                    nxt.append((w2, img2, s))
+        frontier = nxt
+    return searched

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import KeyMismatch, MatcryptError
+from .errors import BadInputFile, KeyMismatch, MatcryptError
 from .rng import Rng
 
 
@@ -23,9 +23,16 @@ def _write(path: str, obj) -> None:
         fh.write(dumps(obj))
 
 
-def _read(path: str):
+def _read(path: str, kind: str, parse):
+    """The JSON value in path, read through parse.  A file that is not JSON,
+    or lacks what parse reads from it, is a BadInputFile naming the file;
+    parse's own domain errors pass through."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return parse(json.load(fh))
+        except (json.JSONDecodeError, KeyError, TypeError) as e:
+            raise BadInputFile(
+                f"{path} is not a {kind} file ({type(e).__name__}: {e})") from e
 
 
 def _fingerprint(obj) -> str:
@@ -124,8 +131,8 @@ def cmd_gen(args) -> int:
 def cmd_member(args) -> int:
     from .serialize import matrix_from_obj
     from .trapdoor import membership
-    t = tree_from_obj(_read(args.sec))
-    g = matrix_from_obj(_read(args.elem))
+    t = _read(args.sec, "secret tree", tree_from_obj)
+    g = _read(args.elem, "matrix", matrix_from_obj)
     verdict = membership(t, g)
     print("yes" if verdict.accepted else "no")
     if verdict.accepted and args.witness:
@@ -152,9 +159,9 @@ def _witness_obj(wit):
 def cmd_ltp(args) -> int:
     from .serialize import matrix_to_obj, vector_from_obj
     from .trapdoor import NoSolution, ltp_solve
-    t = tree_from_obj(_read(args.sec))
-    u = vector_from_obj(_read(args.u))
-    v = vector_from_obj(_read(args.v))
+    t = _read(args.sec, "secret tree", tree_from_obj)
+    u = _read(args.u, "vector", vector_from_obj)
+    v = _read(args.v, "vector", vector_from_obj)
     res = ltp_solve(t, u, v)
     if isinstance(res, NoSolution):
         print("no-solution" + (" (certified)" if res.certified else " (not found)"))
@@ -244,14 +251,29 @@ def _random_unit(rng: Rng, n: int) -> int:
             return x
 
 
+def _hom_preset(name: str):
+    from .homcrypt import dihedral4, klein_four, sym3
+    return {"klein4": klein_four, "s3": sym3, "d4": dihedral4}[name]()
+
+
+def _hom_public_key(raw: dict):
+    from .homcrypt import HomPublicKey
+    return HomPublicKey(_hom_preset(raw["preset"]),
+                        tuple(tuple(w) for w in raw["x_words"]),
+                        tuple(raw["f_table"]))
+
+
+def _read_cipher(path: str, k: int):
+    from .words import FreeWord
+    return _read(path, "ciphertext", lambda raw: FreeWord(k, tuple(raw)))
+
+
 def cmd_hom(args) -> int:
-    from .homcrypt import (HomPublicKey, HomSecretKey, dihedral4,
-                           hc_decrypt, hc_encrypt, hc_keygen, klein_four, sym3)
+    from .homcrypt import HomSecretKey, hc_decrypt, hc_encrypt, hc_keygen
     from .words import FreeWord
 
-    presets = {"klein4": klein_four, "s3": sym3, "d4": dihedral4}
     if args.hom_cmd == "keygen":
-        pres = presets[args.preset]()
+        pres = _hom_preset(args.preset)
         pk, sk = hc_keygen(pres, args.seed)
         pub = {"preset": args.preset, "k": pres.k,
                "relations": [list(r.letters) for r in pres.relations],
@@ -264,21 +286,16 @@ def cmd_hom(args) -> int:
         print(f"secret fingerprint {_fingerprint(sec)}")
         return 0
     if args.hom_cmd == "encrypt":
-        raw = _read(args.pub)
-        pres = presets[raw["preset"]]()
-        pk = HomPublicKey(pres, tuple(tuple(w) for w in raw["x_words"]),
-                          tuple(raw["f_table"]))
-        msg = FreeWord(pres.k, tuple(int(x) for x in args.message.split(",")))
+        pk = _read(args.pub, "hom public key", _hom_public_key)
+        msg = FreeWord(pk.presentation.k, args.message)
         cipher = hc_encrypt(pk, msg, args.seed, pad_length=args.pad_length)
         _write(args.out, list(cipher.letters))
         print(f"ciphertext fingerprint {_fingerprint(list(cipher.letters))}")
         return 0
     if args.hom_cmd == "decrypt":
-        raw = _read(args.sec)
-        pres = presets[raw["preset"]]()
-        sk = HomSecretKey(tuple(raw["sigma"]))
-        cipher = FreeWord(pres.k, tuple(_read(args.cipher)))
-        plain = hc_decrypt(sk, cipher)
+        pres, sk = _read(args.sec, "hom secret key", lambda raw: (
+            _hom_preset(raw["preset"]), HomSecretKey(tuple(raw["sigma"]))))
+        plain = hc_decrypt(sk, _read_cipher(args.cipher, pres.k))
         if args.out:
             _write(args.out, list(plain.letters))
         print(f"plaintext word {','.join(str(x) for x in plain.letters) or 'empty'}")
@@ -332,16 +349,10 @@ def cmd_attack(args) -> int:
         return 0
     if args.attack_cmd == "coset":
         from .analysis import INCONCLUSIVE, coset_attack
-        from .homcrypt import HomPublicKey, dihedral4, klein_four, sym3
-        from .words import FreeWord
-        presets = {"klein4": klein_four, "s3": sym3, "d4": dihedral4}
-        raw = _read(args.pub)
-        pres = presets[raw["preset"]]()
-        pk = HomPublicKey(pres, tuple(tuple(w) for w in raw["x_words"]),
-                          tuple(raw["f_table"]))
+        pk = _read(args.pub, "hom public key", _hom_public_key)
+        pres = pk.presentation
         attack = coset_attack(pk, pres.model, args.bound)
-        cipher = FreeWord(pres.k, tuple(_read(args.cipher)))
-        got = attack.decrypt(cipher)
+        got = attack.decrypt(_read_cipher(args.cipher, pres.k))
         if got == INCONCLUSIVE:
             print("inconclusive")
         else:
@@ -354,7 +365,7 @@ def cmd_attack(args) -> int:
 def cmd_oracle(args) -> int:
     from .analysis import enumerate_group, oracle_solve
     from .instance import tree_eval
-    t = tree_from_obj(_read(args.sec))
+    t = _read(args.sec, "secret tree", tree_from_obj)
     inst = tree_eval(t)
     enum = enumerate_group(list(inst.gens), args.cap)
     if args.oracle_cmd == "enum":
@@ -363,21 +374,43 @@ def cmd_oracle(args) -> int:
     if args.oracle_cmd == "solve":
         from .serialize import matrix_from_obj, vector_from_obj
         if args.problem == "membership":
-            g = matrix_from_obj(_read(args.elem))
+            g = _read(args.elem, "matrix", matrix_from_obj)
             ok, wit = oracle_solve("membership", enum, g)
             print("yes" if ok else "no")
         elif args.problem == "ltp":
-            u = vector_from_obj(_read(args.u))
-            v = vector_from_obj(_read(args.v))
+            u = _read(args.u, "vector", vector_from_obj)
+            v = _read(args.v, "vector", vector_from_obj)
             ok, wit = oracle_solve("ltp", enum, (u, v))
             print("solvable" if ok else "no-solution (certified)")
         elif args.problem == "conjugacy":
-            f = matrix_from_obj(_read(args.f))
-            g = matrix_from_obj(_read(args.g))
+            f = _read(args.f, "matrix", matrix_from_obj)
+            g = _read(args.g, "matrix", matrix_from_obj)
             ok, wit = oracle_solve("conjugacy", enum, (f, g))
             print("conjugate" if ok else "not-conjugate")
         return 0
     raise MatcryptError(f"unknown oracle subcommand {args.oracle_cmd!r}")
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than minimum."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+    return parse
+
+
+def _letters(text: str) -> tuple:
+    """An argparse type: comma-separated signed letters such as 1,-2,1."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not comma-separated integers: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,10 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     hk.add_argument("--sec", required=True)
     he = hsub.add_parser("encrypt")
     he.add_argument("--pub", required=True)
-    he.add_argument("--message", required=True,
+    he.add_argument("--message", required=True, type=_letters,
                     help="comma-separated signed letters, e.g. 1,-2,1")
     he.add_argument("--seed", type=int, default=0)
-    he.add_argument("--pad-length", type=int, default=None, dest="pad_length")
+    he.add_argument("--pad-length", type=_int_at_least(0), default=None,
+                    dest="pad_length")
     he.add_argument("--out", required=True)
     hd = hsub.add_parser("decrypt")
     hd.add_argument("--sec", required=True)
@@ -445,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     asub = p.add_subparsers(dest="attack_cmd", required=True)
     a1 = asub.add_parser("scsp")
     a1.add_argument("--q", type=int, default=17)
-    a1.add_argument("--n", type=int, default=2)
+    a1.add_argument("--n", type=_int_at_least(1), default=2)
     a1.add_argument("--seed", type=int, default=0)
     a2 = asub.add_parser("linearity")
     a2.add_argument("--q", type=int, default=5)
@@ -453,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     a3 = asub.add_parser("coset")
     a3.add_argument("--pub", required=True)
     a3.add_argument("--cipher", required=True)
-    a3.add_argument("--bound", type=int, default=11)
+    a3.add_argument("--bound", type=_int_at_least(0), default=11)
 
     p = sub.add_parser("oracle", help="brute-force oracles")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)

@@ -147,6 +147,10 @@ class UsageError(MatcryptError):
     """Bad CLI invocation."""
 
 
+class BadInputFile(MatcryptError):
+    """A CLI input file is not JSON, or not the kind of file its option takes."""
+
+
 class InsecurityWarning(UserWarning):
     """A run produced a cryptographically worthless configuration.
 

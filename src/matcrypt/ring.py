@@ -10,7 +10,7 @@ Teichmuller digit decomposition and lifted Frobenius automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     FactorizationTooLarge,
@@ -341,6 +341,12 @@ class RingSpec:
         for g in self.summands:
             n *= g.units_order()
         return n
+
+    @cached_property
+    def unit_list(self) -> tuple:
+        """All units in canonical order, listed on first use and kept with
+        the ring (desk-scale rings only: it enumerates the whole ring)."""
+        return tuple(units(self))
 
     def zero(self) -> "RingElement":
         return RingElement(self, tuple(g.zero() for g in self.summands))

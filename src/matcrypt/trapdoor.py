@@ -65,7 +65,6 @@ from .matrix import (
     vector_act,
 )
 from .ring import RingSpec, _pinv, _pmul, _ppow, ring_inv, root_of_unity
-from .ring import units as ring_units
 
 UNITS_CAP = 4096
 PERM_CAP = 720  # 6! candidate permutations in product-action splitting
@@ -674,7 +673,7 @@ def vector_tensor_split(vec: tuple, degrees: list, ring: RingSpec):
 def _iter_units(ring: RingSpec):
     if ring.units_count() > UNITS_CAP:
         raise UnsupportedDecomposition("unit group exceeds the enumeration cap")
-    return list(ring_units(ring))
+    return ring.unit_list
 
 
 def _search_unit_product(twist_sets, target):

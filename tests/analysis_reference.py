@@ -1,15 +1,21 @@
-"""Reference linear algebra for the differential tests.
+"""Reference analysis code for the differential tests.
 
 These are the per-summand solver and the field nullspace that
 ``matcrypt.analysis`` used before its linear algebra moved onto the shared
-elimination kernel of ``matcrypt.matrix``, kept unchanged apart from the
-imports.  ``ref_solve_linear`` can decline a solvable system over Z/p^m
-with m > 1 (its pivots are of least valuation within a column only), so the
-tests compare against it over fields and against brute force elsewhere.
+elimination kernel of ``matcrypt.matrix``, and the coset attack's search
+over letter tuples that it used before the search moved onto packed words,
+kept unchanged apart from the imports and names.  ``ref_solve_linear`` can
+decline a solvable system over Z/p^m with m > 1 (its pivots are of least
+valuation within a column only), so the tests compare against it over
+fields and against brute force elsewhere.
 """
 
-from matcrypt.errors import ShapeMismatch
+from dataclasses import dataclass
+
+from matcrypt.analysis import INCONCLUSIVE
+from matcrypt.errors import CapExceeded, ShapeMismatch
 from matcrypt.ring import RingElement, _padd, _pmul, _ppow, _psub, ring_inv
+from matcrypt.words import FreeWord, fw_inv, fw_mul, push_reduced
 
 
 def _val(c, p, m):
@@ -130,3 +136,67 @@ def ref_nullspace(ring, columns):
             coeffs[c] = -work[ri][fc]
         out.append(tuple(coeffs))
     return out
+
+
+@dataclass
+class RefCosetAttack:
+    table: list          # (model element key, representative X-word)
+    searched: dict       # free word letters -> model image key of the f-image
+    bound: int
+    pk: object
+    model: object
+
+    def decrypt(self, cipher: FreeWord):
+        """Model image of the plaintext, or INCONCLUSIVE."""
+        for key, rep_word in self.table:
+            q = fw_mul(cipher, fw_inv(rep_word))
+            hit = self.searched.get(q.letters)
+            if hit is not None and hit == self.model.identity_key():
+                return key
+        return INCONCLUSIVE
+
+
+def ref_coset_attack(pk, model, length_bound: int) -> RefCosetAttack:
+    """List the model group, pick coset representatives f^-1(h_i), and decide
+    cosets by bounded-length search over products of public generators."""
+    from matcrypt.homcrypt import f_inverse_word
+
+    if model.order() > 4096:
+        raise CapExceeded("model group too large for the coset attack")
+    # one representative word per model element, by BFS over Y letters
+    reps: dict = {}
+    k = pk.presentation.k
+    frontier = [FreeWord(k, ())]
+    reps[model.identity_key()] = FreeWord(k, ())
+    while frontier and len(reps) < model.order():
+        nxt = []
+        for w in frontier:
+            for letter in range(1, k + 1):
+                for sgn in (1, -1):
+                    w2 = fw_mul(w, FreeWord(k, (sgn * letter,)))
+                    key = model.eval_key(w2)
+                    if key not in reps:
+                        reps[key] = w2
+                        nxt.append(w2)
+        frontier = nxt
+    table = [(key, f_inverse_word(pk, w)) for key, w in reps.items()]
+    # bounded-length search table: products of X-generators and inverses
+    searched: dict = {(): model.identity_key()}
+    steps = []
+    for idx, xw in enumerate(pk.x_words):
+        y = pk.f_table[idx] + 1
+        x = FreeWord(k, tuple(xw))
+        steps.append((x.letters, model.gen_key(y, 1)))
+        steps.append((fw_inv(x).letters, model.gen_key(y, -1)))
+    frontier2 = [((), model.identity_key())]
+    for _ in range(length_bound):
+        nxt = []
+        for letters, img in frontier2:
+            for chunk, gk in steps:
+                w2 = tuple(push_reduced(list(letters), chunk))
+                if w2 not in searched:
+                    img2 = model.mul_key(img, gk)
+                    searched[w2] = img2
+                    nxt.append((w2, img2))
+        frontier2 = nxt
+    return RefCosetAttack(table, searched, length_bound, pk, model)

@@ -1,9 +1,11 @@
 """Oracles and attacks: exhaustive ground truth and verified attack outputs."""
 
 import warnings
+from array import array
 
 import pytest
 
+from analysis_reference import ref_coset_attack
 from conftest import rand_invertible
 from matcrypt.analysis import (
     INCONCLUSIVE,
@@ -16,7 +18,14 @@ from matcrypt.analysis import (
     span_basis,
 )
 from matcrypt.errors import AttackFailure, CapExceeded, InsecurityWarning
-from matcrypt.homcrypt import hc_decrypt, hc_encrypt, hc_keygen, klein_four
+from matcrypt.homcrypt import (
+    dihedral4,
+    hc_decrypt,
+    hc_encrypt,
+    hc_keygen,
+    klein_four,
+    sym3,
+)
 from matcrypt.instance import base_general_linear, leaf_generators
 from matcrypt.matrix import (
     identity,
@@ -203,6 +212,26 @@ def test_coset_attack_bound_zero():
     attack = coset_attack(pk, pres.model, 0)
     cipher = hc_encrypt(pk, FreeWord(2, (1,)), 5, pad_length=1)
     assert attack.decrypt(cipher) == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("make", [klein_four, sym3, dihedral4],
+                         ids=["klein4", "s3", "d4"])
+def test_coset_search_matches_the_reference(make):
+    # the packed-word ball holds the reference's words, in its order, with
+    # its images; the table and every verdict agree
+    pres = make()
+    for seed in range(10):
+        pk, _sk = hc_keygen(pres, seed)
+        ciphers = [hc_encrypt(pk, FreeWord(pres.k, (x,)), 7 * seed + j, pad_length=1)
+                   for j, x in enumerate((1, -1, 2, -2))]
+        for bound in range(9):
+            got = coset_attack(pk, pres.model, bound)
+            want = ref_coset_attack(pk, pres.model, bound)
+            assert got.table == want.table, (seed, bound)
+            ball = [(tuple(array("i", w)), img) for w, img in got.searched.items()]
+            assert ball == list(want.searched.items()), (seed, bound)
+            assert [got.decrypt(c) for c in ciphers] == \
+                [want.decrypt(c) for c in ciphers], (seed, bound)
 
 
 def test_span_basis_stabilizes():

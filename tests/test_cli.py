@@ -4,6 +4,8 @@ import hashlib
 import json
 import warnings
 
+import pytest
+
 from matcrypt.cli import main, tree_from_obj, tree_to_obj
 
 warnings.simplefilter("ignore")
@@ -227,6 +229,38 @@ def test_attack_outputs_pinned(capsys):
                        "consistent True\n"), seed
 
 
+# preset -> (first stdout line at bound 7, at bound 11) for seeds 0-2; the
+# key and the ciphertext of a one-letter message take the same seed, the
+# letters are 1, -2, 2; every run prints the table size |H| after the line
+COSET_PINS = {
+    "klein4": [("[1, 0, 3, 2]", "[1, 0, 3, 2]"), ("[2, 3, 0, 1]", "[2, 3, 0, 1]"),
+               ("[2, 3, 0, 1]", "[2, 3, 0, 1]")],
+    "s3": [("[1, 0, 2]", "[1, 0, 2]"), ("[2, 0, 1]", "[2, 0, 1]"),
+           ("[1, 2, 0]", "[1, 2, 0]")],
+    "d4": [("[1, 2, 3, 0]", "[1, 2, 3, 0]"), (None, "[3, 2, 1, 0]"),
+           ("[3, 2, 1, 0]", "[3, 2, 1, 0]")],
+}
+COSET_ORDERS = {"klein4": 4, "s3": 6, "d4": 8}
+
+
+def test_coset_attack_outputs_pinned(tmp_path, capsys):
+    pub, sec, cipher = (str(tmp_path / f"{n}.json") for n in ("hp", "hs", "c"))
+    for preset, pins in COSET_PINS.items():
+        for seed, (message, bounds) in enumerate(zip(("1", "-2", "2"), pins)):
+            run(capsys, "hom", "keygen", "--preset", preset, "--seed", str(seed),
+                "--pub", pub, "--sec", sec)
+            run(capsys, "hom", "encrypt", "--pub", pub, "--message", message,
+                "--seed", str(seed), "--pad-length", "1", "--out", cipher)
+            for bound, element in zip(("7", "11"), bounds):
+                code, out, _ = run(capsys, "attack", "coset", "--pub", pub,
+                                   "--cipher", cipher, "--bound", bound)
+                first = "inconclusive" if element is None else \
+                    f"plaintext model element {element}"
+                assert code == 0
+                assert out == f"{first}\ntable size {COSET_ORDERS[preset]}\n", \
+                    (preset, seed, bound)
+
+
 def test_attacks_over_gf9(capsys):
     # q = 9 is not a prime: the secret and the query are drawn over GF(9),
     # the ring of the generators, not over Z/9
@@ -257,6 +291,70 @@ def test_domain_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "member", "--sec", str(tmp_path / "no.json"),
                        "--elem", str(tmp_path / "no2.json"))
     assert code == 1
+
+
+@pytest.fixture
+def hom_files(tmp_path, capsys):
+    """A klein4 key pair, a ciphertext under it and a truncated copy of the
+    public key."""
+    f = {n: str(tmp_path / f"{n}.json") for n in ("hpub", "hsec", "cipher", "trunc")}
+    run(capsys, "hom", "keygen", "--preset", "klein4", "--seed", "3",
+        "--pub", f["hpub"], "--sec", f["hsec"])
+    run(capsys, "hom", "encrypt", "--pub", f["hpub"], "--message", "1",
+        "--seed", "1", "--pad-length", "1", "--out", f["cipher"])
+    with open(f["hpub"]) as src, open(f["trunc"], "w") as dst:
+        dst.write(src.read()[:20])
+    f["out"] = str(tmp_path / "out.json")
+    return f
+
+
+# each used to escape as a traceback (ValueError, IndexError) or to exit 0
+BAD_ARGUMENTS = {
+    "message-not-letters": ("hom", "encrypt", "--pub", "{hpub}", "--message", "1,x",
+                            "--out", "{out}"),
+    "negative-pad-length": ("hom", "encrypt", "--pub", "{hpub}", "--message", "1",
+                            "--pad-length", "-1", "--out", "{out}"),
+    "scsp-degree-zero": ("attack", "scsp", "--n", "0"),
+    "negative-coset-bound": ("attack", "coset", "--pub", "{hpub}", "--cipher",
+                             "{cipher}", "--bound", "-2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_arguments_are_usage_errors(case, hom_files, capsys):
+    argv = [a.format(**hom_files) for a in BAD_ARGUMENTS[case]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error: argument --" in err
+
+
+# (argv, the file named, the failure it reports); each used to escape as
+# KeyError or JSONDecodeError
+WRONG_FILES = {
+    "member-sec-is-hom-public-key": (("member", "--sec", "{hpub}", "--elem", "{cipher}"),
+                                     "hpub", "KeyError: 'op'"),
+    "hom-decrypt-sec-is-hom-public-key": (("hom", "decrypt", "--sec", "{hpub}",
+                                           "--cipher", "{cipher}"),
+                                          "hpub", "KeyError: 'sigma'"),
+    "coset-pub-is-hom-secret-key": (("attack", "coset", "--pub", "{hsec}",
+                                     "--cipher", "{cipher}"),
+                                    "hsec", "KeyError: 'x_words'"),
+    "coset-cipher-is-hom-public-key": (("attack", "coset", "--pub", "{hpub}",
+                                        "--cipher", "{hpub}"),
+                                       "hpub", "TypeError"),
+    "truncated-json": (("hom", "encrypt", "--pub", "{trunc}", "--message", "1",
+                        "--out", "{out}"),
+                       "trunc", "JSONDecodeError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_FILES))
+def test_wrong_input_files_exit_one(case, hom_files, capsys):
+    argv, name, failure = WRONG_FILES[case]
+    code, out, err = run(capsys, *[a.format(**hom_files) for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: BadInputFile: {hom_files[name]} is not a "), err
+    assert failure in err
 
 
 def test_every_written_file_reparses_canonically(tmp_path, capsys):

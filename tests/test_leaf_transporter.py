@@ -18,7 +18,7 @@ from matcrypt.instance import (
     tree_eval,
 )
 from matcrypt.matrix import Matrix, vector_act
-from matcrypt.ring import Zmod, field, ring_make
+from matcrypt.ring import RingSpec, Zmod, field, ring_make
 from matcrypt.rng import Rng
 from trapdoor_reference import ref_leaf_ltp, ref_leaf_ltp_twists, ref_ltp_brute
 
@@ -169,3 +169,33 @@ def test_twist_query_keeps_the_units_cap():
     for v in ((ring.one(),), (ring.zero(),)):
         with pytest.raises(UnsupportedDecomposition):
             trapdoor._ltp_twists(t, (ring.one(),), v)
+
+
+def test_twist_queries_enumerate_the_ring_once(monkeypatch):
+    # the unit list is kept with the ring: a second query, on the same leaf
+    # or on another leaf over the same ring, reads it without enumerating
+    t, other = leaf(base_general_linear(2, 5)), leaf(base_special_linear(2, 5))
+    ring = tree_eval(t).ring
+    assert tree_eval(other).ring is ring
+    monkeypatch.delitem(vars(ring), "unit_list", raising=False)
+    calls = []
+    enumerate_ring = RingSpec.enumerate
+
+    def counted(self):
+        calls.append(self)
+        return enumerate_ring(self)
+    monkeypatch.setattr(RingSpec, "enumerate", counted)
+    u, v = (ring.one(), ring.zero()), (ring.zero(), ring.one())
+    first, _ = trapdoor._ltp_twists(t, u, v)
+    assert calls == [ring]
+    assert trapdoor._ltp_twists(t, u, (ring.one(), ring.one())) is not None
+    assert trapdoor._ltp_twists(other, u, v) is not None
+    assert calls == [ring]
+    assert [w.coeffs for w, _ in first.values()] == \
+        [w.coeffs for w in ring.enumerate() if w.is_unit()]
+    # above the cap the query is refused before any list is made
+    big = tree_eval(leaf(base_general_linear(1, 4099))).ring
+    with pytest.raises(UnsupportedDecomposition):
+        trapdoor._ltp_twists(leaf(base_general_linear(1, 4099)),
+                             (big.one(),), (big.one(),))
+    assert "unit_list" not in vars(big)
