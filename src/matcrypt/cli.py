@@ -3,7 +3,7 @@
 One binary, subcommand style; every randomized operation takes an explicit
 --seed (absence means seed 0), so identical invocations produce byte-identical
 artifacts.  Exit codes: 0 success, 1 domain failure (the message names the
-failing error), 2 usage error.
+failing error) or an input file that cannot be opened, 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,11 @@ import sys
 from . import __version__
 from .errors import BadInputFile, KeyMismatch, MatcryptError
 from .rng import Rng
+
+
+class UsageError(Exception):
+    """Arguments that parse but that the command cannot run with; main
+    reports it as argparse reports its own errors, with exit code 2."""
 
 
 def _write(path: str, obj) -> None:
@@ -219,7 +224,10 @@ def cmd_gdh(args) -> int:
     from .words import _random_word, build_solvable_pair
     rng = Rng(args.seed)
     if args.mode == "dh":
+        from .ring import is_prime
         p = args.p
+        if p < 5 or not is_prime(p):
+            raise UsageError(f"--mode dh needs a prime --p of at least 5, got {p}")
         pair = build_solvable_pair(1)
         act = PowerAction(p, 2 + rng.below(p - 3))
         sa = _random_unit(rng, p - 1)
@@ -362,7 +370,16 @@ def cmd_attack(args) -> int:
     raise MatcryptError(f"unknown attack {args.attack_cmd!r}")
 
 
+# the files each oracle problem reads, beside --sec
+_PROBLEM_FILES = {"membership": ("elem",), "ltp": ("u", "v"), "conjugacy": ("f", "g")}
+
+
 def cmd_oracle(args) -> int:
+    if args.oracle_cmd == "solve":
+        missing = [f"--{name}" for name in _PROBLEM_FILES[args.problem]
+                   if getattr(args, name) is None]
+        if missing:
+            raise UsageError(f"--problem {args.problem} requires {', '.join(missing)}")
     from .analysis import enumerate_group, oracle_solve
     from .instance import tree_eval
     t = _read(args.sec, "secret tree", tree_from_obj)
@@ -413,98 +430,127 @@ def _letters(text: str) -> tuple:
             f"not comma-separated integers: {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SEED = {"type": int, "default": 0}
+_REQUIRED = {"required": True}
+_OPTIONAL = {"default": None}
+_CAP = {"type": int, "default": 100000}
+
+# {name: (help, options)} or {name: (help, {subcommand: (help, options)})};
+# options map each flag to its add_argument keywords.  A command without help
+# is added without the keyword, so it gets no line of its own in -h.
+COMMANDS = {
+    "version": (None, {}),
+    "gen": ("generate a trapdoored instance", {
+        "--size": {"type": int, "default": 60},
+        "--seed": _SEED,
+        "--pub": _REQUIRED,
+        "--sec": _REQUIRED,
+        "--sample": {"default": None,
+                     "help": "optionally write a sampled in-group element"},
+    }),
+    "member": ("trapdoor membership test", {
+        "--sec": _REQUIRED, "--elem": _REQUIRED, "--witness": _OPTIONAL}),
+    "ltp": ("trapdoor linear transporter", {
+        "--sec": _REQUIRED, "--u": _REQUIRED, "--v": _REQUIRED,
+        "--out": _OPTIONAL}),
+    "aag": ("two-party commutator key agreement", {
+        "--size": {"type": int, "default": 40},
+        "--seed": _SEED,
+        "--transcript": _OPTIONAL,
+    }),
+    "mparty": ("multi-party key agreement", {
+        "--parties": {"type": int, "default": 4},
+        "--size": {"type": int, "default": 40},
+        "--seed": _SEED,
+        "--transcript": _OPTIONAL,
+    }),
+    "gdh": ("identity-word key agreement", {
+        "--mode": {"choices": ("dh", "matrix"), "default": "matrix"},
+        "--p": {"type": int, "default": 101},
+        "--seed": _SEED,
+        "--transcript": _OPTIONAL,
+    }),
+    "hom": ("homomorphic cryptosystem", {
+        "keygen": (None, {
+            "--preset": {"choices": ("klein4", "s3", "d4"), "default": "klein4"},
+            "--seed": _SEED,
+            "--pub": _REQUIRED,
+            "--sec": _REQUIRED,
+        }),
+        "encrypt": (None, {
+            "--pub": _REQUIRED,
+            "--message": {"required": True, "type": _letters,
+                          "help": "comma-separated signed letters, e.g. 1,-2,1"},
+            "--seed": _SEED,
+            "--pad-length": {"type": _int_at_least(0), "default": None},
+            "--out": _REQUIRED,
+        }),
+        "decrypt": (None, {
+            "--sec": _REQUIRED, "--cipher": _REQUIRED, "--out": _OPTIONAL}),
+    }),
+    "attack": ("attack experiments", {
+        "scsp": (None, {
+            "--q": {"type": int, "default": 17},
+            "--n": {"type": _int_at_least(1), "default": 2},
+            "--seed": _SEED,
+        }),
+        "linearity": (None, {
+            "--q": {"type": int, "default": 5},
+            "--seed": _SEED,
+        }),
+        "coset": (None, {
+            "--pub": _REQUIRED,
+            "--cipher": _REQUIRED,
+            "--bound": {"type": _int_at_least(0), "default": 11},
+        }),
+    }),
+    "oracle": ("brute-force oracles", {
+        "enum": (None, {"--sec": _REQUIRED, "--cap": _CAP}),
+        "solve": (None, {
+            "--problem": {"choices": ("membership", "ltp", "conjugacy"),
+                          "required": True},
+            "--sec": _REQUIRED,
+            "--cap": _CAP,
+            "--elem": _OPTIONAL, "--u": _OPTIONAL, "--v": _OPTIONAL,
+            "--f": _OPTIONAL, "--g": _OPTIONAL,
+        }),
+    }),
+}
+
+
+def build_parser(argv=()) -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The parser for argv, and the deepest subcommand parser on argv's
+    command path (the root when argv names no command).
+
+    Only the subcommands argv names are built: at each level, when argv's
+    next word is a command name of that level only its parser is added,
+    otherwise (no word, -h, a typo) every parser of the level and below is,
+    so help and choice errors list them all.  A level built in part names
+    all its commands in its metavar, so usage lines read as with the full
+    tree; a full level keeps argparse's own metavar, which the error for a
+    missing command reads."""
     ap = argparse.ArgumentParser(prog="matcrypt")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+    return ap, _add_commands(ap, COMMANDS, "cmd", list(argv))
 
-    sub.add_parser("version")
 
-    p = sub.add_parser("gen", help="generate a trapdoored instance")
-    p.add_argument("--size", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pub", required=True)
-    p.add_argument("--sec", required=True)
-    p.add_argument("--sample", default=None,
-                   help="optionally write a sampled in-group element")
-
-    p = sub.add_parser("member", help="trapdoor membership test")
-    p.add_argument("--sec", required=True)
-    p.add_argument("--elem", required=True)
-    p.add_argument("--witness", default=None)
-
-    p = sub.add_parser("ltp", help="trapdoor linear transporter")
-    p.add_argument("--sec", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("aag", help="two-party commutator key agreement")
-    p.add_argument("--size", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--transcript", default=None)
-
-    p = sub.add_parser("mparty", help="multi-party key agreement")
-    p.add_argument("--parties", type=int, default=4)
-    p.add_argument("--size", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--transcript", default=None)
-
-    p = sub.add_parser("gdh", help="identity-word key agreement")
-    p.add_argument("--mode", choices=("dh", "matrix"), default="matrix")
-    p.add_argument("--p", type=int, default=101)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--transcript", default=None)
-
-    p = sub.add_parser("hom", help="homomorphic cryptosystem")
-    hsub = p.add_subparsers(dest="hom_cmd", required=True)
-    hk = hsub.add_parser("keygen")
-    hk.add_argument("--preset", choices=("klein4", "s3", "d4"), default="klein4")
-    hk.add_argument("--seed", type=int, default=0)
-    hk.add_argument("--pub", required=True)
-    hk.add_argument("--sec", required=True)
-    he = hsub.add_parser("encrypt")
-    he.add_argument("--pub", required=True)
-    he.add_argument("--message", required=True, type=_letters,
-                    help="comma-separated signed letters, e.g. 1,-2,1")
-    he.add_argument("--seed", type=int, default=0)
-    he.add_argument("--pad-length", type=_int_at_least(0), default=None,
-                    dest="pad_length")
-    he.add_argument("--out", required=True)
-    hd = hsub.add_parser("decrypt")
-    hd.add_argument("--sec", required=True)
-    hd.add_argument("--cipher", required=True)
-    hd.add_argument("--out", default=None)
-
-    p = sub.add_parser("attack", help="attack experiments")
-    asub = p.add_subparsers(dest="attack_cmd", required=True)
-    a1 = asub.add_parser("scsp")
-    a1.add_argument("--q", type=int, default=17)
-    a1.add_argument("--n", type=_int_at_least(1), default=2)
-    a1.add_argument("--seed", type=int, default=0)
-    a2 = asub.add_parser("linearity")
-    a2.add_argument("--q", type=int, default=5)
-    a2.add_argument("--seed", type=int, default=0)
-    a3 = asub.add_parser("coset")
-    a3.add_argument("--pub", required=True)
-    a3.add_argument("--cipher", required=True)
-    a3.add_argument("--bound", type=_int_at_least(0), default=11)
-
-    p = sub.add_parser("oracle", help="brute-force oracles")
-    osub = p.add_subparsers(dest="oracle_cmd", required=True)
-    o1 = osub.add_parser("enum")
-    o1.add_argument("--sec", required=True)
-    o1.add_argument("--cap", type=int, default=100000)
-    o2 = osub.add_parser("solve")
-    o2.add_argument("--problem", choices=("membership", "ltp", "conjugacy"),
-                    required=True)
-    o2.add_argument("--sec", required=True)
-    o2.add_argument("--cap", type=int, default=100000)
-    o2.add_argument("--elem")
-    o2.add_argument("--u")
-    o2.add_argument("--v")
-    o2.add_argument("--f")
-    o2.add_argument("--g")
-    return ap
+def _add_commands(parser, table: dict, dest: str, argv: list):
+    """Add table's commands to parser as build_parser describes; return the
+    deepest parser on argv's command path."""
+    partial = bool(argv) and argv[0] in table
+    sub = parser.add_subparsers(
+        dest=dest, required=True,
+        metavar="{" + ",".join(table) + "}" if partial else None)
+    for name in [argv[0]] if partial else table:
+        help_, body = table[name]
+        p = sub.add_parser(name, **({} if help_ is None else {"help": help_}))
+        # an option table's keys are flags, a subcommand table's are names
+        if body and not next(iter(body)).startswith("-"):
+            leaf = _add_commands(p, body, f"{name}_cmd", argv[1:])
+        else:
+            leaf = p
+            for flag, kwargs in body.items():
+                p.add_argument(flag, **kwargs)
+    return leaf if partial else parser
 
 
 _COMMANDS = {
@@ -522,7 +568,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a separate value such as the message -2,1, which starts
     # with "-" but is not one number, for an option; attach it instead
@@ -530,16 +575,21 @@ def main(argv=None) -> int:
         if a == "--message" and argv[i + 1][:1] == "-" and argv[i + 1][1:2].isdigit():
             argv[i:i + 2] = [f"--message={argv[i + 1]}"]
             break
+    ap, leaf = build_parser(argv)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.cmd](args)
+    except UsageError as e:
+        leaf.print_usage(sys.stderr)
+        print(f"{leaf.prog}: error: {e}", file=sys.stderr)
+        return 2
     except MatcryptError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

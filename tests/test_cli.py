@@ -1,12 +1,18 @@
 """CLI: subcommands, exit codes, file round trips, determinism."""
 
+import argparse
 import hashlib
 import json
+import os
+import shlex
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from matcrypt.cli import main, tree_from_obj, tree_to_obj
+from matcrypt.cli import COMMANDS, build_parser, main, tree_from_obj, tree_to_obj
 
 warnings.simplefilter("ignore")
 
@@ -473,3 +479,137 @@ def test_bad_operation_labels_exit_one(tmp_path, capsys):
         code, out, err = run(capsys, "member", "--sec", str(sec), "--elem", str(elem))
         assert code == 1, raw
         assert out == "" and err.startswith("error: TreeTypeError"), raw
+
+
+@pytest.mark.parametrize("problem, given, missing", [
+    ("membership", (), "--elem"),
+    ("ltp", (), "--u, --v"),
+    ("ltp", ("--u",), "--v"),
+    ("conjugacy", (), "--f, --g"),
+])
+def test_oracle_solve_reports_missing_files_as_usage_errors(problem, given, missing,
+                                                            tmp_path, capsys):
+    # each used to escape as TypeError from open(None)
+    sec = tmp_path / "sec.json"
+    run(capsys, "gen", "--size", "40", "--seed", "7", "--pub", str(tmp_path / "pub.json"),
+        "--sec", str(sec))
+    argv = ["oracle", "solve", "--problem", problem, "--sec", str(sec)]
+    for option in given:
+        argv += [option, str(sec)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: matcrypt oracle solve "), err
+    assert err.endswith(f"matcrypt oracle solve: error: --problem {problem} "
+                        f"requires {missing}\n"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("member", "--sec", "{dir}", "--elem", "{dir}"),
+    ("oracle", "solve", "--problem", "membership", "--sec", "{dir}", "--elem", "{dir}"),
+    ("hom", "encrypt", "--pub", "{dir}", "--message", "1", "--out", "{dir}"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_unreadable_input_files_exit_one(argv, tmp_path, capsys):
+    # a directory given as an input file used to escape as IsADirectoryError
+    code, out, err = run(capsys, *[a.format(dir=tmp_path) for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err, err
+
+
+def test_gdh_dh_mode_needs_a_prime_of_at_least_five(capsys):
+    # p = 3 used to escape as ValueError, p = 4 printed a key from Z_4^*
+    for p in ("1", "3", "4", "9", "-7"):
+        code, out, err = run(capsys, "gdh", "--mode", "dh", "--p", p)
+        assert code == 2 and out == "", p
+        assert err.endswith("matcrypt gdh: error: --mode dh needs a prime --p of "
+                            f"at least 5, got {p}\n"), err
+    code, out, _ = run(capsys, "gdh", "--mode", "dh", "--p", "5")
+    assert code == 0 and out.startswith("key ")
+    # matrix mode takes Z/p for any p whose generators stay invertible
+    code, out, _ = run(capsys, "gdh", "--mode", "matrix", "--p", "25")
+    assert code == 0 and out.startswith("key fingerprint ")
+
+
+# --- the parser against the full tree it replaced ---------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_examples():
+    text = (ROOT / "README.md").read_text()
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("matcrypt ")]
+
+
+def _parser_cases():
+    examples = _readme_examples()
+    names = {"hpub": "hp.json", "cipher": "c.json", "out": "o.json"}
+    cases = examples + [argv + [extra] for argv in examples for extra in ("zzz", "--zzz")]
+    cases += [[a.format(**names) for a in argv] for argv in BAD_ARGUMENTS.values()]
+    cases += [[], ["-h"], ["--help"], ["nonsense"], ["ge"], ["--zzz", "gen"],
+              ["hom", "nope"], ["attack", "sc"], ["oracle", "x"], ["gen", "gen"],
+              ["gen"], ["hom", "encrypt"], ["gdh", "--mode", "x"],
+              ["hom", "keygen", "--preset", "x", "--pub", "a", "--sec", "b"],
+              ["hom", "-h", "keygen"], ["attack", "coset", "-h", "zzz"],
+              ["hom", "encrypt", "--pub", "a", "--message", "-2,1", "--out", "b"]]
+    for name, (_, body) in COMMANDS.items():
+        cases += [[name, "-h"], [name, "--zzz"]]
+        if body and not next(iter(body)).startswith("-"):
+            cases += [[name], [name, "zzz"]] + [[name, sub, "-h"] for sub in body]
+    return cases
+
+
+def _parse(build, argv, capsys):
+    """vars() of the namespace, or the exit code, with what was printed."""
+    try:
+        result = vars(build(argv).parse_args(argv))
+    except SystemExit as e:
+        result = e.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def test_readme_examples_are_found():
+    assert len(_readme_examples()) >= 14
+
+
+@pytest.mark.parametrize("argv", _parser_cases(), ids=" ".join)
+def test_parser_matches_the_full_tree(argv, capsys):
+    from cli_reference import build_parser as reference
+    want = _parse(lambda argv: reference(), argv, capsys)
+    got = _parse(lambda argv: build_parser(argv)[0], argv, capsys)
+    assert got == want
+
+
+@pytest.mark.parametrize("argv, most", [
+    (("member", "--sec", "no.json", "--elem", "no.json"), 2),
+    (("version",), 2),
+    (("hom", "decrypt", "--sec", "no.json", "--cipher", "no.json"), 3),
+    (("attack", "coset", "--pub", "no.json", "--cipher", "no.json"), 3),
+    (("oracle", "enum", "--sec", "no.json"), 3),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, tuple) else str(v))
+def test_a_command_builds_only_its_own_parsers(argv, most, tmp_path, capsys,
+                                                monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) in (0, 1)
+    capsys.readouterr()
+    assert 0 < len(made) <= most, made
+
+
+def test_module_entry_point():
+    from matcrypt import __version__
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    res = subprocess.run([sys.executable, "-m", "matcrypt.cli", "version"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0 and res.stdout == f"{__version__}\n", res.stderr
+    res = subprocess.run([sys.executable, "-O", "-m", "matcrypt.cli"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2 and res.stdout == ""
+    assert "error: the following arguments are required: cmd" in res.stderr
