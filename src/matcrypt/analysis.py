@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from array import array
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     AttackFailure,
@@ -33,6 +34,7 @@ from .matrix import (
     mat_scale,
     regular_rep_block,
     vector_act,
+    word_eval,
 )
 from .ring import RingSpec
 from .rng import Rng
@@ -165,33 +167,44 @@ def _vectorize(mat: Matrix) -> tuple:
 
 def span_basis(ring: RingSpec, gens: list[Matrix], cap_rounds: int | None = None):
     """A generating list for the matrix algebra module spanned by products
-    of the generators (with the identity), grown until stable."""
+    of the generators (with the identity), grown until stable.
+
+    Returns (basis, vectors, words): each basis element, its vectorization
+    and the generator word it was built as, () for the identity.
+    """
     n = gens[0].n
     basis: list[Matrix] = []
     vectors: list[tuple] = []
+    words: list[tuple] = []
 
-    def try_add(mat: Matrix) -> bool:
+    def try_add(mat: Matrix, word: tuple) -> bool:
         vec = _vectorize(mat)
         if solve_linear(ring, vectors, vec) is not None:
             return False
         basis.append(mat)
         vectors.append(vec)
+        words.append(word)
         return True
 
-    try_add(identity(n, ring))
-    for g in gens:
-        try_add(g)
+    try_add(identity(n, ring), ())
+    for i, g in enumerate(gens):
+        try_add(g, (i + 1,))
     rounds = 0
     cap_rounds = cap_rounds if cap_rounds is not None else n * n
     changed = True
     while changed and rounds < cap_rounds:
         changed = False
         rounds += 1
-        for b in list(basis):
-            for g in gens:
-                if try_add(mat_mul(b, g)):
+        for b, w in list(zip(basis, words)):
+            for i, g in enumerate(gens):
+                if try_add(mat_mul(b, g), w + (i + 1,)):
                     changed = True
-    return basis, vectors
+    return basis, vectors, words
+
+
+def _combine(coeffs, mats: list[Matrix]) -> Matrix:
+    """sum c_i M_i over a nonempty list."""
+    return reduce(mat_add, map(mat_scale, mats, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +236,7 @@ def scsp_linear_attack(n: int, q: int, gens_h2: list[Matrix], f: Matrix,
         warnings.warn(InsecurityWarning(
             f"degree {n} is not below q/2 = {q/2}; the random-solution "
             "argument does not apply"))
-    basis, _ = span_basis(ring, gens_h2)
+    basis, _, _ = span_basis(ring, gens_h2)
     # h = sum c_t B_t with h f - g h = 0: columns are vectorized B_t f - g B_t
     columns = [_vectorize(mat_add(mat_mul(b, f),
                                   mat_scale(mat_mul(g, b), _minus_one(ring))))
@@ -238,11 +251,8 @@ def scsp_linear_attack(n: int, q: int, gens_h2: list[Matrix], f: Matrix,
         for vec in null:
             r = _random_elem(ring, rng)
             combo = [acc + r * c for acc, c in zip(combo, vec)]
-        h = None
-        for c, bmat in zip(combo, basis):
-            term = mat_scale(bmat, c)
-            h = term if h is None else mat_add(h, term)
-        if h is None or not is_invertible(h):
+        h = _combine(combo, basis)
+        if not is_invertible(h):
             continue
         if mat_mul(mat_mul(mat_inv(h), g), h) == f:
             return ScspReport(h, len(basis), draw, warned, seed)
@@ -303,80 +313,26 @@ def linearity_attack(gens: list[Matrix], images: list[Matrix],
                      query: Matrix) -> LinearityReport:
     """Predict f(query) assuming f extends to a linear map on the span.
 
-    Solves query = sum c_i b_i over the span of generator products (each
-    basis element carries its image) and predicts sum c_i f(b_i).  The
-    consistency flag reports whether the same prediction rule reproduces the
-    multiplicative images on sampled generator products.
+    Solves query = sum c_i b_i over the span of generator products and
+    predicts sum c_i f(b_i), f(b_i) being b_i's generator word evaluated on
+    the images.  The consistency flag reports whether the same prediction
+    rule reproduces the multiplicative images on sampled generator products.
     """
     ring = query.ring
-    basis, vectors = span_basis(ring, gens)
-    img_table = _image_table(gens, images, basis)
+    basis, vectors, words = span_basis(ring, gens)
+    img_table = [word_eval(images, w) for w in words]
     coeffs = solve_linear(ring, vectors, _vectorize(query))
-    if coeffs is None:
-        pred: Matrix | str = INCONCLUSIVE
-    else:
-        pred = None
-        for c, bimg in zip(coeffs, img_table):
-            term = mat_scale(bimg, c)
-            pred = term if pred is None else mat_add(pred, term)
-    consistent = _consistency_check(ring, gens, images, basis, vectors, img_table)
+    pred = INCONCLUSIVE if coeffs is None else _combine(coeffs, img_table)
+    consistent = _consistency_check(ring, gens, images, vectors, img_table)
     return LinearityReport(pred, len(basis), consistent)
 
 
-def _image_table(gens, images, basis) -> list[Matrix]:
-    """Images of the span basis elements under the homomorphism.
-
-    Basis elements are products of generators by construction; their images
-    are the corresponding products of generator images.
-    """
-    lookup = {g.key(): img for g, img in zip(gens, images)}
-    n = gens[0].n
-    ring = gens[0].ring
-    out = []
-    for b in basis:
-        img = _product_image(b, gens, images, lookup, n, ring)
-        out.append(img)
-    return out
-
-
-def _product_image(b, gens, images, lookup, n, ring):
-    if b.is_identity():
-        return identity(images[0].n, images[0].ring)
-    if b.key() in lookup:
-        return lookup[b.key()]
-    # reconstruct b as a product of generators by BFS over short words
-    frontier = [(identity(n, ring), identity(images[0].n, images[0].ring))]
-    seen = {frontier[0][0].key()}
-    for _ in range(12):
-        nxt = []
-        for mat, img in frontier:
-            for g, gi in zip(gens, images):
-                m2 = mat_mul(mat, g)
-                if m2.key() in seen:
-                    continue
-                seen.add(m2.key())
-                i2 = mat_mul(img, gi)
-                if m2 == b:
-                    return i2
-                nxt.append((m2, i2))
-        frontier = nxt
-        if not frontier:
-            break
-    raise AttackFailure("could not express a span element as a generator product")
-
-
-def _consistency_check(ring, gens, images, basis, vectors, img_table) -> bool:
+def _consistency_check(ring, gens, images, vectors, img_table) -> bool:
     for i, g in enumerate(gens):
         for j, h in enumerate(gens):
-            prod = mat_mul(g, h)
-            coeffs = solve_linear(ring, vectors, _vectorize(prod))
-            if coeffs is None:
-                return False
-            pred = None
-            for c, bimg in zip(coeffs, img_table):
-                term = mat_scale(bimg, c)
-                pred = term if pred is None else mat_add(pred, term)
-            if pred != mat_mul(images[i], images[j]):
+            coeffs = solve_linear(ring, vectors, _vectorize(mat_mul(g, h)))
+            if coeffs is None or \
+                    _combine(coeffs, img_table) != mat_mul(images[i], images[j]):
                 return False
     return True
 

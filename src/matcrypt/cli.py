@@ -235,9 +235,15 @@ def cmd_gdh(args) -> int:
         key_a, key_b, transcript = gdh_run(GdhConfig(act, pair, sa, sb))
         print(f"key {key_a}")
     else:
+        from math import gcd
         from .matrix import matrix, vector
         from .ring import Zmod
-        zp = Zmod(args.p)
+        p = args.p
+        # the generators have determinants 2 and 3
+        if p <= 1 or gcd(p, 6) > 1:
+            raise UsageError("--mode matrix needs a --p above 1 and prime to 6, "
+                             f"got {p}")
+        zp = Zmod(p)
         gens = [matrix(zp, [[2, 1], [0, 1]]), matrix(zp, [[1, 1], [0, 3]])]
         act = MatrixAction(gens, gens, vector(zp, [1, 2]))
         pair = build_solvable_pair(2)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateKey, IndexOutOfRange, ShapeMismatch
-from .matrix import Matrix, mat_inv, mat_mul
 from .rng import Rng
 from .words import FreeWord, fw_inv, fw_mul, fw_substitute, push_reduced
 
@@ -74,43 +73,6 @@ def _perm_inv(p: tuple) -> tuple:
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
-
-
-class MatrixModel:
-    """Generators realized as invertible matrices."""
-
-    def __init__(self, mats):
-        self.mats = list(mats)
-        self._invs = [mat_inv(m) for m in mats]
-        self._order = None
-
-    def identity_key(self):
-        from .matrix import identity
-        return identity(self.mats[0].n, self.mats[0].ring).key()
-
-    def gen_key(self, letter: int, sign: int):
-        m = self.mats[letter - 1] if sign > 0 else self._invs[letter - 1]
-        return m.key()
-
-    def mul_key(self, a, b):
-        ma = self._matrix_of(a)
-        mb = self._matrix_of(b)
-        return mat_mul(ma, mb).key()
-
-    def _matrix_of(self, key):
-        n, data = key
-        return Matrix._of(n, self.mats[0].ring, data)
-
-    def eval_key(self, word):
-        letters = word.letters if isinstance(word, FreeWord) else word
-        from .matrix import word_eval
-        return word_eval(self.mats, letters).key()
-
-    def order(self) -> int:
-        if self._order is None:
-            from .analysis import enumerate_group
-            self._order = len(enumerate_group(self.mats, 1 << 20))
-        return self._order
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .errors import (
 from .matrix import (
     Matrix,
     RingElement,
+    _crt_lift,
     block_perm_matrix,
     find_embedding,
     identity,
@@ -669,7 +670,7 @@ class _DirectSameDegree(_Product):
         return self.node_info(kids, big, deg, positions=positions)
 
     def lift(self, t, info, idx, h):
-        return _crt_lift_multi(h, info.ring, info.positions[idx])
+        return _crt_lift(h, info.ring, info.positions[idx])
 
     def assemble(self, t, info, parts, k=None):
         out = identity(info.degree, info.ring)
@@ -816,14 +817,6 @@ class GroupInstance:
     n: int
     ring: RingSpec
     gens: tuple
-
-
-def _crt_lift_multi(h: Matrix, big: RingSpec, positions: tuple) -> Matrix:
-    """Matrix over big agreeing with h on the listed summands, identity elsewhere."""
-    back = {pos: t for t, pos in enumerate(positions)}
-    ident = identity(h.n, big).data
-    return Matrix._of(h.n, big, tuple(
-        h.data[back[s]] if s in back else ident[s] for s in range(len(ident))))
 
 
 def _eval(t: DerivationTree, leaf_gens, next_leaf: list[int]) -> list[Matrix]:

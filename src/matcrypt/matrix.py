@@ -14,7 +14,7 @@ are built only when a caller reads ``rows`` or ``a[i, j]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import gcd, prod
 from operator import mul
 
@@ -177,22 +177,6 @@ class Matrix:
     def key(self):
         """Hashable content key: (n, data)."""
         return (self.n, self.data)
-
-
-@dataclass(frozen=True)
-class GroupWord:
-    """Word over an abstract generator set: +i is generator i (1-based), -i its inverse."""
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(x == 0 for x in self.letters):
-            raise IndexOutOfRange("zero letter in group word")
-
-    def inv(self) -> "GroupWord":
-        return GroupWord(tuple(-x for x in reversed(self.letters)))
-
-    def __len__(self):
-        return len(self.letters)
 
 
 def matrix(ring: RingSpec, int_rows) -> Matrix:
@@ -630,30 +614,52 @@ class SubringEmbedding:
     dst: RingSpec
     roots: tuple  # per summand: coefficient tuple over the dst summand
 
+    @cached_property
+    def table(self) -> tuple:
+        """Per summand: (basis, inverse), r' x r' integer matrices mod q as
+        row tuples, r' the dst rank and r the src rank.
+
+        Column j*r + i of ``basis`` holds the dst coefficients of
+        root^i * x'^j, x' the dst generator and j below d = r'/r.  These are
+        a basis of the dst summand over the src summand, so ``inverse``
+        gives unique coordinates; the first r columns span the image.
+        """
+        out = []
+        for gs, gd, root in zip(self.src.summands, self.dst.summands, self.roots):
+            mod, q, r = gd.modulus, gd.q, gs.r
+            x = tuple(int(k == 1) for k in range(gd.r))
+            cols = [gd.one()]
+            for k in range(1, gd.r):
+                cols.append(_pmul(cols[-1], root, mod, q) if k < r
+                            else _pmul(cols[k - r], x, mod, q))
+            basis = tuple(zip(*cols))
+            inv = _int_inv(sum(basis, ()), gd.r, gd.p, q)
+            out.append((basis, tuple(inv[k:k + gd.r]
+                                     for k in range(0, gd.r * gd.r, gd.r))))
+        return tuple(out)
+
     def apply(self, a: RingElement) -> RingElement:
         return RingElement(self.dst, tuple(
             self.apply_coeffs(s, cs) for s, cs in enumerate(a.coeffs)))
 
     def apply_coeffs(self, s: int, cs: tuple) -> tuple:
-        """apply on summand s, coefficient tuples in and out."""
-        gd, root = self.dst.summands[s], self.roots[s]
-        acc = gd.zero()
-        power = gd.one()
-        for c in cs:
-            if c:
-                acc = _padd(acc, tuple(x * c % gd.q for x in power), gd.q)
-            power = _pmul(power, root, gd.modulus, gd.q)
-        return acc
+        """apply on summand s, coefficient tuples in and out: the first
+        len(cs) = r columns of the basis times cs."""
+        q = self.dst.summands[s].q
+        return tuple([sum(map(mul, row, cs)) % q for row in self.table[s][0]])
+
+    def coords(self, s: int, target: tuple) -> list:
+        """The src coefficient tuples c_0..c_{d-1} of target (a dst summand s
+        coefficient tuple) written as the sum of apply(c_j) * x'^j."""
+        q, r = self.dst.summands[s].q, self.src.summands[s].r
+        z = [sum(map(mul, row, target)) % q for row in self.table[s][1]]
+        return [tuple(z[k:k + r]) for k in range(0, len(z), r)]
 
     def preimage_coeffs(self, s: int, target: tuple):
         """Inverse of apply on summand s, or None when target (a coefficient
         tuple of the dst summand) is outside the subring."""
-        sel_rows, inv_sub = _embedding_decode(self)[s]
-        gs = self.src.summands[s]
-        rhs = [target[i] for i in sel_rows]
-        cand = tuple(sum(inv_sub[i][j] * rhs[j] for j in range(gs.r)) % gs.q
-                     for i in range(gs.r))
-        return cand if self.apply_coeffs(s, cand) == target else None
+        first, *rest = self.coords(s, target)
+        return None if any(map(any, rest)) else first
 
 
 def _poly_eval(coeffs, at: tuple, g: GaloisRingSpec) -> tuple:
@@ -708,33 +714,6 @@ def find_embedding(src: RingSpec, dst: RingSpec) -> SubringEmbedding:
                 f"no embedding GR({gs.p}^{gs.m},{gs.r}) -> GR({gd.p}^{gd.m},{gd.r})")
         roots.append(_find_root(gs.modulus, gd))
     return SubringEmbedding(src, dst, tuple(roots))
-
-
-@lru_cache(maxsize=None)
-def _embedding_decode(emb: SubringEmbedding):
-    """Per summand: (selected row indices, inverse r x r integer matrix mod q).
-
-    Columns of the coordinate matrix are the dst coordinates of root^i; the
-    root powers are a basis of the subring, so eliminating the transposed
-    matrix gives unit pivots in r of its columns, and those rows are
-    invertible mod p.
-    """
-    out = []
-    for gs, gd, root in zip(emb.src.summands, emb.dst.summands, emb.roots):
-        cols = []
-        power = gd.one()
-        for _ in range(gs.r):
-            cols.append(power)
-            power = _pmul(power, root, gd.modulus, gd.q)
-        r = gs.r
-        pivots = list(_eliminate([list(c) for c in cols], gd.r, gd.p, gd.q))
-        if len(pivots) < r or any(v % gd.p == 0 for _, v in pivots):
-            raise NoSuchEmbedding("embedding coordinate matrix is degenerate")
-        sel = tuple(c for c, _ in pivots)
-        inv = _int_inv(tuple(cols[j][i] for i in sel for j in range(r)),
-                       r, gd.p, gd.q)
-        out.append((sel, [inv[i:i + r] for i in range(0, r * r, r)]))
-    return tuple(out)
 
 
 def regular_rep_block(a_coeffs: tuple, g: GaloisRingSpec):
@@ -793,9 +772,7 @@ def ring_change(a: Matrix, target) -> Matrix:
         big, idx = target[1], target[2]
         if len(a.ring.summands) != 1 or a.ring.summands[0] != big.summands[idx]:
             raise NoSuchEmbedding("source ring is not the chosen summand")
-        ident = identity(a.n, big).data
-        return Matrix._of(a.n, big, tuple(
-            a.data[0] if s == idx else ident[s] for s in range(len(ident))))
+        return _crt_lift(a, big, (idx,))
     raise NoSuchEmbedding(f"unknown ring-change kind {kind!r}")
 
 
@@ -804,11 +781,20 @@ def crt_project(a: Matrix, positions: tuple, sub: RingSpec) -> Matrix:
     return Matrix._of(a.n, sub, tuple(a.data[s] for s in positions))
 
 
+def _crt_lift(h: Matrix, big: RingSpec, positions: tuple) -> Matrix:
+    """Matrix over big agreeing with h on the listed summands, identity
+    elsewhere; ``crt_project`` to those positions gives h back."""
+    back = {pos: t for t, pos in enumerate(positions)}
+    ident = identity(h.n, big).data
+    return Matrix._of(h.n, big, tuple(
+        h.data[back[s]] if s in back else ident[s] for s in range(len(ident))))
+
+
 # --- words and vectors ------------------------------------------------------
 
 def word_eval(gens: list[Matrix], w) -> Matrix:
     """Ordered product of generators/inverses; the empty word is the identity."""
-    letters = w.letters if isinstance(w, GroupWord) else tuple(w)
+    letters = tuple(w)
     if not gens:
         raise IndexOutOfRange("empty generator list")
     n, ring = gens[0].n, gens[0].ring

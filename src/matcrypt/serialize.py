@@ -83,10 +83,6 @@ def word_to_obj(w) -> list:
     return list(letters)
 
 
-def freeword_from_obj(k: int, obj: list) -> FreeWord:
-    return FreeWord(k, tuple(obj))
-
-
 def pair_to_obj(p: IdentityWordPair) -> dict:
     return {"wa": word_to_obj(p.wa), "wb": word_to_obj(p.wb),
             "schedule_a": list(p.schedule_a), "schedule_b": list(p.schedule_b)}

@@ -47,7 +47,6 @@ from .instance import (
 from .matrix import (
     Matrix,
     RingElement,
-    _int_inv,
     _kron_summand,
     _to_coeffs,
     _to_entry,
@@ -55,7 +54,6 @@ from .matrix import (
     crt_project,
     find_embedding,
     is_invertible,
-    kron_all,
     mat_det,
     mat_mul,
     mat_scale,
@@ -139,23 +137,15 @@ def _split2(g: Matrix, n1: int, n2: int) -> tuple[Matrix, Matrix]:
             Matrix._of(n2, g.ring, tuple(b for _, b in parts)))
 
 
-def _first_unit_entry(m: Matrix) -> RingElement:
-    """Per-summand first unit entry, combined into one unit of the full ring."""
-    coeffs = []
-    for gs, d in zip(m.ring.summands, m.data):
-        k = _first_unit(d, gs)
-        if k is None:
-            raise NotDecomposable("no unit entry in a summand")
-        coeffs.append(_to_coeffs(gs, d[k]))
-    return RingElement(m.ring, tuple(coeffs))
-
-
 def tensor_split(g: Matrix, degrees) -> list[Matrix]:
     """Kronecker factors of g, degrees as listed.
 
-    Factors after the first are normalized (per CRT summand, the first unit
-    entry in row-major scan equals 1); the single leading unit multiplier is
-    absorbed into the first factor.  Reassembly by mat_kron is exact.
+    Factors after the first are normalized: per CRT summand, their first
+    unit entry in row-major scan is 1.  Each two-factor split divides its
+    right factor by the first unit entry of its input, which becomes that
+    factor's first unit entry, and the left factor of a normalized input
+    takes the input's first unit entry, a 1.  ``_split2`` checks every
+    split, so reassembly by mat_kron is exact.
     """
     degrees = list(degrees)
     total = 1
@@ -163,28 +153,11 @@ def tensor_split(g: Matrix, degrees) -> list[Matrix]:
         total *= d
     if g.n != total:
         raise ShapeMismatch(f"degree {g.n} is not the product of {degrees}")
-    if len(degrees) == 1:
-        return [g]
     factors = [g]
     for d in degrees[:-1]:
         last = factors.pop()
-        rest = last.n // d
-        a, b = _split2(last, d, rest)
-        factors.extend([a, b])
-    # push normalization scales of factors 2..s into the first factor
-    lead = factors[0]
-    normed = [None] * len(factors)
-    normed[0] = lead
-    for i in range(1, len(factors)):
-        u = _first_unit_entry(factors[i])
-        if u.is_one():
-            normed[i] = factors[i]
-            continue
-        normed[i] = mat_scale(factors[i], ring_inv(u))
-        normed[0] = mat_scale(normed[0], u)
-    if kron_all(normed) != g:
-        raise NotDecomposable("reassembly mismatch")
-    return normed
+        factors.extend(_split2(last, d, last.n // d))
+    return factors
 
 
 def wreath_split(g: Matrix, n: int, m: int, mode: str):
@@ -488,69 +461,6 @@ def _ltp(t: DerivationTree, pairs: list):
     """Simultaneous transporter for all (u, v) pairs; returns (g | None, certified)."""
     info, solver = _solver(t)
     return solver.ltp(t, info, pairs)
-
-
-def _module_decompose_vectors(emb, pairs):
-    """Each (u, v) over dst as d pairs over src, one per module basis vector."""
-    table = _module_decode_table(emb)
-
-    def split(vec):
-        comps = [_module_decompose(emb, e, table) for e in vec]
-        return [tuple(c[j] for c in comps) for j in range(table["d"])]
-    out = []
-    for u, v in pairs:
-        out.extend(zip(split(u), split(v)))
-    return out
-
-
-_module_tables: dict = {}
-
-
-def _module_decode_table(emb):
-    if emb in _module_tables:
-        return _module_tables[emb]
-    per = []
-    d = None
-    for gs, gd, root in zip(emb.src.summands, emb.dst.summands, emb.roots):
-        dloc = gd.r // gs.r
-        if d is None:
-            d = dloc
-        elif d != dloc:
-            raise UnsupportedDecomposition("mixed extension degrees")
-        # basis of dst over src: phi(x^i) * x'^j, coordinates over Z_{p^m}
-        cols = []
-        xp = gd.one()
-        phi_pows = []
-        cur = gd.one()
-        for _ in range(gs.r):
-            phi_pows.append(cur)
-            cur = _pmul(cur, root, gd.modulus, gd.q)
-        for j in range(dloc):
-            for i in range(gs.r):
-                col = _pmul(phi_pows[i], xp, gd.modulus, gd.q)
-                cols.append(col)
-            xp = _pmul(xp, (0, 1) + (0,) * (gd.r - 2), gd.modulus, gd.q)
-        r = gd.r
-        inv = _int_inv(tuple(cols[c][i] for i in range(r) for c in range(r)),
-                       r, gd.p, gd.q)
-        per.append([inv[i:i + r] for i in range(0, r * r, r)])
-    table = {"d": d, "inv": per}
-    _module_tables[emb] = table
-    return table
-
-
-def _module_decompose(emb, e: RingElement, table):
-    """e in dst as sum phi(c_j) * x'^j; returns [c_0, ..., c_{d-1}] in src."""
-    d = table["d"]
-    comps = [[] for _ in range(d)]
-    for sidx, (gs, gd) in enumerate(zip(emb.src.summands, emb.dst.summands)):
-        inv = table["inv"][sidx]
-        target = e.coeffs[sidx]
-        z = [sum(inv[i][j] * target[j] for j in range(gd.r)) % gd.q
-             for i in range(gd.r)]
-        for j in range(d):
-            comps[j].append(tuple(z[j * gs.r: (j + 1) * gs.r]))
-    return [RingElement(emb.src, tuple(comps[j])) for j in range(d)]
 
 
 BRUTE_LTP_CAP = 1 << 15
@@ -946,8 +856,21 @@ class _RingExtendSolver(_UnarySolver):
         return find_embedding(_info(t.children[0]).ring, t.label.target).apply(u)
 
     def pairs_down(self, t, info, pairs):
+        """Each (u, v) over the target as d pairs over the child's ring, one
+        per basis power x'^j of the embedding's table."""
         emb = find_embedding(_info(t.children[0]).ring, t.label.target)
-        return _module_decompose_vectors(emb, pairs)
+        degrees = {gd.r // gs.r
+                   for gs, gd in zip(emb.src.summands, emb.dst.summands)}
+        if len(degrees) > 1:
+            raise UnsupportedDecomposition("mixed extension degrees")
+        (d,) = degrees
+
+        def split(vec):
+            per = [[emb.coords(s, cs) for s, cs in enumerate(e.coeffs)]
+                   for e in vec]
+            return [tuple(RingElement(emb.src, tuple(c[j] for c in comps))
+                          for comps in per) for j in range(d)]
+        return [pair for u, v in pairs for pair in zip(split(u), split(v))]
 
     # entries decompose over the module basis for any value, so the default
     # sample (a random vector) is transportable

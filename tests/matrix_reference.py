@@ -7,7 +7,14 @@ from returning plain row tuples.  They read the input only through the
 ``RingElement`` and the per-summand polynomial helpers of ``matcrypt.ring``.
 """
 
-from matcrypt.errors import NonInvertible, RingMismatch, ShapeMismatch
+from matcrypt.errors import (
+    NoSuchEmbedding,
+    NonInvertible,
+    RingMismatch,
+    ShapeMismatch,
+    UnsupportedDecomposition,
+)
+from matcrypt.matrix import _eliminate, _int_inv
 from matcrypt.ring import (
     RingElement,
     _padd,
@@ -183,3 +190,93 @@ def ref_matrix_obj(n, ring_obj, rows):
     """The serialized form of a matrix given as rows of RingElements."""
     return {"n": n, "ring": ring_obj,
             "rows": [[[list(cs) for cs in e.coeffs] for e in row] for row in rows]}
+
+
+# --- the two subring-embedding decoders that the embedding's basis table
+# replaced: ``SubringEmbedding.apply_coeffs`` and ``preimage_coeffs`` with
+# ``_embedding_decode`` (from matcrypt.matrix), and ``_module_decode_table``
+# with ``_module_decompose`` (from matcrypt.trapdoor), without their caches.
+# As before, they invert with the elimination kernel of matcrypt.matrix.
+
+
+def ref_apply_coeffs(emb, s, cs):
+    gd, root = emb.dst.summands[s], emb.roots[s]
+    acc = gd.zero()
+    power = gd.one()
+    for c in cs:
+        if c:
+            acc = _padd(acc, tuple(x * c % gd.q for x in power), gd.q)
+        power = _pmul(power, root, gd.modulus, gd.q)
+    return acc
+
+
+def ref_preimage_coeffs(emb, s, target):
+    sel_rows, inv_sub = ref_embedding_decode(emb)[s]
+    gs = emb.src.summands[s]
+    rhs = [target[i] for i in sel_rows]
+    cand = tuple(sum(inv_sub[i][j] * rhs[j] for j in range(gs.r)) % gs.q
+                 for i in range(gs.r))
+    return cand if ref_apply_coeffs(emb, s, cand) == target else None
+
+
+def ref_embedding_decode(emb):
+    """Per summand: (selected row indices, inverse r x r integer matrix mod q)."""
+    out = []
+    for gs, gd, root in zip(emb.src.summands, emb.dst.summands, emb.roots):
+        cols = []
+        power = gd.one()
+        for _ in range(gs.r):
+            cols.append(power)
+            power = _pmul(power, root, gd.modulus, gd.q)
+        r = gs.r
+        pivots = list(_eliminate([list(c) for c in cols], gd.r, gd.p, gd.q))
+        if len(pivots) < r or any(v % gd.p == 0 for _, v in pivots):
+            raise NoSuchEmbedding("embedding coordinate matrix is degenerate")
+        sel = tuple(c for c, _ in pivots)
+        inv = _int_inv(tuple(cols[j][i] for i in sel for j in range(r)),
+                       r, gd.p, gd.q)
+        out.append((sel, [inv[i:i + r] for i in range(0, r * r, r)]))
+    return tuple(out)
+
+
+def ref_module_decode_table(emb):
+    per = []
+    d = None
+    for gs, gd, root in zip(emb.src.summands, emb.dst.summands, emb.roots):
+        dloc = gd.r // gs.r
+        if d is None:
+            d = dloc
+        elif d != dloc:
+            raise UnsupportedDecomposition("mixed extension degrees")
+        # basis of dst over src: phi(x^i) * x'^j, coordinates over Z_{p^m}
+        cols = []
+        xp = gd.one()
+        phi_pows = []
+        cur = gd.one()
+        for _ in range(gs.r):
+            phi_pows.append(cur)
+            cur = _pmul(cur, root, gd.modulus, gd.q)
+        for j in range(dloc):
+            for i in range(gs.r):
+                col = _pmul(phi_pows[i], xp, gd.modulus, gd.q)
+                cols.append(col)
+            xp = _pmul(xp, (0, 1) + (0,) * (gd.r - 2), gd.modulus, gd.q)
+        r = gd.r
+        inv = _int_inv(tuple(cols[c][i] for i in range(r) for c in range(r)),
+                       r, gd.p, gd.q)
+        per.append([inv[i:i + r] for i in range(0, r * r, r)])
+    return {"d": d, "inv": per}
+
+
+def ref_module_decompose(emb, e, table):
+    """e in dst as sum phi(c_j) * x'^j; returns [c_0, ..., c_{d-1}] in src."""
+    d = table["d"]
+    comps = [[] for _ in range(d)]
+    for sidx, (gs, gd) in enumerate(zip(emb.src.summands, emb.dst.summands)):
+        inv = table["inv"][sidx]
+        target = e.coeffs[sidx]
+        z = [sum(inv[i][j] * target[j] for j in range(gd.r)) % gd.q
+             for i in range(gd.r)]
+        for j in range(d):
+            comps[j].append(tuple(z[j * gs.r: (j + 1) * gs.r]))
+    return [RingElement(emb.src, tuple(comps[j])) for j in range(d)]

@@ -279,7 +279,6 @@ def test_criterion_07_wreath_inversion():
     rng = Rng(707)
     z5 = Zmod(5)
     from matcrypt.ring import ring_inv
-    from matcrypt.trapdoor import _first_unit_entry
     checked = 0
     for sample in range(1000):
         m = 2 if sample % 2 == 0 else 3
@@ -293,7 +292,7 @@ def test_criterion_07_wreath_inversion():
         # product: round trip on the unit-normalized coordinate tuple
         hs_n = list(hs)
         for i in range(1, m):
-            u = _first_unit_entry(hs_n[i])
+            u = next(e for row in hs_n[i].rows for e in row if e.is_unit())
             uinv = ring_inv(u)
             hs_n[i] = matrix(z5, [[e * uinv for e in row]
                                   for row in hs_n[i].rows])

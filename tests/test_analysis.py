@@ -33,6 +33,7 @@ from matcrypt.matrix import (
     mat_mul,
     matrix,
     vector,
+    word_eval,
 )
 from matcrypt.ring import Zmod, field
 from matcrypt.rng import Rng
@@ -236,5 +237,12 @@ def test_coset_search_matches_the_reference(make):
 
 def test_span_basis_stabilizes():
     gens = leaf_generators(base_general_linear(2, 5))
-    basis, _ = span_basis(Z5, gens)
+    basis, _, words = span_basis(Z5, gens)
     assert len(basis) == 4  # GL(2,5) spans the full 2x2 matrix algebra
+    # each basis element is the product its word names; s^2 = 1, so the
+    # swap s and the shear t need the word (1, 2) for s*t, not t*s
+    for gens in (gens, [matrix(Z5, [[0, 1], [1, 0]]), matrix(Z5, [[1, 1], [0, 1]])]):
+        basis, _, words = span_basis(Z5, gens)
+        assert words[0] == ()
+        assert [word_eval(gens, w) for w in words] == basis
+    assert words == [(), (1,), (2,), (1, 2)]

@@ -529,6 +529,16 @@ def test_gdh_dh_mode_needs_a_prime_of_at_least_five(capsys):
     assert code == 0 and out.startswith("key fingerprint ")
 
 
+def test_gdh_matrix_mode_needs_p_prime_to_six(capsys):
+    # the generators' determinants 2 and 3 were not units: p = 4 and 9 exited
+    # 1 with NonInvertible, p = 1 with NonPrimeP
+    for p in ("1", "0", "-5", "2", "3", "4", "9", "12"):
+        code, out, err = run(capsys, "gdh", "--mode", "matrix", "--p", p)
+        assert code == 2 and out == "", p
+        assert err.endswith("matcrypt gdh: error: --mode matrix needs a --p "
+                            f"above 1 and prime to 6, got {p}\n"), err
+
+
 # --- the parser against the full tree it replaced ---------------------------
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -10,12 +10,16 @@ import pytest
 
 from conftest import rand_element, rand_invertible, rand_matrix
 from matrix_reference import (
+    ref_apply_coeffs,
     ref_crt_project,
     ref_mat_det,
     ref_mat_inv,
     ref_mat_kron,
     ref_mat_mul,
     ref_matrix_obj,
+    ref_module_decode_table,
+    ref_module_decompose,
+    ref_preimage_coeffs,
     ref_vector_act,
 )
 from matcrypt import matrix as matrix_module
@@ -23,6 +27,7 @@ from matcrypt.errors import NonInvertible, RingMismatch, ShapeMismatch
 from matcrypt.matrix import (
     Matrix,
     crt_project,
+    find_embedding,
     identity,
     mat_det,
     mat_inv,
@@ -288,3 +293,37 @@ def test_affine_embed_of_identity_is_identity():
     assert e == identity(3, ring)
     assert hash(e) == hash(identity(3, ring))
     assert {e: 1}[identity(3, ring)] == 1
+
+
+EMBEDDINGS = {
+    "GF2>GF4": (field(2), field(4)),
+    "GF2>GF8": (field(2), field(8)),
+    "GF2>GF16": (field(2), field(16)),
+    "GF3>GF9": (field(3), field(9)),
+    "GF3>GF27": (field(3), field(27)),
+    "GF4>GF16": (field(4), field(16)),
+    "GF5>GF25": (field(5), field(25)),
+    "GR(4,1)>GR(4,2)": (Zmod(4), ring_make("galois", 2, 2, 2)),
+    "GR(9,1)>GR(9,2)": (Zmod(9), ring_make("galois", 3, 2, 2)),
+    "GF2+GF3>GF4+GF9": (Zmod(6), ring_make("direct-sum", field(4), field(9))),
+}
+
+
+@pytest.mark.parametrize("name", EMBEDDINGS)
+def test_embedding_table_matches_both_decoders(name):
+    # apply and preimage against the subsystem decoder, coords against the
+    # module decoder, on every element of the source and of the target
+    emb = find_embedding(*EMBEDDINGS[name])
+    table = ref_module_decode_table(emb)
+    for a in emb.src.enumerate():
+        for s, cs in enumerate(a.coeffs):
+            assert emb.apply_coeffs(s, cs) == ref_apply_coeffs(emb, s, cs)
+    inside = 0
+    for e in emb.dst.enumerate():
+        comps = ref_module_decompose(emb, e, table)
+        pres = [emb.preimage_coeffs(s, cs) for s, cs in enumerate(e.coeffs)]
+        for s, cs in enumerate(e.coeffs):
+            assert pres[s] == ref_preimage_coeffs(emb, s, cs), (e, s)
+            assert emb.coords(s, cs) == [c.coeffs[s] for c in comps], (e, s)
+        inside += None not in pres
+    assert inside == emb.src.order

@@ -11,6 +11,7 @@ from matcrypt.errors import (
     NotDecomposable,
     NotWreathShaped,
     ShapeMismatch,
+    UnsupportedDecomposition,
 )
 from matcrypt.instance import (
     base_diagonal,
@@ -20,6 +21,7 @@ from matcrypt.instance import (
     conjugate,
     direct_same_degree,
     leaf,
+    ring_extend,
     tensor,
     tree_eval,
     tree_random,
@@ -34,12 +36,13 @@ from matcrypt.matrix import (
     mat_inv,
     mat_kron,
     mat_mul,
+    mat_scale,
     matrix,
     vector,
     vector_act,
     wreath_rep,
 )
-from matcrypt.ring import Zmod
+from matcrypt.ring import RingElement, Zmod, field, ring_inv, ring_make
 from matcrypt.rng import Rng
 from matcrypt.trapdoor import (
     NoSolution,
@@ -146,8 +149,6 @@ def test_wreath_split_imprimitive():
 @pytest.mark.parametrize("mode", ["imprimitive", "product"])
 def test_wreath_split_roundtrip(mode):
     rng = Rng(41)
-    from matcrypt.trapdoor import _first_unit_entry
-    from matcrypt.ring import ring_inv
     for _ in range(40):
         m = rng.randint(2, 3)
         hs = [rand_invertible(Z5, 2, rng) for _ in range(m)]
@@ -155,7 +156,7 @@ def test_wreath_split_roundtrip(mode):
             # canonicalize: product-action coordinates are recoverable only up
             # to unit twists, so compare against the normalized tuple
             for i in range(1, m):
-                u = _first_unit_entry(hs[i])
+                u = next(e for row in hs[i].rows for e in row if e.is_unit())
                 uinv = ring_inv(u)
                 hs[i] = matrix(Z5, [[e * uinv for e in row]
                                     for row in hs[i].rows])
@@ -187,12 +188,44 @@ def test_tensor_split():
         tensor_split(mat_add(mat_kron(a, b), mat_kron(b, a)), [2, 2])
 
 
-def test_tensor_split_three_factors():
+def _first_units(m):
+    """Per summand, the coefficients of m's first entry (row-major) that is
+    a unit there."""
+    return tuple(next(e.coeffs[s] for row in m.rows for e in row
+                      if any(c % g.p for c in e.coeffs[s]))
+                 for s, g in enumerate(m.ring.summands))
+
+
+@pytest.mark.parametrize("ring", [Z5, Zmod(15), field(4)],
+                         ids=["Z5", "Z15", "GF4"])
+def test_tensor_split_three_factors(ring):
+    # tensor_split checks only each two-factor split; the reassembled
+    # product must still be the input, and a non-Kronecker input must fail
     rng = Rng(19)
-    ms = [rand_invertible(Z5, 2, rng) for _ in range(3)]
-    k = kron_all(ms)
-    fs = tensor_split(k, [2, 2, 2])
-    assert kron_all(fs) == k
+    one = tuple(g.one() for g in ring.summands)
+    # a unit other than 1 in every summand: 2 in Z/5 and Z/3, x in GF(4)
+    u = RingElement(ring, tuple((2,) if g.r == 1 else (0, 1)
+                                for g in ring.summands))
+    diag = matrix(ring, [[u, 0], [0, 1]])
+    for degrees in ([2, 2, 2], [2, 3, 2]):
+        ms = [rand_invertible(ring, d, rng) for d in degrees]
+        # factor 3, diag(u, 1), has first unit entry u
+        for ms_case in (ms, ms[:2] + [diag]):
+            k = kron_all(ms_case)
+            fs = tensor_split(k, degrees)
+            assert [f.n for f in fs] == degrees
+            assert kron_all(fs) == k
+            for m, f in zip(ms_case[1:], fs[1:]):
+                assert _first_units(f) == one
+                c = ring_inv(RingElement(ring, _first_units(m)))
+                assert f == mat_scale(m, c)
+        assert _first_units(diag) != one
+        with pytest.raises(NotDecomposable):
+            tensor_split(mat_add(k, kron_all(ms[::-1])), degrees)
+        # the first split succeeds, the second meets a non-Kronecker factor
+        rest = rand_invertible(ring, degrees[1] * degrees[2], rng)
+        with pytest.raises(NotDecomposable):
+            tensor_split(mat_kron(ms[0], rest), degrees)
 
 
 # --- ltp -------------------------------------------------------------------------
@@ -253,6 +286,23 @@ def test_ltp_solution_is_member():
         g = ltp_solve(t, u, v)
         assert not isinstance(g, NoSolution)
         assert membership(t, g).accepted
+
+
+def test_ring_extend_ltp_over_two_summands():
+    # GF(2) + GF(3) into GF(4) + GF(9) splits each pair over the module
+    # basis; into GF(4) + GF(27) the summands' degrees 2 and 3 differ
+    child = direct_same_degree(leaf(base_unipotent(2)), leaf(base_unipotent(3)))
+    t = ring_extend(child, ring_make("direct-sum", field(4), field(9)))
+    rng = Rng(1)
+    g = tree_eval(t).gens[0]
+    for _ in range(4):
+        u = sample_transportable_vector(t, rng)
+        got = ltp_solve(t, u, vector_act(u, g))
+        assert vector_act(u, got) == vector_act(u, g)
+    mixed = ring_extend(child, ring_make("direct-sum", field(4), field(27)))
+    u = sample_transportable_vector(mixed, rng)
+    with pytest.raises(UnsupportedDecomposition, match="mixed extension degrees"):
+        ltp_solve(mixed, u, u)
 
 
 def test_ltp_solve_checks_its_answer(monkeypatch):
