@@ -165,9 +165,10 @@ def _vectorize(mat: Matrix) -> tuple:
     return tuple(mat.rows[i][j] for i in range(mat.n) for j in range(mat.n))
 
 
-def span_basis(ring: RingSpec, gens: list[Matrix], cap_rounds: int | None = None):
+def span_basis(ring: RingSpec, gens: list[Matrix]):
     """A generating list for the matrix algebra module spanned by products
-    of the generators (with the identity), grown until stable.
+    of the generators (with the identity), grown until stable or for n^2
+    rounds.
 
     Returns (basis, vectors, words): each basis element, its vectorization
     and the generator word it was built as, () for the identity.
@@ -190,9 +191,8 @@ def span_basis(ring: RingSpec, gens: list[Matrix], cap_rounds: int | None = None
     for i, g in enumerate(gens):
         try_add(g, (i + 1,))
     rounds = 0
-    cap_rounds = cap_rounds if cap_rounds is not None else n * n
     changed = True
-    while changed and rounds < cap_rounds:
+    while changed and rounds < n * n:
         changed = False
         rounds += 1
         for b, w in list(zip(basis, words)):
@@ -211,6 +211,9 @@ def _combine(coeffs, mats: list[Matrix]) -> Matrix:
 # conjugacy linear-algebra attack
 # ---------------------------------------------------------------------------
 
+SCSP_DRAWS = 64
+
+
 @dataclass
 class ScspReport:
     h: Matrix
@@ -221,7 +224,7 @@ class ScspReport:
 
 
 def scsp_linear_attack(n: int, q: int, gens_h2: list[Matrix], f: Matrix,
-                       g: Matrix, seed: int, max_draws: int = 64) -> ScspReport:
+                       g: Matrix, seed: int) -> ScspReport:
     """Find h in <gens_h2> (up to algebra closure) with h^-1 g h = f.
 
     Solves h f = g h inside the algebra spanned by the subgroup and samples
@@ -245,7 +248,7 @@ def scsp_linear_attack(n: int, q: int, gens_h2: list[Matrix], f: Matrix,
     if not null:
         raise NoSolutionSpace("the conjugation system has only the zero solution")
     rng = Rng(seed)
-    for draw in range(1, max_draws + 1):
+    for draw in range(1, SCSP_DRAWS + 1):
         # random element of the solution space, as basis coefficients
         combo = [ring.zero()] * len(basis)
         for vec in null:
@@ -256,7 +259,7 @@ def scsp_linear_attack(n: int, q: int, gens_h2: list[Matrix], f: Matrix,
             continue
         if mat_mul(mat_mul(mat_inv(h), g), h) == f:
             return ScspReport(h, len(basis), draw, warned, seed)
-    raise AttackFailure(f"no invertible verified solution in {max_draws} draws")
+    raise AttackFailure(f"no invertible verified solution in {SCSP_DRAWS} draws")
 
 
 def _minus_one(ring: RingSpec) -> RingElement:

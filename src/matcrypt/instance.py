@@ -116,14 +116,14 @@ def base_diagonal(n: int, q: int, gen: tuple | None = None) -> BaseGroupSpec:
     return BaseGroupSpec("diagonal-cyclic", (n, q, tuple(gen)))
 
 
-def _element_order(a: RingElement, cap: int = DIAG_ORDER_CAP) -> int:
+def _element_order(a: RingElement) -> int:
     cur = a
     one = a.ring.one()
-    for k in range(1, cap + 1):
+    for k in range(1, DIAG_ORDER_CAP + 1):
         if cur == one:
             return k
         cur = cur * a
-    raise CapExceeded(f"element order exceeds {cap}")
+    raise CapExceeded(f"element order exceeds {DIAG_ORDER_CAP}")
 
 
 def _diag_gen(spec: BaseGroupSpec) -> RingElement:
@@ -180,9 +180,9 @@ class _LeafKind:
     def degree(self, params: tuple) -> int:
         return params[0]
 
-    def enumerate(self, spec: BaseGroupSpec, ring: RingSpec, n: int,
-                  cap: int) -> list[Matrix]:
-        return list(enumerate_group(leaf_generators(spec), cap).matrices())
+    def enumerate(self, spec: BaseGroupSpec, ring: RingSpec, n: int) -> list[Matrix]:
+        return list(enumerate_group(leaf_generators(spec),
+                                    LEAF_ENUM_CAP).matrices())
 
 
 class _Unipotent(_LeafKind):
@@ -211,7 +211,7 @@ class _Unipotent(_LeafKind):
     def order(self, spec):
         return spec.params[0]
 
-    def enumerate(self, spec, ring, n, cap):
+    def enumerate(self, spec, ring, n):
         one, zero = ring.one(), ring.zero()
         return [Matrix(2, ring, ((one, x), (zero, one))) for x in ring.enumerate()]
 
@@ -289,7 +289,7 @@ class _Diagonal(_LeafKind):
     def order(self, spec):
         return _element_order(_diag_gen(spec)) ** spec.params[0]
 
-    def enumerate(self, spec, ring, n, cap):
+    def enumerate(self, spec, ring, n):
         d = _diag_gen(spec)
         order = _element_order(d)
         powers = [d.pow(e) for e in range(order)]
@@ -346,13 +346,14 @@ def leaf_order(spec: BaseGroupSpec) -> int:
 _leaf_enum_cache: dict = {}
 
 
-def leaf_enumerate(spec: BaseGroupSpec, cap: int = LEAF_ENUM_CAP) -> list[Matrix]:
+def leaf_enumerate(spec: BaseGroupSpec) -> list[Matrix]:
     """All leaf group elements (bounded; leaves are desk-scale by contract)."""
     if spec in _leaf_enum_cache:
         return _leaf_enum_cache[spec]
-    if leaf_order(spec) > cap:
-        raise CapExceeded(f"leaf group of order {leaf_order(spec)} exceeds {cap}")
-    out = _leaf_kind(spec).enumerate(spec, leaf_ring(spec), leaf_degree(spec), cap)
+    if leaf_order(spec) > LEAF_ENUM_CAP:
+        raise CapExceeded(
+            f"leaf group of order {leaf_order(spec)} exceeds {LEAF_ENUM_CAP}")
+    out = _leaf_kind(spec).enumerate(spec, leaf_ring(spec), leaf_degree(spec))
     _leaf_enum_cache[spec] = out
     return out
 
@@ -373,8 +374,8 @@ def leaf_random(spec: BaseGroupSpec, rng: Rng) -> Matrix:
 
 @dataclass(frozen=True)
 class OpLabel:
-    """An operation label; m, d and seed must be ints (checked here, for the
-    same reason as leaf parameters)."""
+    """An operation label; m, d and seed must be ints, checked here, so that
+    a label read from a file fails at construction and not in a solver."""
     kind: str
     m: int = 0                      # wreath arity
     d: int = 0                      # ring-rep block degree
@@ -389,25 +390,20 @@ class OpLabel:
 
 @dataclass(frozen=True)
 class DerivationTree:
-    """A leaf (base) or an operation (label) on children.  Trees key every
-    per-tree cache, so a node computes its hash once, on first use; equality
-    compares the fields.  Pickles leave the hash out: a string's hash differs
-    from one process to the next."""
+    """A leaf (base) or an operation (label) on children.
+
+    A node keeps what the solvers derive from it (its NodeInfo, evaluated
+    instance, scalar orders, twist memo) in its own ``__dict__``, next to
+    the three fields, so the state lives exactly as long as the node.
+    Equal trees built separately derive it each on their own.  Pickles,
+    copies, equality and the hash see only the fields."""
     base: BaseGroupSpec | None = None
     label: OpLabel | None = None
     children: tuple = ()
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.base, self.label,
-                                               self.children))
-        return h
-
     def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        return {"base": self.base, "label": self.label,
+                "children": self.children}
 
     def is_leaf(self) -> bool:
         return self.base is not None
@@ -465,23 +461,25 @@ class NodeInfo:
     conj_inv: Matrix | None = None
 
 
-_info_cache: dict = {}
-
-
 def _info(t: DerivationTree) -> NodeInfo:
-    if t in _info_cache:
-        return _info_cache[t]
-    info = _compute_info(t)
-    _info_cache[t] = info
+    """t's NodeInfo, computed once per node; TreeTypeError when the subtree
+    is ill-typed, and then nothing is stored."""
+    info = t.__dict__.get("_info")
+    if info is None:
+        info = t.__dict__["_info"] = _compute_info(t)
     return info
 
 
 def _compute_info(t: DerivationTree) -> NodeInfo:
     if t.is_leaf():
+        if t.label is not None or t.children:
+            raise TreeTypeError("leaf cannot carry an operation label or children")
         kind = _leaf_kind(t.base)
         kind.check(t.base.params)
         ring = kind.ring(t.base.params)
         return NodeInfo(kind, ring, kind.degree(t.base.params))
+    if t.label is None:
+        raise TreeTypeError("internal node needs an operation label")
     return _kind_class(t.label.kind, _Op).info(
         t.label, [_info(c) for c in t.children])
 
@@ -779,14 +777,6 @@ def _derive_conjugator(ring: RingSpec, n: int, seed: int) -> Matrix:
 
 def validate_tree(t: DerivationTree) -> None:
     """Raise TreeTypeError when the tree is ill-typed."""
-    if t.is_leaf():
-        if t.label is not None or t.children:
-            raise TreeTypeError("leaf cannot carry an operation label or children")
-    else:
-        if t.label is None:
-            raise TreeTypeError("internal node needs an operation label")
-        for c in t.children:
-            validate_tree(c)
     _info(t)
 
 
@@ -842,18 +832,14 @@ def _replay(t: DerivationTree, wit: tuple, leaf_map=None, first: int = 0) -> Mat
     return info.impl.assemble(t, info, parts, k)
 
 
-_eval_cache: dict = {}
-
-
 def tree_eval(t: DerivationTree) -> GroupInstance:
     """Public instance of the tree: degree, ring, generators."""
-    if t in _eval_cache:
-        return _eval_cache[t]
-    validate_tree(t)
-    info = _info(t)
-    inst = GroupInstance(info.degree, info.ring, tuple(_eval(
-        t, lambda lid, spec: list(leaf_generators(spec)), [0])))
-    _eval_cache[t] = inst
+    inst = t.__dict__.get("_instance")
+    if inst is None:
+        info = _info(t)  # validates t
+        inst = t.__dict__["_instance"] = GroupInstance(
+            info.degree, info.ring, tuple(_eval(
+                t, lambda lid, spec: list(leaf_generators(spec)), [0])))
     return inst
 
 

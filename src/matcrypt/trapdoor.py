@@ -214,16 +214,14 @@ def product_split_candidates(g: Matrix, n: int, m: int):
 # scalar subgroups
 # ---------------------------------------------------------------------------
 
-_scalar_cache: dict = {}
-
-
 def scalar_subgroup(t: DerivationTree) -> tuple:
     """Per ring summand s (a field), the order d_s of the scalars of G(t):
     u*I is in G(t) exactly when u_s^d_s = 1 in every summand."""
-    if t not in _scalar_cache:
+    z = t.__dict__.get("_scalars")
+    if z is None:
         info, solver = _solver(t)
-        _scalar_cache[t] = solver.scalars(t, info)
-    return _scalar_cache[t]
+        z = t.__dict__["_scalars"] = solver.scalars(t, info)
+    return z
 
 
 def _spow(x: RingElement, exps) -> RingElement:
@@ -347,22 +345,21 @@ def _unrep(g: Matrix, src: RingSpec, d: int):
     return Matrix._of(n0, src, (tuple(out),))
 
 
-_twist_memo: dict = {}
-
-
 def member_twists(t: DerivationTree, a: Matrix):
     """A unit u0 with a*u0 in G(t), or None.  The units u with a*u in G(t)
     are then exactly u0 times the scalars of ``scalar_subgroup(t)``."""
-    # factors of small groups recur across queries, and each membership split
-    # asks its factors twice (twists, then members); without this memo the
-    # p90 latency of perfbench's trapdoor workload rose by about a fifth
-    key = (t, a.key())
-    if key not in _twist_memo:
-        if len(_twist_memo) > 20000:
-            _twist_memo.clear()
+    # each node remembers its answers by the queried matrix: factors of small
+    # groups recur across queries, and each membership split asks its factors
+    # twice (twists, then members); without a memo the p90 latency of
+    # perfbench's trapdoor workload rose by about a fifth
+    memo = t.__dict__.setdefault("_twists", {})
+    key = a.key()
+    if key not in memo:
+        if len(memo) > 20000:
+            memo.clear()
         info, solver = _solver(t)
-        _twist_memo[key] = solver.twists(t, info, a)
-    return _twist_memo[key]
+        memo[key] = solver.twists(t, info, a)
+    return memo[key]
 
 
 def _factor_twists(factors: list, hs: list):
@@ -857,23 +854,30 @@ class _RingExtendSolver(_UnarySolver):
 
     def pairs_down(self, t, info, pairs):
         """Each (u, v) over the target as d pairs over the child's ring, one
-        per basis power x'^j of the embedding's table."""
+        per basis power x'^j of the embedding's table, d the largest
+        extension degree of a summand.  A summand of a smaller degree d_s
+        has zero coordinates at j >= d_s, and a zero pair constrains
+        nothing."""
         emb = find_embedding(_info(t.children[0]).ring, t.label.target)
-        degrees = {gd.r // gs.r
-                   for gs, gd in zip(emb.src.summands, emb.dst.summands)}
-        if len(degrees) > 1:
-            raise UnsupportedDecomposition("mixed extension degrees")
-        (d,) = degrees
+        src = emb.src.summands
+        d = max(gd.r // gs.r for gs, gd in zip(src, emb.dst.summands))
+
+        def coords(s, cs):
+            c = emb.coords(s, cs)
+            return c + [(0,) * src[s].r] * (d - len(c))
 
         def split(vec):
-            per = [[emb.coords(s, cs) for s, cs in enumerate(e.coeffs)]
+            per = [[coords(s, cs) for s, cs in enumerate(e.coeffs)]
                    for e in vec]
             return [tuple(RingElement(emb.src, tuple(c[j] for c in comps))
                           for comps in per) for j in range(d)]
         return [pair for u, v in pairs for pair in zip(split(u), split(v))]
 
-    # entries decompose over the module basis for any value, so the default
-    # sample (a random vector) is transportable
+    # the default sample is a random vector; its entries decompose over the
+    # module basis for any value, but tensor and wreath-product children
+    # answer the d > 1 pairs it splits into only by the bounded exhaustive
+    # fallback, which refuses a group past its cap, so there a random vector
+    # need not be transportable
 
 
 class _RingRepSolver(_UnarySolver):

@@ -16,6 +16,7 @@ from matcrypt.errors import (
     TreeTypeError,
 )
 from matcrypt.instance import (
+    DerivationTree,
     base_diagonal,
     base_general_linear,
     base_special_linear,
@@ -47,10 +48,18 @@ from matcrypt.matrix import (
     is_invertible,
     mat_mul,
     matrix,
+    vector_act,
+    word_eval,
 )
 from matcrypt.ring import Zmod, field
 from matcrypt.rng import Rng
 from matcrypt.serialize import dumps
+from matcrypt.trapdoor import (
+    ltp_solve,
+    membership,
+    sample_transportable_vector,
+    scalar_subgroup,
+)
 
 Z5 = Zmod(5)
 Z15 = Zmod(15)
@@ -280,22 +289,29 @@ def test_homspec_serialization_roundtrip():
     assert h2.gen_images == h.gen_images
 
 
-def test_tree_hash_cached_on_first_use_and_left_out_of_pickles():
+def _queries(t) -> tuple:
+    """Generators, a membership witness and a transporter of t, seeded."""
+    inst = tree_eval(t)
+    g = word_eval(inst.gens, [*range(1, len(inst.gens) + 1), -1])
+    u = sample_transportable_vector(t, Rng(7))
+    return (inst.gens, membership(t, g).witness,
+            ltp_solve(t, u, vector_act(u, g)))
+
+
+def test_tree_hash_and_pickles_see_only_the_fields():
     import os
     import pickle
     import subprocess
     import sys
 
-    t = tree_random(45, 3, max_degree=9, max_ring=4000)
+    t = tree_random(45, 20, max_degree=9, max_ring=4000)
     same = tree_from_obj(tree_to_obj(t))
-    assert "_hash" not in vars(same)     # built without hashing
     assert same == t and same is not t and hash(same) == hash(t)
-    assert vars(same)["_hash"] == hash(same)
-    assert repr(same) == repr(t)         # the cached hash is not a field
+    assert repr(same) == repr(t)
     # a pickle written by a process with another string-hash seed
     code = ("import pickle, sys\n"
             "from matcrypt.instance import tree_random\n"
-            "t = tree_random(45, 3, max_degree=9, max_ring=4000)\n"
+            "t = tree_random(45, 20, max_degree=9, max_ring=4000)\n"
             "print(hash(t))\n"
             "sys.stdout.flush()\n"
             "sys.stdout.buffer.write(pickle.dumps(t))\n")
@@ -306,6 +322,42 @@ def test_tree_hash_cached_on_first_use_and_left_out_of_pickles():
     their_hash, _, blob = out.partition(b"\n")
     assert int(their_hash) != hash(t)    # the two processes hash differently
     loaded = pickle.loads(blob)
-    assert "_hash" not in vars(loaded)
     assert loaded == t and hash(loaded) == hash(t)
     assert {t: "found"}[loaded] == "found"
+    # the state queries leave on the nodes stays out of pickles
+    before = pickle.dumps(t)
+    _queries(t)
+    assert pickle.dumps(t) == before == blob
+    assert vars(pickle.loads(before)).keys() == {"base", "label", "children"}
+
+
+def test_a_dropped_tree_is_freed_after_queries():
+    import gc
+    import weakref
+
+    # a root no other test builds
+    t = conjugate(tree_random(45, 20, max_degree=9, max_ring=4000), 20261018)
+    _queries(t)
+    refs = [weakref.ref(t), weakref.ref(t.children[0])]
+    del t
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_equal_trees_built_apart_answer_alike():
+    for seed in (5, 19, 20):
+        a = tree_random(45, seed, max_degree=9, max_ring=4000)
+        b = tree_random(45, seed, max_degree=9, max_ring=4000)
+        assert a == b and a is not b
+        assert _queries(a) == _queries(b)
+
+
+def test_malformed_nodes_are_refused_by_every_query():
+    gl = base_general_linear(2, 3)
+    leaf_with_child = DerivationTree(base=gl, children=(leaf(gl),))
+    unlabelled = DerivationTree(children=(leaf(gl),))
+    for t, message in ((leaf_with_child, "leaf cannot carry"),
+                       (unlabelled, "internal node needs an operation label")):
+        for query in (validate_tree, tree_eval, scalar_subgroup):
+            with pytest.raises(TreeTypeError, match=message):
+                query(t)

@@ -11,7 +11,6 @@ from matcrypt.errors import (
     NotDecomposable,
     NotWreathShaped,
     ShapeMismatch,
-    UnsupportedDecomposition,
 )
 from matcrypt.instance import (
     base_diagonal,
@@ -290,7 +289,8 @@ def test_ltp_solution_is_member():
 
 def test_ring_extend_ltp_over_two_summands():
     # GF(2) + GF(3) into GF(4) + GF(9) splits each pair over the module
-    # basis; into GF(4) + GF(27) the summands' degrees 2 and 3 differ
+    # basis; into GF(4) + GF(27) the summands' degrees 2 and 3 differ, and
+    # the GF(4) summand's third coordinate is zero
     child = direct_same_degree(leaf(base_unipotent(2)), leaf(base_unipotent(3)))
     t = ring_extend(child, ring_make("direct-sum", field(4), field(9)))
     rng = Rng(1)
@@ -300,9 +300,21 @@ def test_ring_extend_ltp_over_two_summands():
         got = ltp_solve(t, u, vector_act(u, g))
         assert vector_act(u, got) == vector_act(u, g)
     mixed = ring_extend(child, ring_make("direct-sum", field(4), field(27)))
-    u = sample_transportable_vector(mixed, rng)
-    with pytest.raises(UnsupportedDecomposition, match="mixed extension degrees"):
-        ltp_solve(mixed, u, u)
+    inst = tree_eval(mixed)
+    enum = enumerate_group(list(inst.gens), 100)
+    elems = list(enum.matrices())
+    for qi in range(20):
+        u = sample_transportable_vector(mixed, rng)
+        if qi % 2 == 0:
+            v = vector_act(u, elems[rng.below(len(elems))])
+        else:
+            v = sample_transportable_vector(mixed, rng)
+        want, _ = oracle_solve("ltp", enum, (u, v))
+        got = ltp_solve(mixed, u, v)
+        if isinstance(got, NoSolution):
+            assert not want
+        else:
+            assert want and vector_act(u, got) == v
 
 
 def test_ltp_solve_checks_its_answer(monkeypatch):
