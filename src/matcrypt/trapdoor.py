@@ -8,10 +8,14 @@ factorizations are unique only up to scalars: the twists {u : h*u in G} of
 a factor h are empty or a coset u0 * Z of the scalar subgroup of G, held as
 its order per (field) summand, so the recursion carries one unit u0.
 
-The Linear Transporter Problem reduces at wreath nodes to bipartite maximum
-matching over per-coordinate solvability, exactly mirroring the membership
-recursion; leaves solve directly (unipotent: a linear condition; other leaf
-groups: bounded exhaustive search).
+The Linear Transporter Problem follows the same recursion and returns a
+transporter or None.  Imprimitive wreath nodes reduce to bipartite matching
+over per-block solvability; tensor and product-action nodes split both
+vectors into pure tensors and search, per candidate permutation of the
+factors, for one twisted transporter per factor whose twists multiply to
+one.  Leaves solve directly (unipotent: a linear condition; other leaf
+groups: bounded exhaustive search).  Where the recursion cannot decide, it
+raises UnsupportedDecomposition or CapExceeded instead of answering.
 
 Each leaf and operation kind has one solver class here, found through
 ``_SOLVERS``; its structure is its class in ``instance``.
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .analysis import enumerate_group
+from .analysis import _random_elem, enumerate_group
 from .errors import (
     CapExceeded,
     NotDecomposable,
@@ -76,6 +80,8 @@ class MembershipVerdict:
 
 @dataclass(frozen=True)
 class NoSolution:
+    """No transporter exists.  certified: the answer was decided
+    exhaustively, which every NoSolution from ltp_solve is."""
     certified: bool = False
 
 
@@ -374,7 +380,7 @@ def _factor_twists(factors: list, hs: list):
 
 
 def replay_witness(t: DerivationTree, wit: tuple) -> Matrix:
-    """Reassemble the matrix certified by a membership witness."""
+    """Reassemble the matrix that a membership witness decomposes."""
     return _replay(t, wit)
 
 
@@ -383,7 +389,9 @@ def replay_witness(t: DerivationTree, wit: tuple) -> Matrix:
 # ---------------------------------------------------------------------------
 
 def max_matching(adj: list[list[int]], n_right: int) -> dict:
-    """Hopcroft-Karp style augmenting search; returns left->right matching."""
+    """Kuhn's augmenting-path search; returns a maximum left->right matching.
+    One search per left vertex suffices: a vertex with no augmenting path
+    never gains one as the matching grows."""
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
 
@@ -398,13 +406,8 @@ def max_matching(adj: list[list[int]], n_right: int) -> dict:
                 return True
         return False
 
-    improved = True
-    while improved:
-        improved = False
-        for u in range(len(adj)):
-            if u not in match_l:
-                if try_augment(u, set()):
-                    improved = True
+    for u in range(len(adj)):
+        try_augment(u, set())
     return match_l
 
 
@@ -438,15 +441,16 @@ def ltp_solve(t: DerivationTree, u: tuple, v: tuple):
     """g in G(t) with u^g = v, or NoSolution.
 
     The returned matrix is verified (action and membership) before returning.
-    NoSolution(certified=True) only when every branch of the recursion decided
-    exhaustively.
+    Every branch of the recursion decides exhaustively, so NoSolution means
+    that no transporter exists; a query the recursion cannot decide raises
+    UnsupportedDecomposition or CapExceeded instead.
     """
     inst = tree_eval(t)
     if len(u) != inst.n or len(v) != inst.n:
         raise ShapeMismatch("vector length does not match the instance degree")
-    g, certified = _ltp(t, [(tuple(u), tuple(v))])
+    g = _ltp(t, [(tuple(u), tuple(v))])
     if g is None:
-        return NoSolution(certified)
+        return NoSolution(True)
     if vector_act(u, g) != tuple(v):
         raise UnverifiedResult("the transporter does not map u to v")
     if not membership(t, g).accepted:
@@ -455,7 +459,7 @@ def ltp_solve(t: DerivationTree, u: tuple, v: tuple):
 
 
 def _ltp(t: DerivationTree, pairs: list):
-    """Simultaneous transporter for all (u, v) pairs; returns (g | None, certified)."""
+    """Simultaneous transporter for all (u, v) pairs, or None."""
     info, solver = _solver(t)
     return solver.ltp(t, info, pairs)
 
@@ -473,7 +477,7 @@ def _ltp_brute(t: DerivationTree, pairs: list):
     except CapExceeded:
         raise UnsupportedDecomposition(
             "node group too large for the exhaustive transporter fallback") from None
-    return _first_transporter(elems, pairs, inst.ring, inst.n), True
+    return _first_transporter(elems, pairs, inst.ring, inst.n)
 
 
 # Leaf and fallback scans compare u^h with v on flat integers, one coordinate
@@ -601,8 +605,8 @@ def _search_unit_product(twist_sets, target):
     return rec(0, target.ring.one())
 
 
-def _ltp_twists(t: DerivationTree, u: tuple, v: tuple) -> tuple[dict, bool]:
-    """{key: (w, g)} with u^g = v*w over units w; plus a certified flag."""
+def _ltp_twists(t: DerivationTree, u: tuple, v: tuple) -> list:
+    """[(w, g)] with u^g = v*w, one per unit w that has a transporter g."""
     info, solver = _solver(t)
     return solver.ltp_twists(t, info, u, v)
 
@@ -637,10 +641,7 @@ def sample_transportable_vector(t: DerivationTree, rng) -> tuple:
 def _random_vector(ring: RingSpec, n: int, rng) -> tuple:
     """Random vector with a unit coordinate in every summand (normalizable)."""
     for _ in range(256):
-        vec = tuple(
-            RingElement(ring, tuple(tuple(rng.below(g.q) for _ in range(g.r))
-                                    for g in ring.summands))
-            for _ in range(n))
+        vec = tuple(_random_elem(ring, rng) for _ in range(n))
         if all(any(any(c % g.p for c in e.coeffs[s]) for e in vec)
                for s, g in enumerate(ring.summands)):
             return vec
@@ -661,25 +662,22 @@ def _kron_vectors(parts: list) -> tuple:
 class _Solver:
     """The tree-directed solvers of one node kind.  scalars: the per-summand
     orders of the scalar subgroup of G(t); member: a witness for g, or None;
-    twists: a unit u0 with a*u0 in G(t), or None; ltp: (g | None, certified)
-    with u^g = v for every (u, v) pair; ltp_twists: ltp for (u, v*w) at every
-    unit w; sample: a vector the ltp recursion can decompose."""
+    twists: a unit u0 with a*u0 in G(t), or None; ltp: g with u^g = v for
+    every (u, v) pair, or None; ltp_twists: ltp for (u, v*w) at every unit w;
+    sample: a vector the ltp recursion can decompose."""
 
     def sample(self, t: DerivationTree, info: NodeInfo, rng) -> tuple:
         return _random_vector(info.ring, info.degree, rng)
 
-    def ltp_twists(self, t, info, u, v) -> tuple[dict, bool]:
-        """{w.coeffs: (w, g)} with u^g = v*w, one entry per unit w that has
-        a transporter g, in canonical unit order; plus a certified flag."""
-        out = {}
-        certified = True
+    def ltp_twists(self, t, info, u, v) -> list:
+        """[(w, g)] with u^g = v*w, one per unit w that has a transporter g,
+        in canonical unit order."""
+        out = []
         for w in _iter_units(info.ring):
-            vw = tuple(e * w for e in v)
-            g, cert = self.ltp(t, info, [(u, vw)])
-            certified = certified and cert
+            g = self.ltp(t, info, [(u, tuple(e * w for e in v))])
             if g is not None:
-                out[w.coeffs] = (w, g)
-        return out, certified
+                out.append((w, g))
+        return out
 
 
 class _LeafSolver(_Solver):
@@ -688,7 +686,7 @@ class _LeafSolver(_Solver):
 
     def ltp(self, t, info, pairs):
         return _first_transporter(leaf_enumerate(t.base), pairs,
-                                  info.ring, info.degree), True
+                                  info.ring, info.degree)
 
     def ltp_twists(self, t, info, u, v):
         # one scan answers every unit: at the first unit entry k of v,
@@ -724,12 +722,8 @@ class _LeafSolver(_Solver):
                 found[w] = h
                 if len(found) == len(units):
                     break
-        out = {}
-        for w in units:
-            h = found.get(_to_entry(g, w.coeffs[0]))
-            if h is not None:
-                out[w.coeffs] = (w, h)
-        return out, True
+        hits = ((w, found.get(_to_entry(g, w.coeffs[0]))) for w in units)
+        return [(w, h) for w, h in hits if h is not None]
 
 
 class _UnipotentSolver(_LeafSolver):
@@ -753,7 +747,7 @@ class _UnipotentSolver(_LeafSolver):
         constraints = []
         for u, v in pairs:
             if u[0] != v[0]:
-                return None, True
+                return None
             constraints.append((u[0], v[1] - u[1]))
         x = None
         for a, b in constraints:
@@ -764,13 +758,13 @@ class _UnipotentSolver(_LeafSolver):
             # all coefficients are zero in the field, so demand b == 0
             for a, b in constraints:
                 if not a.is_zero() or not b.is_zero():
-                    return None, True
+                    return None
             x = ring.zero()
         for a, b in constraints:
             if a * x != b:
-                return None, True
+                return None
         one, zero = ring.one(), ring.zero()
-        return Matrix(2, ring, ((one, x), (zero, one))), True
+        return Matrix(2, ring, ((one, x), (zero, one)))
 
 
 class _SpecialLinearSolver(_LeafSolver):
@@ -826,10 +820,8 @@ class _UnarySolver(_Solver):
         return None if u is None else self.up(t, info, u)
 
     def ltp(self, t, info, pairs):
-        g0, cert = _ltp(t.children[0], self.pairs_down(t, info, pairs))
-        if g0 is None:
-            return None, cert
-        return info.impl.assemble(t, info, [g0]), cert
+        g0 = _ltp(t.children[0], self.pairs_down(t, info, pairs))
+        return None if g0 is None else info.impl.assemble(t, info, [g0])
 
 
 class _ConjugateSolver(_UnarySolver):
@@ -931,7 +923,6 @@ class _SameDegreeSolver(_Solver):
 
     def ltp(self, t, info, pairs):
         parts = []
-        certified = True
         for idx, c in enumerate(t.children):
             child_ring = _info(c).ring
             positions = info.positions[idx]
@@ -939,12 +930,11 @@ class _SameDegreeSolver(_Solver):
             def proj(vec):
                 return tuple(RingElement(child_ring, tuple(
                     e.coeffs[s] for s in positions)) for e in vec)
-            g0, cert = _ltp(c, [(proj(u), proj(v)) for u, v in pairs])
-            certified = certified and cert
+            g0 = _ltp(c, [(proj(u), proj(v)) for u, v in pairs])
             if g0 is None:
-                return None, certified
+                return None
             parts.append(g0)
-        return info.impl.assemble(t, info, parts), certified
+        return info.impl.assemble(t, info, parts)
 
     def sample(self, t, info, rng):
         parts = [sample_transportable_vector(c, rng) for c in t.children]
@@ -971,7 +961,9 @@ def _combine(info: NodeInfo, elems) -> RingElement:
 
 class _TwistedSolver(_Solver):
     """tensor and wreath-product: splits(t, info, g) yields candidate (Kronecker
-    factors, permutation); factors are recovered only up to scalar twists."""
+    factors, permutation); factors are recovered only up to scalar twists.
+    perms(t) lists the permutations of the factors that a transporter may
+    carry, in the order ltp tries them."""
 
     def scalars(self, t, info):
         return tuple(math.lcm(*ds) for ds in zip(
@@ -1014,6 +1006,29 @@ class _TwistedSolver(_Solver):
                 pass
         return _ltp_brute(t, pairs)
 
+    def ltp_pure(self, t, info, pair):
+        """For pure tensors u = (x) u_i and v = (x) v_j, the transporter
+        permuting the factors by k maps u_i to v_k(i) times a twist w_i with
+        prod w_i = 1.  The twist set of (i, j) is asked for only when a
+        permutation first needs it, and a permutation is dropped at its
+        first empty set."""
+        factors = info.impl.factors(t)
+        us, vs = _pure_tensor_factors(t, info, pair)
+        sets = {}
+        for k in self.perms(t):
+            chosen = []
+            for i, j in enumerate(k):
+                if (i, j) not in sets:
+                    sets[(i, j)] = _ltp_twists(factors[i], us[i], vs[j])
+                if not sets[(i, j)]:
+                    break
+                chosen.append(sets[(i, j)])
+            else:
+                hit = _search_unit_product(chosen, info.ring.one())
+                if hit is not None:
+                    return info.impl.assemble(t, info, hit, k)
+        return None
+
     def sample(self, t, info, rng):
         return _kron_vectors([sample_transportable_vector(c, rng)
                               for c in info.impl.factors(t)])
@@ -1026,47 +1041,16 @@ class _TensorSolver(_TwistedSolver):
         except NotDecomposable:
             return []
 
-    def ltp_pure(self, t, info, pair):
-        us, vs = _pure_tensor_factors(t, info, pair)
-        sets = []
-        certified = True
-        for c, ui, vi in zip(t.children, us, vs):
-            tw, cert = _ltp_twists(c, ui, vi)
-            certified = certified and cert
-            if not tw:
-                return None, certified
-            sets.append(list(tw.values()))
-        hit = _search_unit_product(sets, info.ring.one())
-        if hit is None:
-            return None, certified
-        return info.impl.assemble(t, info, hit), certified
+    def perms(self, t):
+        return [tuple(range(len(t.children)))]
 
 
 class _WreathProductSolver(_TwistedSolver):
     def splits(self, t, info, g):
         return product_split_candidates(g, _info(t.children[0]).degree, t.label.m)
 
-    def ltp_pure(self, t, info, pair):
-        m = t.label.m
-        us, vs = _pure_tensor_factors(t, info, pair)
-        edge_sets = {}
-        certified = True
-        for i in range(m):
-            for j in range(m):
-                tw, cert = _ltp_twists(t.children[0], us[i], vs[j])
-                certified = certified and cert
-                if tw:
-                    edge_sets[(i, j)] = list(tw.values())
-        adj = [sorted(j for j in range(m) if (i, j) in edge_sets)
-               for i in range(m)]
-        for k in itertools.permutations(range(m)):
-            if any(k[i] not in adj[i] for i in range(m)):
-                continue
-            sets = [edge_sets[(i, k[i])] for i in range(m)]
-            hit = _search_unit_product(sets, info.ring.one())
-            if hit is not None:
-                return info.impl.assemble(t, info, hit, tuple(k)), certified
-        return None, certified
+    def perms(self, t):
+        return itertools.permutations(range(t.label.m))
 
 
 class _WreathImprimitiveSolver(_Solver):
@@ -1096,32 +1080,27 @@ class _WreathImprimitiveSolver(_Solver):
         return us[0] if all(_spow(u * inv, z).is_one() for u in us[1:]) else None
 
     def ltp(self, t, info, pairs):
+        # block i of u can go to block j of v when the child has a
+        # transporter for every pair's (i, j) blocks
         m = t.label.m
         n = _info(t.children[0]).degree
-        blocks = []
-        for u, v in pairs:
-            ub = [tuple(u[i * n:(i + 1) * n]) for i in range(m)]
-            vb = [tuple(v[i * n:(i + 1) * n]) for i in range(m)]
-            blocks.append((ub, vb))
-        adj = []
-        all_certified = True
-        memo = {}
+
+        def block(vec, i):
+            return tuple(vec[i * n:(i + 1) * n])
+        hs, adj = {}, []
         for i in range(m):
-            row = []
+            adj.append([])
             for j in range(m):
-                sub_pairs = [(b[0][i], b[1][j]) for b in blocks]
-                g0, cert = _ltp(t.children[0], sub_pairs)
-                memo[(i, j)] = g0
+                g0 = _ltp(t.children[0], [(block(u, i), block(v, j))
+                                          for u, v in pairs])
                 if g0 is not None:
-                    row.append(j)
-                elif not cert:
-                    all_certified = False
-            adj.append(row)
+                    hs[(i, j)] = g0
+                    adj[i].append(j)
         chosen = lex_min_perfect_matching(adj, m)
         if chosen is None:
-            return None, all_certified
-        hs = [memo[(i, chosen[i])] for i in range(m)]
-        return info.impl.assemble(t, info, hs, tuple(chosen)), True
+            return None
+        return info.impl.assemble(
+            t, info, [hs[(i, j)] for i, j in enumerate(chosen)], tuple(chosen))
 
     def sample(self, t, info, rng):
         out: tuple = ()

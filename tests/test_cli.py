@@ -293,6 +293,43 @@ def test_oracle_commands(tmp_path, capsys):
     assert code == 0 and out.strip() == "yes"
 
 
+def test_transporter_and_oracle_verdicts(tmp_path, capsys):
+    # both verdicts of `ltp` and of `oracle solve --problem ltp|conjugacy`
+    from matcrypt.instance import base_diagonal, leaf, tree_eval, wreath_imprimitive
+    from matcrypt.matrix import identity, mat_inv, mat_mul
+    from matcrypt.serialize import dumps, matrix_to_obj, vector_to_obj
+    t = wreath_imprimitive(leaf(base_diagonal(1, 7, gen=(2,))), 2)
+    inst = tree_eval(t)
+    ring = inst.ring
+
+    def write(name, obj):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps(obj))
+        return str(path)
+
+    def vec(name, xs):
+        return write(name, vector_to_obj(ring, tuple(ring.from_int(x) for x in xs)))
+    sec = write("sec", tree_to_obj(t))
+    u, v, zero = vec("u", [1, 3]), vec("v", [6, 2]), vec("zero", [0, 0])
+    f, h = inst.gens[0], inst.gens[-1]
+    assert f != identity(2, ring)
+    f_file = write("f", matrix_to_obj(f))
+    g_file = write("g", matrix_to_obj(mat_mul(mat_mul(mat_inv(h), f), h)))
+    one_file = write("one", matrix_to_obj(identity(2, ring)))
+    code, out, _ = run(capsys, "ltp", "--sec", sec, "--u", u, "--v", zero)
+    assert (code, out) == (0, "no-solution (certified)\n")
+    code, out, _ = run(capsys, "ltp", "--sec", sec, "--u", u, "--v", v)
+    assert code == 0 and out.startswith("transporter fingerprint ")
+    for problem, files, want in (
+            ("ltp", ("--u", u, "--v", v), "solvable"),
+            ("ltp", ("--u", u, "--v", zero), "no-solution (certified)"),
+            ("conjugacy", ("--f", f_file, "--g", g_file), "conjugate"),
+            ("conjugacy", ("--f", f_file, "--g", one_file), "not-conjugate")):
+        code, out, _ = run(capsys, "oracle", "solve", "--problem", problem,
+                           "--sec", sec, "--cap", "1000", *files)
+        assert (code, out) == (0, want + "\n"), (problem, files)
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "member", "--sec", str(tmp_path / "no.json"),
                        "--elem", str(tmp_path / "no2.json"))

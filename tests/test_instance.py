@@ -361,3 +361,20 @@ def test_malformed_nodes_are_refused_by_every_query():
         for query in (validate_tree, tree_eval, scalar_subgroup):
             with pytest.raises(TreeTypeError, match=message):
                 query(t)
+
+
+def test_diagonal_leaf_reads_its_power_table(monkeypatch):
+    # order and elements come from the generator's powers in exponent order,
+    # and a generator whose order passes the power-testing cap is refused
+    from matcrypt import instance
+    spec = base_diagonal(2, 7, gen=(3,))  # 3 has order 6 mod 7: 1, 3, 2, 6, 4, 5
+    assert instance.leaf_order(spec) == 36
+    diagonals = [[e[i][i] for i in range(2)]
+                 for e in map(int_rows, instance.leaf_enumerate(spec))]
+    powers = [1, 3, 2, 6, 4, 5]
+    assert diagonals == [[a, b] for a in powers for b in powers]
+    monkeypatch.setattr(instance, "DIAG_ORDER_CAP", 5)
+    monkeypatch.setattr(instance, "_diag_powers_cache", {})
+    with pytest.raises(CapExceeded):
+        validate_tree(leaf(spec))
+    assert instance._diag_powers_cache == {}

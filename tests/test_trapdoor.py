@@ -317,6 +317,41 @@ def test_ring_extend_ltp_over_two_summands():
             assert want and vector_act(u, got) == v
 
 
+@pytest.mark.parametrize("tree", [
+    tensor(leaf(base_special_linear(2, 3)), leaf(base_general_linear(2, 3))),
+    wreath_product(leaf(base_special_linear(2, 3)), 2),
+], ids=["tensor SL(2,3) x GL(2,3)", "wreath-product SL(2,3) wr S2"])
+def test_brute_fallback_answers_a_vector_that_is_no_pure_tensor(tree, monkeypatch):
+    # u = e1 + e4 is no pure tensor, so the twisted search cannot split it
+    # and the node answers by the bounded exhaustive fallback
+    from matcrypt import trapdoor
+    brute, ltp_brute = [], trapdoor._ltp_brute
+
+    def counted(t, pairs):
+        brute.append(t)
+        return ltp_brute(t, pairs)
+    monkeypatch.setattr(trapdoor, "_ltp_brute", counted)
+    inst = tree_eval(tree)
+    ring = inst.ring
+    enum = enumerate_group(list(inst.gens), trapdoor.BRUTE_LTP_CAP)
+    elems = list(enum.matrices())
+    u = vector(ring, [1, 0, 0, 1])
+    rng = Rng(11)
+    targets = [vector_act(u, elems[rng.below(len(elems))]) for _ in range(4)]
+    targets += [vector(ring, [rng.below(3) for _ in range(4)]) for _ in range(8)]
+    targets += [vector(ring, [1, 0, 0, 0]), vector(ring, [0, 0, 0, 0])]
+    answered = 0
+    for v in targets:
+        want, _ = oracle_solve("ltp", enum, (u, v))
+        got = ltp_solve(tree, u, v)
+        assert isinstance(got, NoSolution) == (not want), v
+        if not isinstance(got, NoSolution):
+            assert vector_act(u, got) == v
+            answered += 1
+    assert answered >= 4
+    assert len(brute) == len(targets)
+
+
 def test_ltp_solve_checks_its_answer(monkeypatch):
     # the checks must hold under python -O too, so they are not asserts
     from matcrypt import trapdoor
@@ -324,7 +359,7 @@ def test_ltp_solve_checks_its_answer(monkeypatch):
     u, v = vector(Z5, [1, 0]), vector(Z5, [1, 2])
     for wrong in (identity(2, Z5),                    # does not map u to v
                   matrix(Z5, [[1, 2], [0, 3]])):      # maps u to v, not a member
-        monkeypatch.setattr(trapdoor, "_ltp", lambda t, pairs, g=wrong: (g, True))
+        monkeypatch.setattr(trapdoor, "_ltp", lambda t, pairs, g=wrong: g)
         with pytest.raises(UnverifiedResult):
             ltp_solve(UNIPOTENT5, u, v)
 
@@ -337,6 +372,28 @@ def test_max_matching():
     assert len(m) == 3
     adj2 = [[0], [0], [1]]
     assert len(max_matching(adj2, 2)) == 2
+
+
+def test_matchings_agree_with_brute_force():
+    # over seeded random graphs on m <= 6 vertices a side: the lex-least
+    # perfect matching is the lex-first permutation k with every edge
+    # (i, k[i]) present, and a maximum matching has as many edges as the
+    # best permutation keeps
+    import itertools
+    rng = Rng(13)
+    for _ in range(600):
+        m = 1 + rng.below(6)
+        density = 1 + rng.below(4)
+        adj = [[j for j in range(m) if rng.below(4) < density] for _ in range(m)]
+        perms = list(itertools.permutations(range(m)))
+        want = next((list(k) for k in perms
+                     if all(k[i] in adj[i] for i in range(m))), None)
+        assert lex_min_perfect_matching(adj, m) == want, adj
+        got = max_matching(adj, m)
+        assert all(j in adj[i] for i, j in got.items())
+        assert len(set(got.values())) == len(got)
+        assert len(got) == max(sum(k[i] in adj[i] for i in range(m))
+                               for k in perms), adj
 
 
 def test_lex_min_perfect_matching():
