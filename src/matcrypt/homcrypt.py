@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateKey, IndexOutOfRange, ShapeMismatch
+from .errors import AlphabetMismatch, DegenerateKey, IndexOutOfRange, ShapeMismatch
 from .rng import Rng
-from .words import FreeWord, fw_inv, fw_mul, fw_substitute, push_reduced
+from .words import FreeWord, fw_inv, fw_mul, fw_substitute, push_reduced, reduce_letters
 
 KEYGEN_RETRIES = 64
 
@@ -84,6 +84,9 @@ class Presentation:
     def __post_init__(self):
         if self.k < 2:
             raise ShapeMismatch("alphabet size must be >= 2")
+        if any(r.k != self.k for r in self.relations):
+            raise AlphabetMismatch(
+                f"a relation is not over the alphabet of size {self.k}")
         if self.model is not None:
             ident = self.model.identity_key()
             for r in self.relations:
@@ -167,29 +170,31 @@ def sample_relator(pres: Presentation, target_length: int, seed: int) -> FreeWor
     """A freely reduced product of conjugated relators w^-1 r^+-1 w.
 
     The reduced length never exceeds 4 * target_length; with no relations the
-    result is always the empty word.
+    result is always the empty word.  The product is built on one reduced
+    letter stack: reduced forms are unique, so pushing w^-1, r and w in turn
+    gives the same word as multiplying the pieces.
     """
-    rng = Rng(seed)
-    out = FreeWord(pres.k, ())
+    k = pres.k
     if not pres.relations or target_length <= 0:
-        return out
+        return FreeWord._of(k, ())
+    rng = Rng(seed)
     bound = 4 * target_length
-    pieces = rng.randint(1, 3)
-    for _ in range(pieces):
+    out: list[int] = []
+    for _ in range(rng.randint(1, 3)):
         r = rng.choice(pres.relations)
         if rng.chance(0.5):
             r = fw_inv(r)
-        clen = rng.randint(0, max(0, target_length // 2))
         conj = []
-        for _ in range(clen):
-            g = rng.randint(1, pres.k)
+        for _ in range(rng.randint(0, target_length // 2)):
+            g = rng.randint(1, k)
             conj.append(g if rng.chance(0.5) else -g)
-        w = FreeWord(pres.k, tuple(conj))
-        cand = fw_mul(out, fw_mul(fw_mul(fw_inv(w), r), w))
+        w = FreeWord._of(k, reduce_letters(conj))
+        cand = push_reduced(out[:], fw_inv(w).letters)
+        cand = push_reduced(push_reduced(cand, r.letters), w.letters)
         if len(cand) > bound:
             break
         out = cand
-    return out
+    return FreeWord._of(k, tuple(out))
 
 
 def assemble_keypair(pres: Presentation, sigma: tuple, paddings):

@@ -4,12 +4,14 @@ Every randomized operation in the package takes an explicit 64-bit seed and
 draws from a single generator type (Python's Mersenne Twister via
 ``random.Random``), so identical seeds give identical outputs within one
 installation.  Child generators are derived with ``fork`` so that independent
-subtasks cannot perturb each other's streams.
+subtasks cannot perturb each other's streams.  A generator is seeded on its
+first draw, so a fork whose ``seed`` alone is read costs no seeding.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 MASK64 = (1 << 64) - 1
 
@@ -17,7 +19,10 @@ MASK64 = (1 << 64) - 1
 class Rng:
     def __init__(self, seed: int):
         self.seed = seed & MASK64
-        self._r = random.Random(self.seed)
+
+    @cached_property
+    def _r(self) -> random.Random:
+        return random.Random(self.seed)
 
     def fork(self, tag: int = 0) -> "Rng":
         """Derive an independent child generator."""

@@ -2,11 +2,17 @@
 
 import pytest
 
-from matcrypt.errors import DegenerateKey, IndexOutOfRange, ShapeMismatch
+from matcrypt.errors import (
+    AlphabetMismatch,
+    DegenerateKey,
+    IndexOutOfRange,
+    ShapeMismatch,
+)
 from matcrypt.homcrypt import (
     HomPublicKey,
     HomSecretKey,
     PermModel,
+    Presentation,
     assemble_keypair,
     dihedral4,
     f_inverse_word,
@@ -43,6 +49,12 @@ def test_fixture_models():
 def test_presentation_rejects_bad_model():
     with pytest.raises(ShapeMismatch):
         presentation(2, [(1, 1, 1)], PermModel([(1, 0), (0, 1)]))
+
+
+def test_presentation_rejects_foreign_relations():
+    # relators are multiplied letter by letter, so each must be over the alphabet
+    with pytest.raises(AlphabetMismatch):
+        Presentation(2, (FreeWord(3, (1, 1)),))
 
 
 def test_sample_relator():
