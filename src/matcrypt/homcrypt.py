@@ -12,6 +12,7 @@ ciphertexts decrypt to products of plaintexts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AlphabetMismatch, DegenerateKey, IndexOutOfRange, ShapeMismatch
 from .rng import Rng
@@ -144,6 +145,18 @@ class HomPublicKey:
         if not _is_permutation(self.f_table, k):
             raise DegenerateKey(f"f_table is not a permutation of 0..{k - 1}")
 
+    @cached_property
+    def pullback_images(self) -> tuple[FreeWord, ...]:
+        """f^-1 of each Y generator: its public x-word, reduced and checked.
+
+        Built on first use, once per key, so a malformed x-word is reported
+        by the first encryption."""
+        k = self.presentation.k
+        back = [None] * k
+        for idx, y in enumerate(self.f_table):
+            back[y] = FreeWord(k, tuple(self.x_words[idx]))
+        return tuple(back)
+
 
 @dataclass
 class HomSecretKey:
@@ -244,18 +257,9 @@ def hc_keygen(pres: Presentation, seed: int):
     raise DegenerateKey(f"no usable paddings after {KEYGEN_RETRIES} attempts")
 
 
-def _pullback_images(pk: HomPublicKey) -> list[FreeWord]:
-    """f^-1 of each Y generator: its public x-word, reduced and checked."""
-    k = pk.presentation.k
-    back = [None] * k
-    for idx, y in enumerate(pk.f_table):
-        back[y] = FreeWord(k, tuple(pk.x_words[idx]))
-    return back
-
-
 def f_inverse_word(pk: HomPublicKey, w: FreeWord) -> FreeWord:
     """Replace every Y letter by its public x-word (sign-respecting)."""
-    return fw_substitute(w, _pullback_images(pk))
+    return fw_substitute(w, pk.pullback_images)
 
 
 def hc_encrypt(pk: HomPublicKey, message: FreeWord, seed: int,
@@ -281,7 +285,7 @@ def hc_encrypt(pk: HomPublicKey, message: FreeWord, seed: int,
         push_reduced(padded, s.letters)
         push_reduced(padded, (x,))
         push_reduced(padded, sp.letters)
-    return fw_substitute(FreeWord._of(k, tuple(padded)), _pullback_images(pk))
+    return fw_substitute(FreeWord._of(k, tuple(padded)), pk.pullback_images)
 
 
 def hc_decrypt(sk: HomSecretKey, cipher: FreeWord) -> FreeWord:

@@ -36,7 +36,6 @@ from .ring import (
     _pinv,
     _pmul,
     _pneg,
-    _preduce,
     _psub,
 )
 
@@ -224,11 +223,27 @@ def _square(d: tuple, n: int) -> list:
 
 # Rank > 1 entries are multiplied by Kronecker substitution: a coefficient
 # tuple (c_0..c_{r-1}) in [0, q) becomes the integer sum c_i 2^(i w), so one
-# integer product yields all 2r-1 product coefficients.  The slot width w
-# holds a sum of ``terms`` products without carrying into the next slot.
+# integer dot product yields all 2r-1 product coefficients as w-bit slots.
+# The high slots r..2r-2 are folded back in the packed domain (slot d times
+# the packed x^d mod f), and the r low slots are read mod q.
 
-def _slot_width(terms: int, g: GaloisRingSpec) -> int:
-    return (terms * g.r * (g.q - 1) ** 2).bit_length()
+@lru_cache(maxsize=None)
+def _fold_table(n: int, g: GaloisRingSpec) -> tuple:
+    """(w, fold rows) for dot products of length n over summand g.
+
+    The fold rows are x^r .. x^(2r-2) mod f packed at width w: rows 1..r-1
+    of the regular representation of x^(r-1).  Every slot, before and after
+    the fold, is a sum of products of coefficients with nonnegative weights,
+    so it peaks when every coefficient is q-1; w is the bit length of the
+    largest such peak, and no slot carries into the next.
+    """
+    r, q = g.r, g.q
+    rows = regular_rep_block((0,) * (r - 1) + (1,), g)[1:]
+    peak = [n * min(d + 1, 2 * r - 1 - d) * (q - 1) ** 2
+            for d in range(2 * r - 1)]
+    w = max(peak[j] + sum(c * row[j] for c, row in zip(peak[r:], rows))
+            for j in range(r)).bit_length()
+    return w, tuple(_pack(row, w) for row in rows)
 
 
 def _pack(cs, w: int) -> int:
@@ -238,14 +253,21 @@ def _pack(cs, w: int) -> int:
     return v
 
 
-def _unpack(v: int, w: int, g: GaloisRingSpec) -> tuple:
-    """Coefficient tuple of a packed (unreduced) product sum."""
+def _unpack(v: int, w: int, folds: tuple, q: int) -> tuple:
+    """Coefficient tuple of a packed dot product: the high slots folded
+    back through the fold rows, then each low slot mod q."""
     mask = (1 << w) - 1
-    prod = []
-    for _ in range(2 * g.r - 1):
-        prod.append(v & mask)
+    low = w * (len(folds) + 1)
+    high = v >> low
+    v &= (1 << low) - 1
+    for f in folds:
+        v += (high & mask) * f
+        high >>= w
+    out = [(v & mask) % q]
+    for _ in folds:
         v >>= w
-    return _preduce(prod, g.modulus, g.q)
+        out.append((v & mask) % q)
+    return tuple(out)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -255,15 +277,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     for g, x, y in zip(a.ring.summands, a.data, b.data):
         rows = [x[i:i + n] for i in range(0, n * n, n)]
         cols = [y[j::n] for j in range(n)]
+        q = g.q
         if g.r == 1:
-            q = g.q
             data.append(tuple([sum(map(mul, row, col)) % q
                                for row in rows for col in cols]))
         else:
-            w = _slot_width(n, g)
+            w, folds = _fold_table(n, g)
             rows = [[_pack(cs, w) for cs in row] for row in rows]
             cols = [[_pack(cs, w) for cs in col] for col in cols]
-            data.append(tuple([_unpack(sum(map(mul, row, col)), w, g)
+            data.append(tuple([_unpack(sum(map(mul, row, col)), w, folds, q)
                                for row in rows for col in cols]))
     return Matrix._of(n, a.ring, tuple(data))
 
@@ -794,23 +816,22 @@ def _crt_lift(h: Matrix, big: RingSpec, positions: tuple) -> Matrix:
 
 def word_eval(gens: list[Matrix], w) -> Matrix:
     """Ordered product of generators/inverses; the empty word is the identity."""
-    letters = tuple(w)
     if not gens:
         raise IndexOutOfRange("empty generator list")
-    n, ring = gens[0].n, gens[0].ring
-    out = identity(n, ring)
+    out = None
     inv_cache: dict[int, Matrix] = {}
-    for x in letters:
+    for x in w:
         i = abs(x) - 1
         if x == 0 or i >= len(gens):
             raise IndexOutOfRange(f"letter {x} outside 1..{len(gens)}")
         if x > 0:
-            out = mat_mul(out, gens[i])
+            m = gens[i]
         else:
             if i not in inv_cache:
                 inv_cache[i] = mat_inv(gens[i])
-            out = mat_mul(out, inv_cache[i])
-    return out
+            m = inv_cache[i]
+        out = m if out is None else mat_mul(out, m)
+    return out if out is not None else identity(gens[0].n, gens[0].ring)
 
 
 def vector_act(v: tuple, g: Matrix) -> tuple:
@@ -827,10 +848,10 @@ def vector_act(v: tuple, g: Matrix) -> tuple:
             xs = [e.coeffs[s][0] for e in v]
             per.append([(sum(map(mul, xs, d[j::n])) % q,) for j in range(n)])
         else:
-            w = _slot_width(n, gs)
+            w, folds = _fold_table(n, gs)
             xs = [_pack([c % q for c in e.coeffs[s]], w) for e in v]
             ys = [_pack(cs, w) for cs in d]
-            per.append([_unpack(sum(map(mul, xs, ys[j::n])), w, gs)
+            per.append([_unpack(sum(map(mul, xs, ys[j::n])), w, folds, q)
                         for j in range(n)])
     return tuple(RingElement(ring, cs) for cs in zip(*per))
 

@@ -16,8 +16,13 @@ from .ring import GaloisRingSpec, RingElement, RingSpec
 from .words import FreeWord, IdentityWordPair
 
 
+# One encoder for every call; canonical values are trees, so the
+# circular-reference check would only cost time.
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    return _encode(obj)
 
 
 def fingerprint(obj) -> str:

@@ -203,6 +203,22 @@ def test_pullback_checks_public_words():
         hc_encrypt(bad, fw(2, [1, 2]), 0)
 
 
+def test_public_words_are_pulled_back_once_per_key(monkeypatch):
+    pk, sk = hc_keygen(KLEIN, 5)
+    made = []
+    real = FreeWord.__post_init__
+    monkeypatch.setattr(FreeWord, "__post_init__",
+                        lambda self: made.append(self) or real(self))
+    msg = FreeWord._of(2, (1, -2, 2, 2))
+    ciphers = [hc_encrypt(pk, msg, s) for s in range(3)]
+    assert len(made) == KLEIN.k       # the x-words, at the first encryption
+    assert pk.pullback_images == tuple(
+        FreeWord(2, pk.x_words[pk.f_table.index(y)]) for y in range(KLEIN.k))
+    for c in ciphers:
+        assert KLEIN.model.eval_key(hc_decrypt(sk, c)) == \
+            KLEIN.model.eval_key(msg)
+
+
 def test_encrypt_equals_chunkwise_pullback():
     # one substitution of the reduced padded message equals the product of
     # f^-1 of every padded letter (f^-1 is a homomorphism)

@@ -228,6 +228,37 @@ def test_word_eval():
     assert int_rows(word_eval([a, b], [1, 2])) == [[2, 1], [1, 1]]
 
 
+def test_word_eval_multiplies_once_per_letter_after_the_first(monkeypatch):
+    # no product with the identity, and one inversion per distinct inverted
+    # generator
+    from matcrypt import matrix as matrix_module
+    calls = {"mul": 0, "inv": 0}
+    real_mul, real_inv = matrix_module.mat_mul, matrix_module.mat_inv
+
+    def counted_mul(x, y):
+        calls["mul"] += 1
+        return real_mul(x, y)
+
+    def counted_inv(x):
+        calls["inv"] += 1
+        return real_inv(x)
+
+    rng = Rng(5)
+    gens = [rand_invertible(Z15, 3, rng) for _ in range(3)]
+    word = [1, -2, -2, 3, -2, -1, 3]
+    want = identity(3, Z15)
+    for x in word:
+        want = real_mul(want, gens[x - 1] if x > 0 else real_inv(gens[-x - 1]))
+    monkeypatch.setattr(matrix_module, "mat_mul", counted_mul)
+    monkeypatch.setattr(matrix_module, "mat_inv", counted_inv)
+    assert word_eval(gens, word) == want
+    assert calls == {"mul": len(word) - 1, "inv": 2}
+    calls.update(mul=0, inv=0)
+    assert word_eval(gens, [-3]) == real_inv(gens[2])
+    assert word_eval(gens, [2]) == gens[1]
+    assert calls == {"mul": 0, "inv": 1}
+
+
 def test_vector_act():
     v = vector(Z7, [1, 0])
     w = matrix(Z7, [[0, 2], [2, 0]])

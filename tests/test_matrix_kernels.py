@@ -45,10 +45,14 @@ RINGS = {
     "Z12": Zmod(12),                        # two summands, Z/4 (+) Z/3
     "GF5": field(5),
     "GF4": field(4),                        # rank 2
+    "GF8": field(8),                        # rank 3
+    "GF16": field(16),                      # rank 4
+    "GF9": field(9),                        # rank 2, odd characteristic
     "GR(4,2)": ring_make("galois", 2, 2, 2),  # rank 2 over Z/4
+    "GR(8,3)": ring_make("galois", 2, 3, 3),  # rank 3 over Z/8
     "GF4+Z9": ring_make("direct-sum", field(4), Zmod(9)),  # mixed ranks
 }
-DEGREES = range(1, 7)
+DEGREES = range(1, 9)
 CASES = [(name, n) for name in RINGS for n in DEGREES]
 
 
@@ -199,6 +203,19 @@ def test_vector_act_matches_reference(name, n):
             assert vector_act(v, a) == ref_vector_act(v, a)
         zero = tuple(ring.zero() for _ in range(n))
         assert vector_act(zero, a) == zero
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_largest_coefficients_match_reference(name):
+    # every coefficient q-1 gives every packed slot of a rank > 1 product,
+    # before and after the fold, its largest value, so a slot width too
+    # narrow by one bit carries into the next slot here
+    ring = RINGS[name]
+    n = 16
+    top = RingElement(ring, tuple((g.q - 1,) * g.r for g in ring.summands))
+    a = Matrix(n, ring, ((top,) * n,) * n)
+    assert mat_mul(a, a) == Matrix(n, ring, ref_mat_mul(a, a))
+    assert vector_act(a.rows[0], a) == ref_vector_act(a.rows[0], a)
 
 
 @pytest.mark.parametrize("name,n", CASES)
