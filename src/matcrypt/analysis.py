@@ -56,7 +56,8 @@ class EnumeratedGroup:
         return len(self.elements)
 
     def contains(self, g: Matrix) -> bool:
-        return g.key() in self.elements
+        """g is an element: its ring, degree and entries all match."""
+        return self.elements.get(g.key()) == g
 
     def matrices(self):
         return self.elements.values()
@@ -92,7 +93,9 @@ def enumerate_group(gens, cap: int) -> EnumeratedGroup:
 def oracle_solve(problem: str, enum: EnumeratedGroup, query):
     """Exhaustive ground truth: membership, conjugacy or ltp with witnesses."""
     if problem == "membership":
-        g = query
+        g, gen = query, enum.gens[0]
+        if g.ring != gen.ring or g.n != gen.n:
+            raise ShapeMismatch("query shape does not match the instance")
         k = g.key()
         if k in enum.elements:
             return True, enum.words[k]

@@ -457,7 +457,6 @@ class NodeInfo:
     # crt/direct nodes: per child, summand positions inside ring
     positions: tuple | None = None
     conj: Matrix | None = None
-    conj_inv: Matrix | None = None
 
 
 def _info(t: DerivationTree) -> NodeInfo:
@@ -558,13 +557,13 @@ class _Conjugate(_Unary):
     def info(self, lab, kids):
         k = _single(self.kind, kids)
         c = _derive_conjugator(k.ring, k.degree, lab.seed)
-        return self.node_info(kids, k.ring, k.degree, conj=c, conj_inv=mat_inv(c))
+        return self.node_info(kids, k.ring, k.degree, conj=c)
 
     def label_size(self, t):
         return 2
 
     def assemble(self, t, info, parts, k=None):
-        return mat_mul(mat_mul(info.conj_inv, parts[0]), info.conj)
+        return mat_mul(mat_mul(mat_inv(info.conj), parts[0]), info.conj)
 
 
 class _RingExtend(_Unary):

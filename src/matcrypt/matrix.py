@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import product
 from math import gcd, prod
 from operator import mul
 
@@ -32,6 +33,7 @@ from .ring import (
     GaloisRingSpec,
     RingElement,
     RingSpec,
+    _coeff_tuples,
     _padd,
     _pinv,
     _pmul,
@@ -50,6 +52,13 @@ def _to_entry(g: GaloisRingSpec, cs: tuple):
 def _to_coeffs(g: GaloisRingSpec, x) -> tuple:
     """Coefficient tuple of a stored summand entry."""
     return (x,) if g.r == 1 else x
+
+
+def _entries(ring: RingSpec, data: tuple) -> list:
+    """RingElements of per-summand flat data, in index order."""
+    per = [[(x,) for x in d] if g.r == 1 else d
+           for g, d in zip(ring.summands, data)]
+    return [RingElement(ring, cs) for cs in zip(*per)]
 
 
 def _zero(g: GaloisRingSpec):
@@ -115,10 +124,8 @@ class Matrix:
     def rows(self) -> tuple:
         """n tuples of n RingElements."""
         if self._rows is None:
-            n, ring = self.n, self.ring
-            per = [[(x,) for x in d] if g.r == 1 else d
-                   for g, d in zip(ring.summands, self.data)]
-            flat = [RingElement(ring, cs) for cs in zip(*per)]
+            n = self.n
+            flat = _entries(self.ring, self.data)
             _set(self, "_rows", tuple(tuple(flat[i:i + n])
                                       for i in range(0, n * n, n)))
         return self._rows
@@ -514,18 +521,21 @@ def mat_kron(a: Matrix, b: Matrix) -> Matrix:
         raise RingMismatch("Kronecker factors over different rings")
     na, nb = a.n, b.n
     return Matrix._of(na * nb, a.ring, tuple(
-        _kron_summand(x, na, y, nb, g)
+        _kron_summand(x, (na, na), y, (nb, nb), g)
         for g, x, y in zip(a.ring.summands, a.data, b.data)))
 
 
-def _kron_summand(x: tuple, na: int, y: tuple, nb: int, g: GaloisRingSpec) -> tuple:
-    """Flat Kronecker product of two flat summand tuples of degrees na, nb."""
+def _kron_summand(x: tuple, xshape: tuple, y: tuple, yshape: tuple,
+                  g: GaloisRingSpec) -> tuple:
+    """Flat Kronecker product of two flat summand tuples, each of shape
+    (rows, cols)."""
     q = g.q
+    (xr, xc), (yr, yc) = xshape, yshape
     out = []
-    for i in range(0, na * na, na):
-        xrow = x[i:i + na]
-        for j in range(0, nb * nb, nb):
-            yrow = y[j:j + nb]
+    for i in range(0, xr * xc, xc):
+        xrow = x[i:i + xc]
+        for j in range(0, yr * yc, yc):
+            yrow = y[j:j + yc]
             if g.r == 1:
                 out.extend([u * v % q for u in xrow for v in yrow])
             else:
@@ -564,14 +574,6 @@ def _tuple_index(a: tuple, n: int) -> int:
     return idx
 
 
-def _index_tuple(idx: int, n: int, m: int) -> tuple:
-    out = []
-    for _ in range(m):
-        out.append(idx % n)
-        idx //= n
-    return tuple(reversed(out))
-
-
 def block_perm_matrix(k: tuple, n: int, ring: RingSpec) -> Matrix:
     """Degree n*m matrix permuting coordinate blocks: block row i -> block column k[i]."""
     return _perm_matrix(tuple(k[i // n] * n + i % n
@@ -580,13 +582,9 @@ def block_perm_matrix(k: tuple, n: int, ring: RingSpec) -> Matrix:
 
 def tensor_perm_matrix(k: tuple, n: int, ring: RingSpec) -> Matrix:
     """Degree n^m matrix moving tensor slot i to slot k[i] on pure tensors."""
-    m = len(k)
     kinv = perm_inverse(k)
-    targets = []
-    for idx in range(n ** m):
-        a = _index_tuple(idx, n, m)
-        targets.append(_tuple_index(tuple(a[kinv[j]] for j in range(m)), n))
-    return _perm_matrix(tuple(targets), ring)
+    return _perm_matrix(tuple(_tuple_index(tuple(a[j] for j in kinv), n)
+                              for a in product(range(n), repeat=len(k))), ring)
 
 
 def wreath_rep(hs: list[Matrix], k: tuple, mode: str) -> Matrix:
@@ -701,18 +699,10 @@ def _find_root(modulus_src: tuple, g: GaloisRingSpec) -> tuple:
     if g.residue_order > 1 << 16:
         raise NoSuchEmbedding("target residue field too large for root search")
     deriv = tuple(i * c for i, c in enumerate(modulus_src))[1:]
-    root = None
-    for idx in range(g.residue_order):
-        coeffs, v = [], idx
-        for _ in range(g.r):
-            coeffs.append(v % g.p)
-            v //= g.p
-        t = tuple(coeffs)
-        val = _poly_eval(modulus_src, t, g)
-        if all(c % g.p == 0 for c in val):
-            root = t
+    for root in _coeff_tuples(g.p, g.r):
+        if all(c % g.p == 0 for c in _poly_eval(modulus_src, root, g)):
             break
-    if root is None:
+    else:
         raise NoSuchEmbedding("modulus has no root in the target ring")
     for _ in range(g.m + 2):
         val = _poly_eval(modulus_src, root, g)
@@ -815,21 +805,16 @@ def _crt_lift(h: Matrix, big: RingSpec, positions: tuple) -> Matrix:
 # --- words and vectors ------------------------------------------------------
 
 def word_eval(gens: list[Matrix], w) -> Matrix:
-    """Ordered product of generators/inverses; the empty word is the identity."""
+    """Ordered product of generators/inverses; the empty word is the identity.
+    Each inverse is the generator's own cached one (``mat_inv``)."""
     if not gens:
         raise IndexOutOfRange("empty generator list")
     out = None
-    inv_cache: dict[int, Matrix] = {}
     for x in w:
         i = abs(x) - 1
         if x == 0 or i >= len(gens):
             raise IndexOutOfRange(f"letter {x} outside 1..{len(gens)}")
-        if x > 0:
-            m = gens[i]
-        else:
-            if i not in inv_cache:
-                inv_cache[i] = mat_inv(gens[i])
-            m = inv_cache[i]
+        m = gens[i] if x > 0 else mat_inv(gens[i])
         out = m if out is None else mat_mul(out, m)
     return out if out is not None else identity(gens[0].n, gens[0].ring)
 

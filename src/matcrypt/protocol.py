@@ -19,7 +19,7 @@ from .errors import (
     InsecurityWarning,
     ScheduleMismatch,
 )
-from .matrix import Matrix, identity, mat_inv, mat_mul, vector_act, word_eval
+from .matrix import Matrix, mat_inv, mat_mul, vector_act, word_eval
 from .serialize import matrix_to_obj, vector_to_obj
 from .words import IdentityWordPair, satisfies_w1
 
@@ -136,23 +136,13 @@ class _Party:
         return mat_mul(a, b)
 
     def eval_table(self, table: _Table, sign: int) -> Matrix:
-        """B^-1 a^sign B from the conjugated-generator table."""
-        mats = table.mats
+        """B^-1 a^sign B from the conjugated-generator table.  It costs one
+        product per letter after the first and one inversion per distinct
+        inverted generator."""
         word = self.secret_word if sign > 0 else \
             [-x for x in reversed(self.secret_word)]
-        out = None
-        inv_cache: dict[int, Matrix] = {}
-        for x in word:
-            i = abs(x) - 1
-            if x > 0:
-                m = mats[i]
-            else:
-                if i not in inv_cache:
-                    inv_cache[i] = mat_inv(mats[i])
-                    self.compute_ops += 1
-                m = inv_cache[i]
-            out = m if out is None else self._mul(out, m)
-        return out if out is not None else identity(mats[0].n, mats[0].ring)
+        self.compute_ops += max(len(word) - 1, 0) + len({x for x in word if x < 0})
+        return word_eval(table.mats, word)
 
     def eval_tables(self, tables: list) -> Matrix:
         """The ordered product of the (sign, table) factors."""

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
+from math import gcd
 
 from .errors import (
     FactorizationTooLarge,
@@ -65,16 +67,10 @@ def _pollard_rho(n: int) -> int:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _gcd(abs(x - y), n)
+            d = gcd(abs(x - y), n)
         if d != n:
             return d
     raise FactorizationTooLarge(f"cannot factor {n}")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -167,21 +163,19 @@ def _pinv(a: tuple, g: GaloisRingSpec) -> tuple:
     return _ppow(a, g.units_order() - 1, g.modulus, g.q)
 
 
-# polynomial arithmetic over F_p with variable length (for irreducibility)
+def _coeff_tuples(q: int, r: int):
+    """All coefficient tuples of length r over [0, q), the first coefficient
+    varying fastest."""
+    return (cs[::-1] for cs in product(range(q), repeat=r))
+
+
+# polynomial arithmetic over F_p with variable length (for the gcd step of
+# the irreducibility test)
 
 def _fp_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _fp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _fp_mod(prod, f, p)
 
 
 def _fp_mod(a: list[int], f: list[int], p: int) -> list[int]:
@@ -199,13 +193,6 @@ def _fp_mod(a: list[int], f: list[int], p: int) -> list[int]:
     return a
 
 
-def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(n)]
-    return _fp_trim(out)
-
-
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = list(a), list(b)
     _fp_trim(a)
@@ -216,38 +203,21 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _fp_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    out = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _fp_mulmod(out, base, f, p)
-        base = _fp_mulmod(base, base, f, p)
-        e >>= 1
-    return out
-
-
 def is_irreducible_mod_p(coeffs: tuple, p: int) -> bool:
     """Rabin test for a monic polynomial given by (c_0..c_r), c_r = 1."""
-    f = [c % p for c in coeffs]
+    f = tuple(c % p for c in coeffs)
     r = len(f) - 1
     if r < 1 or f[-1] != 1:
         return False
     if r == 1:
         return True
-    x = [0, 1]
+    x = (0, 1) + (0,) * (r - 2)
     # x^(p^r) == x mod f
-    y = list(x)
-    for _ in range(r):
-        y = _fp_powmod(y, p, f, p)
-    if _fp_sub(y, x, p):
+    if any(_psub(_ppow(x, p ** r, f, p), x, p)):
         return False
     for d in sorted(factorize(r)):
-        y = list(x)
-        for _ in range(r // d):
-            y = _fp_powmod(y, p, f, p)
-        g = _fp_gcd(_fp_sub(y, x, p), f, p)
-        if len(g) - 1 >= 1:
+        y = _psub(_ppow(x, p ** (r // d), f, p), x, p)
+        if len(_fp_gcd(y, f, p)) - 1 >= 1:
             return False
     return True
 
@@ -257,14 +227,8 @@ def default_modulus(p: int, r: int) -> tuple:
     """Lexicographically least monic degree-r polynomial irreducible mod p."""
     if r == 1:
         return (0, 1)
-    # iterate coefficient vectors (c_0, ..., c_{r-1}) in lex order
-    for idx in range(p ** r):
-        coeffs = []
-        v = idx
-        for _ in range(r):
-            coeffs.append(v % p)
-            v //= p
-        cand = tuple(coeffs) + (1,)
+    for coeffs in _coeff_tuples(p, r):
+        cand = coeffs + (1,)
         if is_irreducible_mod_p(cand, p):
             return cand
     raise ReducibleModulus(f"no irreducible polynomial of degree {r} mod {p}")
@@ -355,12 +319,12 @@ class RingSpec:
         return RingElement(self, tuple(g.one() for g in self.summands))
 
     def element(self, coeffs) -> "RingElement":
-        coeffs = tuple(tuple(c % g.q for c in cs)
-                       for g, cs in zip(self.summands, coeffs))
+        coeffs = [tuple(cs) for cs in coeffs]
         if len(coeffs) != len(self.summands) or any(
                 len(cs) != g.r for g, cs in zip(self.summands, coeffs)):
             raise RingMismatch("coefficient shape does not match ring")
-        return RingElement(self, coeffs)
+        return RingElement(self, tuple(tuple(c % g.q for c in cs)
+                                       for g, cs in zip(self.summands, coeffs)))
 
     def from_int(self, n: int) -> "RingElement":
         """Image of the integer n under the unique map Z -> R."""
@@ -380,25 +344,11 @@ class RingSpec:
         return n % mod
 
     def enumerate(self):
-        """All elements, in canonical order (desk-scale rings only)."""
-        def per_summand(g: GaloisRingSpec):
-            for idx in range(g.order):
-                coeffs, v = [], idx
-                for _ in range(g.r):
-                    coeffs.append(v % g.q)
-                    v //= g.q
-                yield tuple(coeffs)
-
-        def rec(i):
-            if i == len(self.summands):
-                yield ()
-                return
-            for rest in rec(i + 1):
-                for c in per_summand(self.summands[i]):
-                    yield (c,) + rest
-
-        for coeffs in rec(0):
-            yield RingElement(self, coeffs)
+        """All elements, in canonical order (desk-scale rings only): the
+        first coefficient of the first summand varies fastest."""
+        per = [_coeff_tuples(g.q, g.r) for g in reversed(self.summands)]
+        for coeffs in product(*per):
+            yield RingElement(self, coeffs[::-1])
 
 
 def direct_sum_specs(parts: list[GaloisRingSpec]) -> tuple[RingSpec, list[int]]:
@@ -569,16 +519,19 @@ def teichmuller_decompose(a: RingElement) -> list[list[tuple]]:
     ]
 
 
+def _teich_sum(ds: list, g: GaloisRingSpec) -> tuple:
+    """sum t_i p^i of the digits ds of summand g."""
+    acc = g.zero()
+    pk = 1
+    for t in ds:
+        acc = _padd(acc, tuple(c * pk % g.q for c in t), g.q)
+        pk *= g.p
+    return acc
+
+
 def teichmuller_recompose(ring: RingSpec, digits: list[list[tuple]]) -> RingElement:
-    out = []
-    for g, ds in zip(ring.summands, digits):
-        acc = g.zero()
-        pk = 1
-        for t in ds:
-            acc = _padd(acc, tuple(c * pk % g.q for c in t), g.q)
-            pk *= g.p
-        out.append(acc)
-    return RingElement(ring, tuple(out))
+    return RingElement(ring, tuple(
+        _teich_sum(ds, g) for g, ds in zip(ring.summands, digits)))
 
 
 @dataclass(frozen=True)
@@ -612,23 +565,15 @@ def frobenius_apply(aut: RingAutomorphism, a: RingElement) -> RingElement:
         if e == 0 or g.r == 1:
             out.append(cs)
             continue
-        digits = [_ppow(t, g.p ** e, g.modulus, g.q)
-                  for t in _teich_digits(cs, g)]
-        acc = g.zero()
-        pk = 1
-        for t in digits:
-            acc = _padd(acc, tuple(c * pk % g.q for c in t), g.q)
-            pk *= g.p
-        out.append(acc)
+        out.append(_teich_sum([_ppow(t, g.p ** e, g.modulus, g.q)
+                               for t in _teich_digits(cs, g)], g))
     return RingElement(a.ring, tuple(out))
 
 
 def all_automorphisms(ring: RingSpec) -> list[RingAutomorphism]:
     """The group of per-summand lifted Frobenius maps (trivial for r = 1)."""
-    combos = [()]
-    for g in ring.summands:
-        combos = [c + (e,) for c in combos for e in range(g.r)]
-    return [RingAutomorphism(ring, c) for c in combos]
+    return [RingAutomorphism(ring, c)
+            for c in product(*(range(g.r) for g in ring.summands))]
 
 
 def units(ring: RingSpec):
@@ -649,12 +594,8 @@ def primitive_element_coeffs(p: int, m: int, r: int, modulus: tuple) -> tuple:
     n = g.residue_order - 1
     prime_divs = sorted(factorize(n)) if n > 1 else []
     one = g.one()
-    for idx in range(1, g.order):
-        coeffs, v = [], idx
-        for _ in range(g.r):
-            coeffs.append(v % g.q)
-            v //= g.q
-        cs = _teich_lift(tuple(coeffs), g)
+    for coeffs in _coeff_tuples(g.q, g.r):
+        cs = _teich_lift(coeffs, g)
         if all(c == 0 for c in cs):
             continue
         if _ppow(cs, n, g.modulus, g.q) != one:

@@ -12,7 +12,7 @@ import json
 
 from .errors import RingMismatch
 from .matrix import Matrix
-from .ring import GaloisRingSpec, RingElement, RingSpec
+from .ring import GaloisRingSpec, RingElement, RingSpec, _validate_summand
 from .words import FreeWord, IdentityWordPair
 
 
@@ -39,8 +39,10 @@ def ring_to_obj(ring: RingSpec) -> dict:
 
 
 def ring_from_obj(obj: dict) -> RingSpec:
+    """The ring a file names; NonPrimeP or ReducibleModulus when a summand
+    is no Galois ring."""
     return RingSpec(tuple(
-        GaloisRingSpec(s["p"], s["m"], s["r"], tuple(s["modulus"]))
+        _validate_summand(GaloisRingSpec(s["p"], s["m"], s["r"], tuple(s["modulus"])))
         for s in obj["summands"]))
 
 

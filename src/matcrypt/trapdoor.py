@@ -51,6 +51,7 @@ from .instance import (
 from .matrix import (
     Matrix,
     RingElement,
+    _entries,
     _kron_summand,
     _to_coeffs,
     _to_entry,
@@ -59,6 +60,7 @@ from .matrix import (
     find_embedding,
     is_invertible,
     mat_det,
+    mat_inv,
     mat_mul,
     mat_scale,
     perm_inverse,
@@ -103,67 +105,72 @@ def _first_unit(d, g):
     return None
 
 
-def _block(d: tuple, size: int, n: int, bi: int, bj: int) -> tuple:
-    """Flat n x n block (bi, bj) of a flat summand tuple of degree size."""
+def _block(d: tuple, cols: int, shape: tuple, bi: int, bj: int) -> tuple:
+    """Flat block (bi, bj) of shape (rows, cols) of a flat summand tuple
+    with ``cols`` columns."""
+    r, c = shape
     out = []
-    for row in range(bi * n, bi * n + n):
-        start = row * size + bj * n
-        out.extend(d[start:start + n])
+    for row in range(bi * r, bi * r + r):
+        start = row * cols + bj * c
+        out.extend(d[start:start + c])
     return tuple(out)
 
 
-def _split2_summand(d: tuple, g, n1: int, n2: int):
-    """Kronecker split of a flat degree n1*n2 summand tuple into flat factors."""
-    n = n1 * n2
+def _split2_summand(d: tuple, g, shape1: tuple, shape2: tuple):
+    """Kronecker split of a flat summand tuple into flat factors of shapes
+    (rows, cols) shape1 and shape2."""
+    (r1, c1), (r2, c2) = shape1, shape2
+    cols = c1 * c2
     k = _first_unit(d, g)
     if k is None:
         raise NotDecomposable("no unit entry in a summand")
-    i0, j0 = divmod(k, n)
-    bi, k0 = divmod(i0, n2)
-    bj, l0 = divmod(j0, n2)
+    i0, j0 = divmod(k, cols)
+    bi, k0 = divmod(i0, r2)
+    bj, l0 = divmod(j0, c2)
     q, mod = g.q, g.modulus
-    block = _block(d, n, n2, bi, bj)
+    block = _block(d, cols, shape2, bi, bj)
     if g.r == 1:
         winv = pow(d[k], -1, q)
         b = tuple(x * winv % q for x in block)
     else:
         winv = _pinv(d[k], g)
         b = tuple(_pmul(x, winv, mod, q) for x in block)
-    a = tuple(d[(i * n2 + k0) * n + j * n2 + l0]
-              for i in range(n1) for j in range(n1))
-    if _kron_summand(a, n1, b, n2, g) != d:
+    a = tuple(d[(i * r2 + k0) * cols + j * c2 + l0]
+              for i in range(r1) for j in range(c1))
+    if _kron_summand(a, shape1, b, shape2, g) != d:
         raise NotDecomposable("entries inconsistent with a Kronecker product")
     return a, b
 
 
-def _split2(g: Matrix, n1: int, n2: int) -> tuple[Matrix, Matrix]:
-    parts = [_split2_summand(d, gs, n1, n2)
-             for gs, d in zip(g.ring.summands, g.data)]
-    return (Matrix._of(n1, g.ring, tuple(a for a, _ in parts)),
-            Matrix._of(n2, g.ring, tuple(b for _, b in parts)))
-
-
-def tensor_split(g: Matrix, degrees) -> list[Matrix]:
-    """Kronecker factors of g, degrees as listed.
+def _kron_split(data: tuple, ring: RingSpec, shapes: list) -> list:
+    """Per-summand flat data of the Kronecker factors of ``data``, one per
+    (rows, cols) shape as listed.
 
     Factors after the first are normalized: per CRT summand, their first
     unit entry in row-major scan is 1.  Each two-factor split divides its
     right factor by the first unit entry of its input, which becomes that
     factor's first unit entry, and the left factor of a normalized input
-    takes the input's first unit entry, a 1.  ``_split2`` checks every
-    split, so reassembly by mat_kron is exact.
+    takes the input's first unit entry, a 1.  ``_split2_summand`` checks
+    every split, so reassembly by the Kronecker product is exact.
     """
-    degrees = list(degrees)
-    total = 1
-    for d in degrees:
-        total *= d
-    if g.n != total:
-        raise ShapeMismatch(f"degree {g.n} is not the product of {degrees}")
-    factors = [g]
-    for d in degrees[:-1]:
-        last = factors.pop()
-        factors.extend(_split2(last, d, last.n // d))
+    rows, cols = math.prod(r for r, _ in shapes), math.prod(c for _, c in shapes)
+    factors = [data]
+    for r1, c1 in shapes[:-1]:
+        rows, cols = rows // r1, cols // c1
+        parts = [_split2_summand(d, g, (r1, c1), (rows, cols))
+                 for g, d in zip(ring.summands, factors.pop())]
+        factors += [tuple(a for a, _ in parts), tuple(b for _, b in parts)]
     return factors
+
+
+def tensor_split(g: Matrix, degrees) -> list[Matrix]:
+    """Kronecker factors of g, degrees as listed, normalized as
+    ``_kron_split`` says."""
+    degrees = list(degrees)
+    if g.n != math.prod(degrees):
+        raise ShapeMismatch(f"degree {g.n} is not the product of {degrees}")
+    return [Matrix._of(n, g.ring, data) for n, data in
+            zip(degrees, _kron_split(g.data, g.ring, [(n, n) for n in degrees]))]
 
 
 def wreath_split(g: Matrix, n: int, m: int, mode: str):
@@ -181,14 +188,14 @@ def wreath_split(g: Matrix, n: int, m: int, mode: str):
         for i in range(m):
             cols = [j for j in range(m)
                     if any(x != z for d, z in zip(g.data, zeros)
-                           for x in _block(d, g.n, n, i, j))]
+                           for x in _block(d, g.n, (n, n), i, j))]
             if len(cols) != 1:
                 raise NotWreathShaped(
                     "a block row has no unique nonzero block")
             k.append(cols[0])
         if sorted(k) != list(range(m)):
             raise NotWreathShaped("block pattern is not a permutation")
-        hs = [Matrix._of(n, g.ring, tuple(_block(d, g.n, n, i, k[i])
+        hs = [Matrix._of(n, g.ring, tuple(_block(d, g.n, (n, n), i, k[i])
                                           for d in g.data))
               for i in range(m)]
         return hs, tuple(k)
@@ -547,38 +554,12 @@ def _first_transporter(elems, pairs: list, ring: RingSpec, n: int):
 
 
 def vector_tensor_split(vec: tuple, degrees: list, ring: RingSpec):
-    """Split a vector into pure-tensor factors (normalization as tensor_split)."""
-    degrees = list(degrees)
-    if len(degrees) == 1:
-        return [tuple(vec)]
-    n1 = degrees[0]
-    rest = 1
-    for d_ in degrees[1:]:
-        rest *= d_
-    # treat as an n1 x rest array of ring elements; must be rank one per summand
-    a_parts, b_parts = [], []
-    for s, gs in enumerate(ring.summands):
-        ent = [e.coeffs[s] for e in vec]
-        k = _first_unit([_to_entry(gs, cs) for cs in ent], gs)
-        if k is None:
-            raise NotDecomposable("no unit coordinate in a summand")
-        i0, j0 = divmod(k, rest)
-        winv = _pinv(ent[k], gs)
-        b = [_pmul(ent[i0 * rest + j], winv, gs.modulus, gs.q)
-             for j in range(rest)]
-        a = [ent[i * rest + j0] for i in range(n1)]
-        for i in range(n1):
-            for j in range(rest):
-                if _pmul(a[i], b[j], gs.modulus, gs.q) != ent[i * rest + j]:
-                    raise NotDecomposable("vector is not a pure tensor")
-        a_parts.append(a)
-        b_parts.append(b)
-    nsum = len(ring.summands)
-    a_vec = tuple(RingElement(ring, tuple(a_parts[s][i] for s in range(nsum)))
-                  for i in range(n1))
-    b_vec = tuple(RingElement(ring, tuple(b_parts[s][j] for s in range(nsum)))
-                  for j in range(rest))
-    return [a_vec] + vector_tensor_split(b_vec, degrees[1:], ring)
+    """Pure-tensor factors of a vector: ``_kron_split`` on 1 x n shapes, so
+    normalized as tensor_split's factors are."""
+    data = tuple(tuple(_to_entry(g, e.coeffs[s]) for e in vec)
+                 for s, g in enumerate(ring.summands))
+    return [tuple(_entries(ring, part))
+            for part in _kron_split(data, ring, [(1, d) for d in degrees])]
 
 
 def _iter_units(ring: RingSpec):
@@ -826,10 +807,10 @@ class _UnarySolver(_Solver):
 
 class _ConjugateSolver(_UnarySolver):
     def down(self, t, info, g):
-        return mat_mul(mat_mul(info.conj, g), info.conj_inv)
+        return mat_mul(mat_mul(info.conj, g), mat_inv(info.conj))
 
     def pairs_down(self, t, info, pairs):
-        cinv = info.conj_inv
+        cinv = mat_inv(info.conj)
         return [(vector_act(u, cinv), vector_act(v, cinv)) for u, v in pairs]
 
     def sample(self, t, info, rng):

@@ -17,7 +17,12 @@ from matcrypt.analysis import (
     solve_linear,
     span_basis,
 )
-from matcrypt.errors import AttackFailure, CapExceeded, InsecurityWarning
+from matcrypt.errors import (
+    AttackFailure,
+    CapExceeded,
+    InsecurityWarning,
+    ShapeMismatch,
+)
 from matcrypt.homcrypt import (
     dihedral4,
     hc_decrypt,
@@ -63,6 +68,18 @@ def test_oracle_membership():
     assert ok and wit == ()
     ok, _ = oracle_solve("membership", e, matrix(Z5, [[2, 0], [0, 1]]))
     assert not ok
+
+
+def test_oracle_membership_compares_the_ring():
+    # the same stored integers over Z/3 and Z/9
+    z3, z9 = Zmod(3), Zmod(9)
+    e = enumerate_group([matrix(z3, [[1, 1], [0, 1]])], 100)
+    assert e.contains(matrix(z3, [[1, 2], [0, 1]]))
+    assert not e.contains(matrix(z9, [[1, 2], [0, 1]]))
+    assert not e.contains(identity(3, z3))
+    for g in (matrix(z9, [[1, 2], [0, 1]]), identity(3, z3)):
+        with pytest.raises(ShapeMismatch):
+            oracle_solve("membership", e, g)
 
 
 def test_oracle_conjugacy():

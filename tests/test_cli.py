@@ -293,6 +293,57 @@ def test_oracle_commands(tmp_path, capsys):
     assert code == 0 and out.strip() == "yes"
 
 
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+GL23 = {"leaf": {"kind": "general-linear", "params": [2, 3]}}
+
+
+def test_oracle_membership_refuses_a_query_over_another_ring(tmp_path, capsys):
+    # [[1, 1], [0, 1]] over Z/9 stores the same integers as over Z/3
+    from matcrypt.matrix import matrix
+    from matcrypt.ring import Zmod
+    from matcrypt.serialize import matrix_to_obj
+    sec = _write_json(tmp_path / "sec.json", GL23)
+    for ring, n in ((Zmod(9), 2), (Zmod(3), 3)):
+        rows = [[int(i == j or (i, j) == (0, 1)) for j in range(n)]
+                for i in range(n)]
+        elem = _write_json(tmp_path / "elem.json", matrix_to_obj(matrix(ring, rows)))
+        for argv in (("oracle", "solve", "--problem", "membership"), ("member",)):
+            code, out, err = run(capsys, *argv, "--sec", sec, "--elem", elem)
+            assert code == 1 and out == "", argv
+            assert err.startswith("error: ShapeMismatch"), argv
+    elem = _write_json(tmp_path / "elem.json",
+                       matrix_to_obj(matrix(Zmod(3), [[1, 1], [0, 1]])))
+    code, out, _ = run(capsys, "oracle", "solve", "--problem", "membership",
+                       "--sec", sec, "--elem", elem)
+    assert code == 0 and out == "yes\n"
+
+
+def test_rings_read_from_files_are_validated(tmp_path, capsys):
+    # x^2 is reducible mod 2, and 4 is no prime
+    reducible = {"summands": [{"p": 2, "m": 1, "r": 2, "modulus": [0, 0, 1]}]}
+    tree = {"op": {"kind": "ring-extend", "target": reducible},
+            "children": [{"leaf": {"kind": "general-linear", "params": [1, 2]}}]}
+    sec = _write_json(tmp_path / "sec.json", tree)
+    elem = _write_json(tmp_path / "elem.json",
+                       {"n": 1, "ring": reducible, "rows": [[[[0, 1]]]]})
+    for argv in (("member", "--sec", sec, "--elem", elem),
+                 ("oracle", "enum", "--sec", sec)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ReducibleModulus"), argv
+    sec = _write_json(tmp_path / "sec.json", GL23)
+    elem = _write_json(tmp_path / "elem.json", {
+        "n": 1, "ring": {"summands": [{"p": 4, "m": 1, "r": 1, "modulus": [0, 1]}]},
+        "rows": [[[[1]]]]})
+    code, out, err = run(capsys, "member", "--sec", sec, "--elem", elem)
+    assert code == 1 and out == ""
+    assert err.startswith("error: NonPrimeP")
+
+
 def test_transporter_and_oracle_verdicts(tmp_path, capsys):
     # both verdicts of `ltp` and of `oracle solve --problem ltp|conjugacy`
     from matcrypt.instance import base_diagonal, leaf, tree_eval, wreath_imprimitive
@@ -446,6 +497,17 @@ def test_protocol_transcripts_pinned(tmp_path, capsys):
                            "d6955c8bcf2cf2b86e8ba2e00492a098")
     assert _sha256(tr) == ("03f58726cffc2d27dbb51758eadd37cf234aab89a3340ec6"
                            "0b80414183ef8959")
+
+
+def test_mparty_op_counts_pinned(capsys):
+    # the exact per-party operation counts of the incremental key schedule
+    code, out, _ = run(capsys, "mparty", "--seed", "4", "--parties", "5",
+                       "--size", "40")
+    assert code == 0
+    assert out.splitlines()[1] == (
+        'op counts [{"compute":45,"answer":53},{"compute":57,"answer":11},'
+        '{"compute":12,"answer":31},{"compute":31,"answer":82},'
+        '{"compute":5,"answer":11}]')
 
 
 def test_protocol_key_mismatch_exits_one(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from conftest import rand_invertible, rand_matrix
 from matcrypt.errors import NonInvertible, NoSuchEmbedding, RingMismatch
 from matcrypt.matrix import (
+    Matrix,
     block_perm_matrix,
     identity,
     int_rows,
@@ -230,32 +231,36 @@ def test_word_eval():
 
 def test_word_eval_multiplies_once_per_letter_after_the_first(monkeypatch):
     # no product with the identity, and one inversion per distinct inverted
-    # generator
+    # generator: a generator keeps its inverse once it is computed
     from matcrypt import matrix as matrix_module
     calls = {"mul": 0, "inv": 0}
-    real_mul, real_inv = matrix_module.mat_mul, matrix_module.mat_inv
+    real_mul, real_inverse = matrix_module.mat_mul, matrix_module._inverse
 
     def counted_mul(x, y):
         calls["mul"] += 1
         return real_mul(x, y)
 
-    def counted_inv(x):
+    def counted_inverse(x):
         calls["inv"] += 1
-        return real_inv(x)
+        return real_inverse(x)
 
     rng = Rng(5)
     gens = [rand_invertible(Z15, 3, rng) for _ in range(3)]
     word = [1, -2, -2, 3, -2, -1, 3]
     want = identity(3, Z15)
     for x in word:
-        want = real_mul(want, gens[x - 1] if x > 0 else real_inv(gens[-x - 1]))
+        want = real_mul(want, gens[x - 1] if x > 0 else mat_inv(gens[-x - 1]))
+    inv3 = mat_inv(gens[2])
+    # equal generators that hold no inverse yet
+    gens = [Matrix._of(g.n, g.ring, g.data) for g in gens]
     monkeypatch.setattr(matrix_module, "mat_mul", counted_mul)
-    monkeypatch.setattr(matrix_module, "mat_inv", counted_inv)
+    monkeypatch.setattr(matrix_module, "_inverse", counted_inverse)
     assert word_eval(gens, word) == want
     assert calls == {"mul": len(word) - 1, "inv": 2}
     calls.update(mul=0, inv=0)
-    assert word_eval(gens, [-3]) == real_inv(gens[2])
+    assert word_eval(gens, [-3]) == inv3
     assert word_eval(gens, [2]) == gens[1]
+    assert word_eval(gens, [-1]) == mat_inv(gens[0])
     assert calls == {"mul": 0, "inv": 1}
 
 

@@ -1,5 +1,7 @@
 """Galois ring arithmetic: spec examples, exhaustive axioms, digit laws."""
 
+import itertools
+
 import pytest
 
 from matcrypt.errors import (
@@ -238,6 +240,40 @@ def test_irreducibility_oracle():
             poly = (c0, c1, 1)
             has_root = any((r * r + c1 * r + c0) % 3 == 0 for r in range(3))
             assert is_irreducible_mod_p(poly, 3) == (not has_root)
+
+
+def _monic_polys(p, r):
+    """Every monic polynomial of degree r mod p, as (c_0..c_r)."""
+    return [coeffs + (1,) for coeffs in itertools.product(range(p), repeat=r)]
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducibility_against_factor_search(p):
+    # a monic polynomial is reducible iff it is a product of two monic
+    # polynomials of positive degree
+    for r in range(1, 5):
+        reducible = {_poly_mul(a, b, p)
+                     for d in range(1, r // 2 + 1)
+                     for a in _monic_polys(p, d)
+                     for b in _monic_polys(p, r - d)}
+        for f in _monic_polys(p, r):
+            assert is_irreducible_mod_p(f, p) == (f not in reducible), (p, f)
+
+
+def test_element_checks_the_summand_count():
+    with pytest.raises(RingMismatch):
+        field(4).element([(1, 0), (1,)])
+    with pytest.raises(RingMismatch):
+        Zmod(15).element([(1,)])
+    assert Zmod(15).element([(4,), (7,)]).coeffs == ((1,), (2,))
 
 
 def test_canonical_summand_order():

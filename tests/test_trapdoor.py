@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from conftest import rand_invertible, rand_matrix
+from conftest import rand_element, rand_invertible, rand_matrix
 from matcrypt.analysis import enumerate_group, oracle_solve
 from matcrypt.errors import (
     CapExceeded,
@@ -54,8 +54,10 @@ from matcrypt.trapdoor import (
     replay_witness,
     sample_transportable_vector,
     tensor_split,
+    vector_tensor_split,
     wreath_split,
 )
+from trapdoor_reference import ref_vector_tensor_split
 
 warnings.simplefilter("ignore")
 
@@ -225,6 +227,44 @@ def test_tensor_split_three_factors(ring):
         rest = rand_invertible(ring, degrees[1] * degrees[2], rng)
         with pytest.raises(NotDecomposable):
             tensor_split(mat_kron(ms[0], rest), degrees)
+
+
+def _split_outcome(split, vec, degrees, ring):
+    try:
+        return split(vec, degrees, ring)
+    except NotDecomposable:
+        return NotDecomposable
+
+
+SPLIT_RINGS = [Z5, Zmod(9), Zmod(15), field(4), field(9),
+               ring_make("galois", 2, 2, 2),
+               ring_make("direct-sum", field(4), Zmod(9))]
+
+
+@pytest.mark.parametrize("ring", SPLIT_RINGS,
+                         ids=["Z5", "Z9", "Z15", "GF4", "GF9", "GR4_2", "GF4+Z9"])
+def test_vector_tensor_split_matches_reference(ring):
+    # the vector split against the per-entry code it replaced: the same
+    # factors, or NotDecomposable on both sides
+    rng = Rng(23)
+    split = 0
+    for degrees in ([2, 2], [2, 3], [3, 2], [2, 2, 2], [2, 3, 2]):
+        for i in range(24):
+            parts = [tuple(rand_element(ring, rng) for _ in range(d))
+                     for d in degrees]
+            vec = parts[0]
+            for part in parts[1:]:
+                vec = tuple(a * b for a in vec for b in part)
+            if i % 3 == 1:
+                # not a pure tensor in general
+                vec = tuple(rand_element(ring, rng) for _ in vec)
+            elif i % 3 == 2:
+                k = rng.below(len(vec))
+                vec = vec[:k] + (vec[k] + ring.one(),) + vec[k + 1:]
+            want = _split_outcome(ref_vector_tensor_split, vec, degrees, ring)
+            assert _split_outcome(vector_tensor_split, vec, degrees, ring) == want
+            split += want is not NotDecomposable
+    assert split > 20
 
 
 # --- ltp -------------------------------------------------------------------------

@@ -4,13 +4,21 @@ These are the scans that the flat-integer scans of ``matcrypt.trapdoor``
 replaced, kept unchanged apart from being free functions: each element acts
 on u through ``vector_act`` and the whole image is compared with v, and the
 twist set of a leaf runs one full scan per unit of the ring.
+
+``ref_vector_tensor_split`` is the per-entry vector split that the shared
+Kronecker split kernel replaced, kept unchanged apart from its name.
 """
 
 from matcrypt.analysis import enumerate_group
-from matcrypt.errors import CapExceeded, UnsupportedDecomposition
+from matcrypt.errors import (
+    CapExceeded,
+    NotDecomposable,
+    UnsupportedDecomposition,
+)
 from matcrypt.instance import _info, leaf_enumerate, tree_eval
-from matcrypt.matrix import vector_act
-from matcrypt.trapdoor import BRUTE_LTP_CAP, _iter_units
+from matcrypt.matrix import RingElement, _to_entry, vector_act
+from matcrypt.ring import _pinv, _pmul
+from matcrypt.trapdoor import BRUTE_LTP_CAP, _first_unit, _iter_units
 
 
 def ref_leaf_ltp(t, pairs):
@@ -47,3 +55,38 @@ def ref_ltp_brute(t, pairs):
         if all(vector_act(u, g) == tuple(v) for u, v in pairs):
             return g, True
     return None, True
+
+
+def ref_vector_tensor_split(vec, degrees, ring):
+    """Split a vector into pure-tensor factors (normalization as tensor_split)."""
+    degrees = list(degrees)
+    if len(degrees) == 1:
+        return [tuple(vec)]
+    n1 = degrees[0]
+    rest = 1
+    for d_ in degrees[1:]:
+        rest *= d_
+    # treat as an n1 x rest array of ring elements; must be rank one per summand
+    a_parts, b_parts = [], []
+    for s, gs in enumerate(ring.summands):
+        ent = [e.coeffs[s] for e in vec]
+        k = _first_unit([_to_entry(gs, cs) for cs in ent], gs)
+        if k is None:
+            raise NotDecomposable("no unit coordinate in a summand")
+        i0, j0 = divmod(k, rest)
+        winv = _pinv(ent[k], gs)
+        b = [_pmul(ent[i0 * rest + j], winv, gs.modulus, gs.q)
+             for j in range(rest)]
+        a = [ent[i * rest + j0] for i in range(n1)]
+        for i in range(n1):
+            for j in range(rest):
+                if _pmul(a[i], b[j], gs.modulus, gs.q) != ent[i * rest + j]:
+                    raise NotDecomposable("vector is not a pure tensor")
+        a_parts.append(a)
+        b_parts.append(b)
+    nsum = len(ring.summands)
+    a_vec = tuple(RingElement(ring, tuple(a_parts[s][i] for s in range(nsum)))
+                  for i in range(n1))
+    b_vec = tuple(RingElement(ring, tuple(b_parts[s][j] for s in range(nsum)))
+                  for j in range(rest))
+    return [a_vec] + ref_vector_tensor_split(b_vec, degrees[1:], ring)
