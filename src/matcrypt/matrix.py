@@ -61,6 +61,19 @@ def _entries(ring: RingSpec, data: tuple) -> list:
     return [RingElement(ring, cs) for cs in zip(*per)]
 
 
+def _vector_data(v, ring: RingSpec) -> tuple:
+    """Per-summand flat data of the RingElements v, stored as the data of a
+    1 x len(v) matrix; RingMismatch when an entry is over another ring."""
+    if any(e.ring is not ring and e.ring != ring for e in v):
+        raise RingMismatch("entries over a different ring")
+    data = []
+    for s, g in enumerate(ring.summands):
+        q = g.q
+        data.append(tuple([e.coeffs[s][0] % q for e in v]) if g.r == 1
+                    else tuple([tuple([c % q for c in e.coeffs[s]]) for e in v]))
+    return tuple(data)
+
+
 def _zero(g: GaloisRingSpec):
     return 0 if g.r == 1 else g.zero()
 
@@ -96,16 +109,7 @@ class Matrix:
     def __init__(self, n: int, ring: RingSpec, rows):
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ShapeMismatch(f"degree {n} needs {n} rows of {n} entries")
-        flat = [e for row in rows for e in row]
-        if any(e.ring is not ring and e.ring != ring for e in flat):
-            raise RingMismatch("matrix entries over a different ring")
-        data = []
-        for s, g in enumerate(ring.summands):
-            q = g.q
-            data.append(tuple([e.coeffs[s][0] % q for e in flat]) if g.r == 1
-                        else tuple([tuple([c % q for c in e.coeffs[s]])
-                                    for e in flat]))
-        _fill(self, n, ring, tuple(data))
+        _fill(self, n, ring, _vector_data([e for row in rows for e in row], ring))
 
     @classmethod
     def _of(cls, n: int, ring: RingSpec, data: tuple) -> "Matrix":
@@ -310,15 +314,20 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 def mat_scale(a: Matrix, c: RingElement) -> Matrix:
     if c.ring is not a.ring and c.ring != a.ring:
         raise RingMismatch("scalar and matrix over different rings")
-    data = []
-    for g, cs, x in zip(a.ring.summands, c.coeffs, a.data):
+    return Matrix._of(a.n, a.ring, _scale(a.ring, a.data, c))
+
+
+def _scale(ring: RingSpec, data: tuple, c: RingElement) -> tuple:
+    """Per-summand flat data times the scalar c, entry by entry."""
+    out = []
+    for g, cs, x in zip(ring.summands, c.coeffs, data):
         q = g.q
         if g.r == 1:
             cv = cs[0]
-            data.append(tuple(cv * u % q for u in x))
+            out.append(tuple(cv * u % q for u in x))
         else:
-            data.append(tuple(_pmul(cs, u, g.modulus, q) for u in x))
-    return Matrix._of(a.n, a.ring, tuple(data))
+            out.append(tuple(_pmul(cs, u, g.modulus, q) for u in x))
+    return tuple(out)
 
 
 # --- per-summand dense elimination ----------------------------------------
@@ -821,24 +830,27 @@ def word_eval(gens: list[Matrix], w) -> Matrix:
 
 def vector_act(v: tuple, g: Matrix) -> tuple:
     """Right action of g on a row vector of RingElements."""
-    n, ring = g.n, g.ring
-    if len(v) != n:
-        raise ShapeMismatch(f"vector length {len(v)} vs degree {n}")
-    if any(e.ring is not ring and e.ring != ring for e in v):
-        raise RingMismatch("vector and matrix over different rings")
-    per = []
-    for s, (gs, d) in enumerate(zip(ring.summands, g.data)):
+    if len(v) != g.n:
+        raise ShapeMismatch(f"vector length {len(v)} vs degree {g.n}")
+    return tuple(_entries(g.ring, _act(_vector_data(v, g.ring), g)))
+
+
+def _act(x: tuple, g: Matrix) -> tuple:
+    """Per-summand flat data of the row vector x (flat as ``_vector_data``
+    stores it) times g."""
+    n = g.n
+    out = []
+    for gs, xs, d in zip(g.ring.summands, x, g.data):
         q = gs.q
         if gs.r == 1:
-            xs = [e.coeffs[s][0] for e in v]
-            per.append([(sum(map(mul, xs, d[j::n])) % q,) for j in range(n)])
+            out.append(tuple([sum(map(mul, xs, d[j::n])) % q for j in range(n)]))
         else:
             w, folds = _fold_table(n, gs)
-            xs = [_pack([c % q for c in e.coeffs[s]], w) for e in v]
+            xs = [_pack(cs, w) for cs in xs]
             ys = [_pack(cs, w) for cs in d]
-            per.append([_unpack(sum(map(mul, xs, ys[j::n])), w, folds, q)
-                        for j in range(n)])
-    return tuple(RingElement(ring, cs) for cs in zip(*per))
+            out.append(tuple([_unpack(sum(map(mul, xs, ys[j::n])), w, folds, q)
+                              for j in range(n)]))
+    return tuple(out)
 
 
 def vector(ring: RingSpec, ints) -> tuple:

@@ -12,7 +12,8 @@ import json
 
 from .errors import RingMismatch
 from .matrix import Matrix
-from .ring import GaloisRingSpec, RingElement, RingSpec, _validate_summand
+from .ring import (GaloisRingSpec, RingElement, RingSpec, _validate_summand,
+                   direct_sum_specs)
 from .words import FreeWord, IdentityWordPair
 
 
@@ -39,11 +40,17 @@ def ring_to_obj(ring: RingSpec) -> dict:
 
 
 def ring_from_obj(obj: dict) -> RingSpec:
-    """The ring a file names; NonPrimeP or ReducibleModulus when a summand
-    is no Galois ring."""
-    return RingSpec(tuple(
+    """The ring a file names, its summands in canonical order; NonPrimeP or
+    ReducibleModulus when a summand is no Galois ring."""
+    return _ring_positions(obj)[0]
+
+
+def _ring_positions(obj: dict) -> tuple[RingSpec, list]:
+    """``ring_from_obj`` and the canonical position of each summand the
+    file lists, which its elements' coefficient lists follow."""
+    return direct_sum_specs([
         _validate_summand(GaloisRingSpec(s["p"], s["m"], s["r"], tuple(s["modulus"])))
-        for s in obj["summands"]))
+        for s in obj["summands"]])
 
 
 def elem_to_obj(a: RingElement) -> list:
@@ -51,9 +58,17 @@ def elem_to_obj(a: RingElement) -> list:
 
 
 def elem_from_obj(ring: RingSpec, obj: list) -> RingElement:
+    return _elem(ring, range(len(ring.summands)), obj)
+
+
+def _elem(ring: RingSpec, positions, obj: list) -> RingElement:
+    """The element whose coefficient list i is for summand positions[i]."""
     if len(obj) != len(ring.summands):
         raise RingMismatch("element has wrong summand count")
-    return ring.element([tuple(cs) for cs in obj])
+    coeffs = [None] * len(obj)
+    for pos, cs in zip(positions, obj):
+        coeffs[pos] = tuple(cs)
+    return ring.element(coeffs)
 
 
 # --- matrices and vectors ----------------------------------------------------
@@ -68,8 +83,8 @@ def matrix_to_obj(a: Matrix) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> Matrix:
-    ring = ring_from_obj(obj["ring"])
-    rows = tuple(tuple(elem_from_obj(ring, e) for e in row)
+    ring, positions = _ring_positions(obj["ring"])
+    rows = tuple(tuple(_elem(ring, positions, e) for e in row)
                  for row in obj["rows"])
     return Matrix(obj["n"], ring, rows)
 
@@ -79,8 +94,8 @@ def vector_to_obj(ring: RingSpec, v: tuple) -> dict:
 
 
 def vector_from_obj(obj: dict) -> tuple:
-    ring = ring_from_obj(obj["ring"])
-    return tuple(elem_from_obj(ring, e) for e in obj["coords"])
+    ring, positions = _ring_positions(obj["ring"])
+    return tuple(_elem(ring, positions, e) for e in obj["coords"])
 
 
 # --- words -------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .errors import (
     CapExceeded,
     NotDecomposable,
     NotWreathShaped,
-    RingMismatch,
     ShapeMismatch,
     UnsupportedDecomposition,
     UnverifiedResult,
@@ -51,10 +50,13 @@ from .instance import (
 from .matrix import (
     Matrix,
     RingElement,
+    _act,
     _entries,
     _kron_summand,
+    _scale,
     _to_coeffs,
     _to_entry,
+    _vector_data,
     _zero,
     crt_project,
     find_embedding,
@@ -447,15 +449,17 @@ def lex_min_perfect_matching(adj: list[list[int]], m: int):
 def ltp_solve(t: DerivationTree, u: tuple, v: tuple):
     """g in G(t) with u^g = v, or NoSolution.
 
-    The returned matrix is verified (action and membership) before returning.
-    Every branch of the recursion decides exhaustively, so NoSolution means
-    that no transporter exists; a query the recursion cannot decide raises
-    UnsupportedDecomposition or CapExceeded instead.
+    u and v are checked (ShapeMismatch, RingMismatch) and flattened once;
+    the recursion passes flat vectors.  The returned matrix is verified
+    (action and membership) before returning.  Every branch of the recursion
+    decides exhaustively, so NoSolution means that no transporter exists; a
+    query the recursion cannot decide raises UnsupportedDecomposition or
+    CapExceeded instead.
     """
     inst = tree_eval(t)
     if len(u) != inst.n or len(v) != inst.n:
         raise ShapeMismatch("vector length does not match the instance degree")
-    g = _ltp(t, [(tuple(u), tuple(v))])
+    g = _ltp(t, [(_vector_data(u, inst.ring), _vector_data(v, inst.ring))])
     if g is None:
         return NoSolution(True)
     if vector_act(u, g) != tuple(v):
@@ -466,7 +470,9 @@ def ltp_solve(t: DerivationTree, u: tuple, v: tuple):
 
 
 def _ltp(t: DerivationTree, pairs: list):
-    """Simultaneous transporter for all (u, v) pairs, or None."""
+    """Simultaneous transporter for all (u, v) pairs, or None.  Inside the
+    recursion a vector is per-summand flat data, as ``_vector_data`` stores
+    it."""
     info, solver = _solver(t)
     return solver.ltp(t, info, pairs)
 
@@ -484,7 +490,7 @@ def _ltp_brute(t: DerivationTree, pairs: list):
     except CapExceeded:
         raise UnsupportedDecomposition(
             "node group too large for the exhaustive transporter fallback") from None
-    return _first_transporter(elems, pairs, inst.ring, inst.n)
+    return _first_transporter(elems, pairs, inst.ring)
 
 
 # Leaf and fallback scans compare u^h with v on flat integers, one coordinate
@@ -494,30 +500,21 @@ def _ltp_brute(t: DerivationTree, pairs: list):
 # u_i * x^l), so entry j of u^h is r dot products with column j of h read
 # as n*r ints, and needs no reduction by the modulus.
 
-def _flat_pairs(pairs, ring: RingSpec, n: int):
-    """Each (u, v) pair as, per summand g of ring, (x, y): x the entries of u
-    (plain ints; for rank r > 1, r rows over the n*r coefficients of a
-    column), y the stored entries of v.  None when v, of another length or
-    ring, is no image; u is checked as vector_act checks it."""
+def _flat_pairs(pairs, ring: RingSpec):
+    """Each flat (u, v) pair as, per summand g of ring, (x, y): x the entries
+    of u (plain ints; for rank r > 1, r rows over the n*r coefficients of a
+    column), y the stored entries of v."""
     out = []
     for u, v in pairs:
-        if len(u) != n:
-            raise ShapeMismatch(f"vector length {len(u)} vs degree {n}")
-        if any(e.ring is not ring and e.ring != ring for e in u):
-            raise RingMismatch("vector and matrix over different rings")
-        if len(v) != n or any(e.ring is not ring and e.ring != ring for e in v):
-            return None
         per = []
-        for s, g in enumerate(ring.summands):
+        for g, us, vs in zip(ring.summands, u, v):
             if g.r == 1:
-                per.append(([e.coeffs[s][0] for e in u],
-                            [e.coeffs[s][0] for e in v]))
+                per.append((us, vs))
                 continue
             r = g.r
-            reps = [regular_rep_block(e.coeffs[s], g) for e in u]
+            reps = [regular_rep_block(cs, g) for cs in us]
             per.append(([[rep[l][t] for rep in reps for l in range(r)]
-                         for t in range(r)],
-                        [e.coeffs[s] for e in v]))
+                         for t in range(r)], vs))
         out.append(per)
     return out
 
@@ -543,23 +540,23 @@ def _maps(h: Matrix, flat: list) -> bool:
     return True
 
 
-def _first_transporter(elems, pairs: list, ring: RingSpec, n: int):
+def _first_transporter(elems, pairs: list, ring: RingSpec):
     """The first h of elems with u^h = v for every (u, v) pair, or None."""
-    flat = _flat_pairs(pairs, ring, n)
-    if flat is not None:
-        for h in elems:
-            if _maps(h, flat):
-                return h
+    flat = _flat_pairs(pairs, ring)
+    for h in elems:
+        if _maps(h, flat):
+            return h
     return None
 
 
 def vector_tensor_split(vec: tuple, degrees: list, ring: RingSpec):
     """Pure-tensor factors of a vector: ``_kron_split`` on 1 x n shapes, so
     normalized as tensor_split's factors are."""
-    data = tuple(tuple(_to_entry(g, e.coeffs[s]) for e in vec)
-                 for s, g in enumerate(ring.summands))
-    return [tuple(_entries(ring, part))
-            for part in _kron_split(data, ring, [(1, d) for d in degrees])]
+    degrees = list(degrees)
+    if len(vec) != math.prod(degrees):
+        raise ShapeMismatch(f"length {len(vec)} is not the product of {degrees}")
+    return [tuple(_entries(ring, part)) for part in
+            _kron_split(_vector_data(vec, ring), ring, [(1, d) for d in degrees])]
 
 
 def _iter_units(ring: RingSpec):
@@ -594,10 +591,10 @@ def _ltp_twists(t: DerivationTree, u: tuple, v: tuple) -> list:
 
 def _pure_tensor_factors(t: DerivationTree, info: NodeInfo, pair) -> tuple:
     """Both vectors of pair split into pure-tensor factors, one per factor of t."""
-    degrees = [_info(c).degree for c in info.impl.factors(t)]
+    shapes = [(1, _info(c).degree) for c in info.impl.factors(t)]
     try:
-        return (vector_tensor_split(pair[0], degrees, info.ring),
-                vector_tensor_split(pair[1], degrees, info.ring))
+        return (_kron_split(pair[0], info.ring, shapes),
+                _kron_split(pair[1], info.ring, shapes))
     except NotDecomposable as e:
         raise UnsupportedDecomposition(
             f"transporter vectors are not decomposable: {e}") from None
@@ -615,25 +612,23 @@ def sample_transportable_vector(t: DerivationTree, rng) -> tuple:
     tensors there, per-block samples at CRT nodes, child samples transported
     through conjugations and ring changes.
     """
+    return tuple(_entries(_info(t).ring, _sample(t, rng)))
+
+
+def _sample(t: DerivationTree, rng) -> tuple:
+    """``sample_transportable_vector`` as per-summand flat data."""
     info, solver = _solver(t)
     return solver.sample(t, info, rng)
 
 
 def _random_vector(ring: RingSpec, n: int, rng) -> tuple:
-    """Random vector with a unit coordinate in every summand (normalizable)."""
+    """Random flat vector with a unit coordinate in every summand
+    (normalizable)."""
     for _ in range(256):
-        vec = tuple(_random_elem(ring, rng) for _ in range(n))
-        if all(any(any(c % g.p for c in e.coeffs[s]) for e in vec)
-               for s, g in enumerate(ring.summands)):
+        vec = _vector_data([_random_elem(ring, rng) for _ in range(n)], ring)
+        if all(_first_unit(d, g) is not None for g, d in zip(ring.summands, vec)):
             return vec
     raise UnsupportedDecomposition("could not sample a normalizable vector")
-
-
-def _kron_vectors(parts: list) -> tuple:
-    out = parts[0]
-    for p in parts[1:]:
-        out = tuple(a * b for a in out for b in p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +650,7 @@ class _Solver:
         in canonical unit order."""
         out = []
         for w in _iter_units(info.ring):
-            g = self.ltp(t, info, [(u, tuple(e * w for e in v))])
+            g = self.ltp(t, info, [(u, _scale(info.ring, v, w))])
             if g is not None:
                 out.append((w, g))
         return out
@@ -666,8 +661,7 @@ class _LeafSolver(_Solver):
         return ("leaf", g) if leaf_contains(t.base, g) else None
 
     def ltp(self, t, info, pairs):
-        return _first_transporter(leaf_enumerate(t.base), pairs,
-                                  info.ring, info.degree)
+        return _first_transporter(leaf_enumerate(t.base), pairs, info.ring)
 
     def ltp_twists(self, t, info, u, v):
         # one scan answers every unit: at the first unit entry k of v,
@@ -675,13 +669,12 @@ class _LeafSolver(_Solver):
         # for a unit w that has no transporter yet, and the scan stops once
         # every unit has one; h is still the first in enumeration order
         ring, n = info.ring, info.degree
-        k = next((j for j, e in enumerate(v) if e.is_unit()), None)
-        flat = _flat_pairs([(u, v)], ring, n)
-        if k is None or flat is None:
+        g = ring.summands[0]  # a leaf's ring is one field GF(q)
+        k = _first_unit(v[0], g)
+        if k is None:
             return super().ltp_twists(t, info, u, v)
         units = _iter_units(ring)
-        (x, y), = flat[0]  # a leaf's ring is one field GF(q)
-        g = ring.summands[0]
+        (x, y), = _flat_pairs([(u, v)], ring)[0]
         q, mod = g.q, g.modulus
         if g.r == 1:
             def times(a, b):
@@ -723,29 +716,18 @@ class _UnipotentSolver(_LeafSolver):
         return None
 
     def ltp(self, t, info, pairs):
-        # g = [[1,x],[0,1]]: (u0, u1) -> (u0, u0 x + u1)
-        ring = info.ring
+        # g = [[1,x],[0,1]]: (u0, u1) -> (u0, u0 x + u1), over GF(p); the
+        # first pair with u0 != 0 fixes x, and x = 0 when there is none
+        p = info.ring.summands[0].p
         constraints = []
-        for u, v in pairs:
+        for (u,), (v,) in pairs:
             if u[0] != v[0]:
                 return None
-            constraints.append((u[0], v[1] - u[1]))
-        x = None
-        for a, b in constraints:
-            if a.is_unit():
-                x = b * ring_inv(a)
-                break
-        if x is None:
-            # all coefficients are zero in the field, so demand b == 0
-            for a, b in constraints:
-                if not a.is_zero() or not b.is_zero():
-                    return None
-            x = ring.zero()
-        for a, b in constraints:
-            if a * x != b:
-                return None
-        one, zero = ring.one(), ring.zero()
-        return Matrix(2, ring, ((one, x), (zero, one)))
+            constraints.append((u[0], (v[1] - u[1]) % p))
+        x = next((b * pow(a, -1, p) % p for a, b in constraints if a), 0)
+        if any(a * x % p != b for a, b in constraints):
+            return None
+        return Matrix._of(2, info.ring, ((1, x, 0, 1),))
 
 
 class _SpecialLinearSolver(_LeafSolver):
@@ -811,11 +793,10 @@ class _ConjugateSolver(_UnarySolver):
 
     def pairs_down(self, t, info, pairs):
         cinv = mat_inv(info.conj)
-        return [(vector_act(u, cinv), vector_act(v, cinv)) for u, v in pairs]
+        return [(_act(u, cinv), _act(v, cinv)) for u, v in pairs]
 
     def sample(self, t, info, rng):
-        return vector_act(sample_transportable_vector(t.children[0], rng),
-                          info.conj)
+        return _act(_sample(t.children[0], rng), info.conj)
 
 
 class _RingExtendSolver(_UnarySolver):
@@ -832,18 +813,16 @@ class _RingExtendSolver(_UnarySolver):
         has zero coordinates at j >= d_s, and a zero pair constrains
         nothing."""
         emb = find_embedding(_info(t.children[0]).ring, t.label.target)
-        src = emb.src.summands
-        d = max(gd.r // gs.r for gs, gd in zip(src, emb.dst.summands))
-
-        def coords(s, cs):
-            c = emb.coords(s, cs)
-            return c + [(0,) * src[s].r] * (d - len(c))
+        summands = list(zip(emb.src.summands, emb.dst.summands))
+        d = max(gd.r // gs.r for gs, gd in summands)
 
         def split(vec):
-            per = [[coords(s, cs) for s, cs in enumerate(e.coeffs)]
-                   for e in vec]
-            return [tuple(RingElement(emb.src, tuple(c[j] for c in comps))
-                          for comps in per) for j in range(d)]
+            per = []
+            for s, ((gs, gd), xs) in enumerate(zip(summands, vec)):
+                cols = [emb.coords(s, _to_coeffs(gd, x)) for x in xs]
+                per.append([tuple(_to_entry(gs, c[j]) if j < len(c) else _zero(gs)
+                                  for c in cols) for j in range(d)])
+            return list(zip(*per))
         return [pair for u, v in pairs for pair in zip(split(u), split(v))]
 
     # the default sample is a random vector; its entries decompose over the
@@ -871,18 +850,18 @@ class _RingRepSolver(_UnarySolver):
             [parts[0].coeffs[0][:1]])
 
     def pairs_down(self, t, info, pairs):
-        child_ring = _info(t.children[0]).ring
+        # the node's one summand is Z/p^m and the child's has rank d >= 2: a
+        # child entry is the coefficient tuple of d consecutive node entries
         d = t.label.d
 
         def chunk(vec):
-            return tuple(RingElement(child_ring, (tuple(
-                vec[i * d + l].coeffs[0][0] for l in range(d)),))
-                for i in range(len(vec) // d))
+            xs, = vec
+            return (tuple(xs[i:i + d] for i in range(0, len(xs), d)),)
         return [(chunk(u), chunk(v)) for u, v in pairs]
 
     def sample(self, t, info, rng):
-        child = sample_transportable_vector(t.children[0], rng)
-        return tuple(info.ring.element([(c,)]) for e in child for c in e.coeffs[0])
+        child, = _sample(t.children[0], rng)
+        return (tuple(c for cs in child for c in cs),)
 
 
 class _SameDegreeSolver(_Solver):
@@ -904,26 +883,20 @@ class _SameDegreeSolver(_Solver):
 
     def ltp(self, t, info, pairs):
         parts = []
-        for idx, c in enumerate(t.children):
-            child_ring = _info(c).ring
-            positions = info.positions[idx]
-
-            def proj(vec):
-                return tuple(RingElement(child_ring, tuple(
-                    e.coeffs[s] for s in positions)) for e in vec)
-            g0 = _ltp(c, [(proj(u), proj(v)) for u, v in pairs])
+        for c, positions in zip(t.children, info.positions):
+            g0 = _ltp(c, [(tuple(u[s] for s in positions),
+                           tuple(v[s] for s in positions)) for u, v in pairs])
             if g0 is None:
                 return None
             parts.append(g0)
         return info.impl.assemble(t, info, parts)
 
     def sample(self, t, info, rng):
-        parts = [sample_transportable_vector(c, rng) for c in t.children]
+        parts = [_sample(c, rng) for c in t.children]
         # the blocks cover every summand, so this vector is overwritten; it
         # is drawn only to keep the seeded samples of earlier versions
         _random_vector(info.ring, info.degree, rng)
-        return tuple(_combine(info, [p[i] for p in parts])
-                     for i in range(info.degree))
+        return _place(info, parts)
 
 
 def _place(info: NodeInfo, parts) -> tuple:
@@ -1011,8 +984,11 @@ class _TwistedSolver(_Solver):
         return None
 
     def sample(self, t, info, rng):
-        return _kron_vectors([sample_transportable_vector(c, rng)
-                              for c in info.impl.factors(t)])
+        out, *rest = [_sample(c, rng) for c in info.impl.factors(t)]
+        for part in rest:
+            out = tuple(_kron_summand(a, (1, len(a)), b, (1, len(b)), g)
+                        for g, a, b in zip(info.ring.summands, out, part))
+        return out
 
 
 class _TensorSolver(_TwistedSolver):
@@ -1067,7 +1043,7 @@ class _WreathImprimitiveSolver(_Solver):
         n = _info(t.children[0]).degree
 
         def block(vec, i):
-            return tuple(vec[i * n:(i + 1) * n])
+            return tuple(d[i * n:(i + 1) * n] for d in vec)
         hs, adj = {}, []
         for i in range(m):
             adj.append([])
@@ -1084,10 +1060,8 @@ class _WreathImprimitiveSolver(_Solver):
             t, info, [hs[(i, j)] for i, j in enumerate(chosen)], tuple(chosen))
 
     def sample(self, t, info, rng):
-        out: tuple = ()
-        for _ in range(t.label.m):
-            out = out + sample_transportable_vector(t.children[0], rng)
-        return out
+        parts = [_sample(t.children[0], rng) for _ in range(t.label.m)]
+        return tuple(sum(ds, ()) for ds in zip(*parts))
 
 
 _same_degree = _SameDegreeSolver()

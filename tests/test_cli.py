@@ -322,6 +322,25 @@ def test_oracle_membership_refuses_a_query_over_another_ring(tmp_path, capsys):
     assert code == 0 and out == "yes\n"
 
 
+def test_member_reads_a_matrix_listing_summands_out_of_order(tmp_path, capsys):
+    # the same generator of a Z/15 instance, its ring's summands listed 3, 5
+    # as written and 5, 3 by hand
+    from matcrypt.instance import base_general_linear, crt_assemble, leaf, tree_eval
+    from matcrypt.serialize import matrix_to_obj
+    t = crt_assemble(leaf(base_general_linear(2, 3)), leaf(base_general_linear(2, 5)))
+    sec = _write_json(tmp_path / "sec.json", tree_to_obj(t))
+    obj = matrix_to_obj(tree_eval(t).gens[0])
+    files = [_write_json(tmp_path / "elem.json", obj)]
+    obj["ring"]["summands"].reverse()
+    for row in obj["rows"]:
+        for e in row:
+            e.reverse()
+    files.append(_write_json(tmp_path / "reversed.json", obj))
+    for elem in files:
+        code, out, err = run(capsys, "member", "--sec", sec, "--elem", elem)
+        assert (code, out, err) == (0, "yes\n", ""), elem
+
+
 def test_rings_read_from_files_are_validated(tmp_path, capsys):
     # x^2 is reducible mod 2, and 4 is no prime
     reducible = {"summands": [{"p": 2, "m": 1, "r": 2, "modulus": [0, 0, 1]}]}

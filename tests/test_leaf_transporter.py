@@ -17,7 +17,7 @@ from matcrypt.instance import (
     tensor,
     tree_eval,
 )
-from matcrypt.matrix import Matrix, vector_act
+from matcrypt.matrix import Matrix, _vector_data, vector_act
 from matcrypt.ring import RingSpec, Zmod, field, ring_make
 from matcrypt.rng import Rng
 from trapdoor_reference import ref_leaf_ltp, ref_leaf_ltp_twists, ref_ltp_brute
@@ -45,6 +45,17 @@ def _elem(ring, rng):
 
 def _vec(ring, n, rng):
     return tuple(_elem(ring, rng) for _ in range(n))
+
+
+def _flat(pairs, ring):
+    """The pairs as the transporter recursion takes them: flat vectors."""
+    return [(_vector_data(u, ring), _vector_data(v, ring)) for u, v in pairs]
+
+
+def _twists(t, u, v):
+    """``trapdoor._ltp_twists`` on u and v, flattened."""
+    (x, y), = _flat([(u, v)], tree_eval(t).ring)
+    return trapdoor._ltp_twists(t, x, y)
 
 
 def _key(g):
@@ -79,7 +90,7 @@ def _queries(t, rng):
 def test_leaf_twists_match_reference(name):
     t = leaf(LEAVES[name])
     for u, v in _queries(t, Rng(len(name))):
-        got = trapdoor._ltp_twists(t, u, v)
+        got = _twists(t, u, v)
         want, _ = ref_leaf_ltp_twists(t, u, v)
         assert _twist_list(got) == _twist_list(want.values()), (u, v)
 
@@ -99,7 +110,7 @@ def test_leaf_ltp_matches_reference(name):
                       (us[1], _vec(ring, n, rng))])
     lists.append([])
     for pairs in lists:
-        got = trapdoor._ltp(t, pairs)
+        got = trapdoor._ltp(t, _flat(pairs, ring))
         want, _ = ref_leaf_ltp(t, pairs)
         assert _key(got) == _key(want), pairs
 
@@ -124,7 +135,7 @@ def test_brute_matches_reference(tree):
     zero = tuple(ring.zero() for _ in range(n))
     lists.append([(zero, zero), (us[0], vector_act(us[0], g))])
     for pairs in lists:
-        got = trapdoor._ltp_brute(tree, pairs)
+        got = trapdoor._ltp_brute(tree, _flat(pairs, ring))
         want, _ = ref_ltp_brute(tree, pairs)
         assert _key(got) == _key(want), pairs
 
@@ -141,8 +152,8 @@ def test_flat_scan_matches_vector_act_over_galois_rings(ring):
             h = Matrix(n, ring, [_vec(ring, n, rng) for _ in range(n)])
             u, other = _vec(ring, n, rng), _vec(ring, n, rng)
             v = vector_act(u, h)
-            assert trapdoor._first_transporter([h], [(u, v)], ring, n) is h
-            hit = trapdoor._first_transporter([h], [(u, other)], ring, n)
+            assert trapdoor._first_transporter([h], _flat([(u, v)], ring), ring) is h
+            hit = trapdoor._first_transporter([h], _flat([(u, other)], ring), ring)
             assert (hit is h) == (other == v)
 
 
@@ -157,7 +168,7 @@ def test_twist_query_enumerates_the_leaf_once(monkeypatch):
     monkeypatch.setattr(trapdoor, "leaf_enumerate", counted)
     ring = tree_eval(t).ring
     u, v = (ring.one(), ring.zero()), (ring.zero(), ring.one())
-    tw = trapdoor._ltp_twists(t, u, v)
+    tw = _twists(t, u, v)
     assert len(tw) == 4
     assert calls == [t.base]
 
@@ -167,7 +178,7 @@ def test_twist_query_keeps_the_units_cap():
     ring = tree_eval(t).ring
     for v in ((ring.one(),), (ring.zero(),)):
         with pytest.raises(UnsupportedDecomposition):
-            trapdoor._ltp_twists(t, (ring.one(),), v)
+            _twists(t, (ring.one(),), v)
 
 
 def test_twist_queries_enumerate_the_ring_once(monkeypatch):
@@ -185,16 +196,15 @@ def test_twist_queries_enumerate_the_ring_once(monkeypatch):
         return enumerate_ring(self)
     monkeypatch.setattr(RingSpec, "enumerate", counted)
     u, v = (ring.one(), ring.zero()), (ring.zero(), ring.one())
-    first = trapdoor._ltp_twists(t, u, v)
+    first = _twists(t, u, v)
     assert calls == [ring]
-    assert trapdoor._ltp_twists(t, u, (ring.one(), ring.one())) is not None
-    assert trapdoor._ltp_twists(other, u, v) is not None
+    assert _twists(t, u, (ring.one(), ring.one())) is not None
+    assert _twists(other, u, v) is not None
     assert calls == [ring]
     assert [w.coeffs for w, _ in first] == \
         [w.coeffs for w in ring.enumerate() if w.is_unit()]
     # above the cap the query is refused before any list is made
     big = tree_eval(leaf(base_general_linear(1, 4099))).ring
     with pytest.raises(UnsupportedDecomposition):
-        trapdoor._ltp_twists(leaf(base_general_linear(1, 4099)),
-                             (big.one(),), (big.one(),))
+        _twists(leaf(base_general_linear(1, 4099)), (big.one(),), (big.one(),))
     assert "unit_list" not in vars(big)

@@ -38,7 +38,15 @@ from matcrypt.matrix import (
 )
 from matcrypt.ring import RingElement, Zmod, field, ring_make
 from matcrypt.rng import Rng
-from matcrypt.serialize import dumps, matrix_from_obj, matrix_to_obj, ring_to_obj
+from matcrypt.serialize import (
+    dumps,
+    matrix_from_obj,
+    matrix_to_obj,
+    ring_from_obj,
+    ring_to_obj,
+    vector_from_obj,
+    vector_to_obj,
+)
 from matcrypt.trapdoor import affine_embed
 
 RINGS = {
@@ -238,6 +246,25 @@ def test_serialization_bytes_match_reference(name, n):
     text = dumps(matrix_to_obj(a))
     assert text == dumps(ref_matrix_obj(n, ring_to_obj(ring), rows))
     assert matrix_from_obj(matrix_to_obj(a)) == a
+
+
+@pytest.mark.parametrize("name", ["Z12", "GF4+Z9"])
+def test_files_listing_summands_out_of_order_load_canonical(name):
+    # a file may list a ring's summands in another order, each element's
+    # coefficient lists following it: the value read is the same
+    ring = RINGS[name]
+    rng = Rng(_seed(name, 0))
+    a = rand_matrix(ring, 3, rng)
+    u = tuple(rand_element(ring, rng) for _ in range(3))
+    mobj, vobj = matrix_to_obj(a), vector_to_obj(ring, u)
+    for obj, elems in ((mobj, [e for row in mobj["rows"] for e in row]),
+                       (vobj, vobj["coords"])):
+        obj["ring"]["summands"].reverse()
+        for e in elems:
+            e.reverse()
+    assert ring_from_obj(mobj["ring"]) == ring
+    assert matrix_from_obj(mobj) == a
+    assert vector_from_obj(vobj) == u
 
 
 @pytest.mark.parametrize("name,n", CASES)

@@ -10,6 +10,7 @@ from matcrypt.errors import (
     CapExceeded,
     NotDecomposable,
     NotWreathShaped,
+    RingMismatch,
     ShapeMismatch,
 )
 from matcrypt.instance import (
@@ -18,6 +19,7 @@ from matcrypt.instance import (
     base_special_linear,
     base_unipotent,
     conjugate,
+    crt_assemble,
     direct_same_degree,
     leaf,
     ring_extend,
@@ -267,6 +269,12 @@ def test_vector_tensor_split_matches_reference(ring):
     assert split > 20
 
 
+def test_vector_tensor_split_checks_the_length():
+    # 5 is not 2 * 2: a shape error, not an undecomposable vector
+    with pytest.raises(ShapeMismatch):
+        vector_tensor_split(vector(Z5, [1, 2, 3, 4, 1]), [2, 2], Z5)
+
+
 # --- ltp -------------------------------------------------------------------------
 
 def test_ltp_worked_example():
@@ -390,6 +398,22 @@ def test_brute_fallback_answers_a_vector_that_is_no_pure_tensor(tree, monkeypatc
             answered += 1
     assert answered >= 4
     assert len(brute) == len(targets)
+
+
+@pytest.mark.parametrize("tree, other", [
+    (leaf(base_general_linear(2, 5)), Z7),
+    (conjugate(leaf(base_general_linear(2, 5)), 3), Z7),
+    (crt_assemble(leaf(base_general_linear(2, 3)), leaf(base_general_linear(2, 5))),
+     Zmod(21)),
+    (tensor(leaf(base_general_linear(2, 5)), leaf(base_special_linear(2, 5))), Z7),
+], ids=["leaf", "conjugate", "crt", "tensor"])
+def test_ltp_solve_refuses_a_vector_over_another_ring(tree, other):
+    # every node kind gives the same answer: the query, not the tree, is wrong
+    u = sample_transportable_vector(tree, Rng(1))
+    w = vector(other, [1] * len(u))
+    for pair in ((u, w), (w, u)):
+        with pytest.raises(RingMismatch):
+            ltp_solve(tree, *pair)
 
 
 def test_ltp_solve_checks_its_answer(monkeypatch):
