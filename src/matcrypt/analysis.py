@@ -17,7 +17,6 @@ from functools import reduce
 
 from .errors import (
     AttackFailure,
-    CapExceeded,
     InsecurityWarning,
     NoSolutionSpace,
     ShapeMismatch,
@@ -26,6 +25,8 @@ from .matrix import (
     Matrix,
     RingElement,
     _eliminate,
+    _entries,
+    _random_data,
     identity,
     is_invertible,
     mat_add,
@@ -38,7 +39,7 @@ from .matrix import (
 )
 from .ring import RingSpec
 from .rng import Rng
-from .words import FreeWord, fw_inv, fw_mul
+from .words import FreeWord, _closure, fw_inv, fw_mul
 
 
 # ---------------------------------------------------------------------------
@@ -68,25 +69,8 @@ def enumerate_group(gens, cap: int) -> EnumeratedGroup:
     gens = list(gens)
     if not gens:
         raise ShapeMismatch("cannot enumerate an empty generator set")
-    start = identity(gens[0].n, gens[0].ring)
-    elements = {start.key(): start}
-    words = {start.key(): ()}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            aw = words[a.key()]
-            for i, g in enumerate(gens):
-                b = mat_mul(a, g)
-                k = b.key()
-                if k not in elements:
-                    if len(elements) >= cap:
-                        raise CapExceeded(
-                            f"group closure exceeds cap {cap}")
-                    elements[k] = b
-                    words[k] = aw + (i + 1,)
-                    nxt.append(b)
-        frontier = nxt
+    elements, words = _closure(identity(gens[0].n, gens[0].ring),
+                               list(enumerate(gens, 1)), mat_mul, Matrix.key, cap)
     return EnumeratedGroup(elements, words, tuple(gens), cap)
 
 
@@ -254,8 +238,7 @@ def scsp_linear_attack(n: int, q: int, gens_h2: list[Matrix], f: Matrix,
     for draw in range(1, SCSP_DRAWS + 1):
         # random element of the solution space, as basis coefficients
         combo = [ring.zero()] * len(basis)
-        for vec in null:
-            r = _random_elem(ring, rng)
+        for r, vec in zip(_entries(ring, _random_data(ring, len(null), rng)), null):
             combo = [acc + r * c for acc, c in zip(combo, vec)]
         h = _combine(combo, basis)
         if not is_invertible(h):
@@ -267,11 +250,6 @@ def scsp_linear_attack(n: int, q: int, gens_h2: list[Matrix], f: Matrix,
 
 def _minus_one(ring: RingSpec) -> RingElement:
     return -ring.one()
-
-
-def _random_elem(ring: RingSpec, rng: Rng) -> RingElement:
-    return ring.element([tuple(rng.below(g.q) for _ in range(g.r))
-                         for g in ring.summands])
 
 
 def _nullspace(ring: RingSpec, columns: list) -> list:
@@ -378,25 +356,16 @@ def coset_attack(pk, model, length_bound: int) -> CosetAttack:
     cosets by bounded-length search over products of public generators."""
     from .homcrypt import f_inverse_word
 
-    if model.order() > 4096:
-        raise CapExceeded("model group too large for the coset attack")
-    # one representative word per model element, by BFS over Y letters
-    reps: dict = {}
+    # one representative word per model element, by BFS over Y letters;
+    # a first-reached word never ends in a letter and its inverse, so it
+    # is reduced
     k = pk.presentation.k
-    frontier = [FreeWord(k, ())]
-    reps[model.identity_key()] = FreeWord(k, ())
-    while frontier and len(reps) < model.order():
-        nxt = []
-        for w in frontier:
-            for letter in range(1, k + 1):
-                for sgn in (1, -1):
-                    w2 = fw_mul(w, FreeWord(k, (sgn * letter,)))
-                    key = model.eval_key(w2)
-                    if key not in reps:
-                        reps[key] = w2
-                        nxt.append(w2)
-        frontier = nxt
-    table = [(key, f_inverse_word(pk, w)) for key, w in reps.items()]
+    steps = [(sgn * y, model.gen_key(y, sgn))
+             for y in range(1, k + 1) for sgn in (1, -1)]
+    _, reps = _closure(model.identity_key(), steps, model.mul_key,
+                       lambda key: key, cap=4096)
+    table = [(key, f_inverse_word(pk, FreeWord._of(k, w)))
+             for key, w in reps.items()]
     # bounded-length search table: products of X-generators and inverses;
     # step 2i is x-word i and step 2i + 1 its inverse
     steps = []

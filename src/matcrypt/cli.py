@@ -317,23 +317,11 @@ def cmd_hom(args) -> int:
     raise MatcryptError(f"unknown hom subcommand {args.hom_cmd!r}")
 
 
-def _random_invertible(ring, n: int, rng):
-    """A uniform invertible n x n matrix over ring, by rejection; each entry
-    takes one draw per coefficient, so over Z/p one draw."""
-    from .analysis import _random_elem
-    from .matrix import Matrix, is_invertible
-    while True:
-        m = Matrix(n, ring, [[_random_elem(ring, rng) for _ in range(n)]
-                             for _ in range(n)])
-        if is_invertible(m):
-            return m
-
-
 def cmd_attack(args) -> int:
     if args.attack_cmd == "scsp":
         from .analysis import scsp_linear_attack
         from .instance import base_general_linear, leaf_generators
-        from .matrix import mat_inv, mat_mul
+        from .matrix import _random_invertible, mat_inv, mat_mul
         rng = Rng(args.seed)
         gens = leaf_generators(base_general_linear(args.n, args.q))
         g = _random_invertible(gens[0].ring, args.n, rng)
@@ -347,7 +335,7 @@ def cmd_attack(args) -> int:
     if args.attack_cmd == "linearity":
         from .analysis import INCONCLUSIVE, linearity_attack
         from .instance import base_general_linear, leaf_generators
-        from .matrix import mat_inv, mat_mul
+        from .matrix import _random_invertible, mat_inv, mat_mul
         rng = Rng(args.seed)
         gens = leaf_generators(base_general_linear(2, args.q))
         c = _random_invertible(gens[0].ring, 2, rng)

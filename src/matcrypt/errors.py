@@ -143,10 +143,6 @@ class NoSolutionSpace(MatcryptError):
     pass
 
 
-class UsageError(MatcryptError):
-    """Bad CLI invocation."""
-
-
 class BadInputFile(MatcryptError):
     """A CLI input file is not JSON, or not the kind of file its option takes."""
 

@@ -16,7 +16,8 @@ from functools import cached_property
 
 from .errors import AlphabetMismatch, DegenerateKey, IndexOutOfRange, ShapeMismatch
 from .rng import Rng
-from .words import FreeWord, fw_inv, fw_mul, fw_substitute, push_reduced, reduce_letters
+from .words import (FreeWord, _closure, fw_inv, fw_mul, fw_substitute,
+                    push_reduced, reduce_letters)
 
 KEYGEN_RETRIES = 64
 
@@ -54,18 +55,9 @@ class PermModel:
 
     def order(self) -> int:
         if self._order is None:
-            seen = {self.identity_key()}
-            frontier = [self.identity_key()]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for i in range(1, len(self.perms) + 1):
-                        b = self.mul_key(a, self.gen_key(i, 1))
-                        if b not in seen:
-                            seen.add(b)
-                            nxt.append(b)
-                frontier = nxt
-            self._order = len(seen)
+            elements, _ = _closure(self.identity_key(), list(enumerate(self.perms, 1)),
+                                   self.mul_key, lambda key: key)
+            self._order = len(elements)
         return self._order
 
 

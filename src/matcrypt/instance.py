@@ -17,15 +17,17 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
-from .analysis import _random_elem, enumerate_group
+from .analysis import enumerate_group
 from .errors import (
     BudgetTooSmall,
     CapExceeded,
     InsecurityWarning,
     InvalidAutomorphism,
     MatcryptError,
+    NonInvertible,
     NotInLeafGroup,
     TreeTypeError,
 )
@@ -33,6 +35,7 @@ from .matrix import (
     Matrix,
     RingElement,
     _crt_lift,
+    _random_invertible,
     block_perm_matrix,
     find_embedding,
     identity,
@@ -114,16 +117,6 @@ def base_diagonal(n: int, q: int, gen: tuple | None = None) -> BaseGroupSpec:
     if gen is None:
         gen = primitive_element_coeffs(g.p, g.m, g.r, g.modulus)
     return BaseGroupSpec("diagonal-cyclic", (n, q, tuple(gen)))
-
-
-def _element_order(a: RingElement) -> int:
-    cur = a
-    one = a.ring.one()
-    for k in range(1, DIAG_ORDER_CAP + 1):
-        if cur == one:
-            return k
-        cur = cur * a
-    raise CapExceeded(f"element order exceeds {DIAG_ORDER_CAP}")
 
 
 def _diag_gen(spec: BaseGroupSpec) -> RingElement:
@@ -210,10 +203,6 @@ class _Unipotent(_LeafKind):
 
     def order(self, spec):
         return spec.params[0]
-
-    def enumerate(self, spec, ring, n):
-        one, zero = ring.one(), ring.zero()
-        return [Matrix(2, ring, ((one, x), (zero, one))) for x in ring.enumerate()]
 
 
 class _SpecialLinear(_LeafKind):
@@ -321,40 +310,42 @@ def leaf_contains(spec: BaseGroupSpec, g: Matrix) -> bool:
     return kind.contains(spec, g)
 
 
-_diag_powers_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _diag_power_set(spec: BaseGroupSpec) -> dict:
-    """coeffs -> exponent for all powers of the diagonal generator."""
-    if spec not in _diag_powers_cache:
-        d = _diag_gen(spec)
-        order = _element_order(d)
-        table = {}
-        cur = d.ring.one()
-        for e in range(order):
-            table[cur.coeffs] = e
-            cur = cur * d
-        _diag_powers_cache[spec] = table
-    return _diag_powers_cache[spec]
+    """coeffs -> exponent for all powers of the diagonal generator, built by
+    multiplying until a power repeats; CapExceeded when the order passes
+    DIAG_ORDER_CAP, or when the powers cycle without reaching 1 (a
+    generator that is no unit)."""
+    d = _diag_gen(spec)
+    table = {}
+    cur = d.ring.one()
+    while cur.coeffs not in table:
+        if len(table) >= DIAG_ORDER_CAP:
+            raise CapExceeded(f"element order exceeds {DIAG_ORDER_CAP}")
+        table[cur.coeffs] = len(table)
+        cur = cur * d
+    if table[cur.coeffs]:
+        raise CapExceeded("the generator's powers never reach 1")
+    return table
 
 
 def leaf_order(spec: BaseGroupSpec) -> int:
     return _leaf_kind(spec).order(spec)
 
 
-_leaf_enum_cache: dict = {}
-
-
 def leaf_enumerate(spec: BaseGroupSpec) -> list[Matrix]:
     """All leaf group elements (bounded; leaves are desk-scale by contract)."""
-    if spec in _leaf_enum_cache:
-        return _leaf_enum_cache[spec]
+    # the cache sits on a helper, so that a tracer wrapping the package's
+    # plain public functions still sees every call
+    return _leaf_elements(spec)
+
+
+@lru_cache(maxsize=None)
+def _leaf_elements(spec: BaseGroupSpec) -> list[Matrix]:
     if leaf_order(spec) > LEAF_ENUM_CAP:
         raise CapExceeded(
             f"leaf group of order {leaf_order(spec)} exceeds {LEAF_ENUM_CAP}")
-    out = _leaf_kind(spec).enumerate(spec, leaf_ring(spec), leaf_degree(spec))
-    _leaf_enum_cache[spec] = out
-    return out
+    return _leaf_kind(spec).enumerate(spec, leaf_ring(spec), leaf_degree(spec))
 
 
 def leaf_random(spec: BaseGroupSpec, rng: Rng) -> Matrix:
@@ -756,13 +747,10 @@ def _kind_class(kind: str, base: type):
 
 
 def _derive_conjugator(ring: RingSpec, n: int, seed: int) -> Matrix:
-    rng = Rng(seed ^ 0x5EED_C0DE)
-    for _ in range(256):
-        c = Matrix(n, ring, tuple(tuple(_random_elem(ring, rng) for _ in range(n))
-                                  for _ in range(n)))
-        if is_invertible(c):
-            return c
-    raise TreeTypeError("could not derive an invertible conjugator")
+    try:
+        return _random_invertible(ring, n, Rng(seed ^ 0x5EED_C0DE))
+    except NonInvertible:
+        raise TreeTypeError("could not derive an invertible conjugator") from None
 
 
 def validate_tree(t: DerivationTree) -> None:

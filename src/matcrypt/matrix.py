@@ -74,6 +74,19 @@ def _vector_data(v, ring: RingSpec) -> tuple:
     return tuple(data)
 
 
+def _random_data(ring: RingSpec, count: int, rng) -> tuple:
+    """Per-summand flat data of count seeded entries, as ``_vector_data``
+    stores them.  The draws run entry by entry, then summand, then
+    coefficient: the order that every seeded output pins."""
+    below = rng.below
+    per = [[] for _ in ring.summands]
+    for _ in range(count):
+        for d, g in zip(per, ring.summands):
+            d.append(below(g.q) if g.r == 1
+                     else tuple([below(g.q) for _ in range(g.r)]))
+    return tuple(map(tuple, per))
+
+
 def _zero(g: GaloisRingSpec):
     return 0 if g.r == 1 else g.zero()
 
@@ -521,6 +534,16 @@ def is_invertible(a: Matrix) -> bool:
         return True
     except NonInvertible:
         return False
+
+
+def _random_invertible(ring: RingSpec, n: int, rng) -> Matrix:
+    """A uniform invertible n x n matrix over ring, by rejection over at
+    most 256 draws of ``_random_data``; NonInvertible after that."""
+    for _ in range(256):
+        a = Matrix._of(n, ring, _random_data(ring, n * n, rng))
+        if is_invertible(a):
+            return a
+    raise NonInvertible(f"no invertible matrix in 256 draws of degree {n}")
 
 
 # --- Kronecker and wreath representations ---------------------------------

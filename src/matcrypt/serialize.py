@@ -57,10 +57,6 @@ def elem_to_obj(a: RingElement) -> list:
     return [list(cs) for cs in a.coeffs]
 
 
-def elem_from_obj(ring: RingSpec, obj: list) -> RingElement:
-    return _elem(ring, range(len(ring.summands)), obj)
-
-
 def _elem(ring: RingSpec, positions, obj: list) -> RingElement:
     """The element whose coefficient list i is for summand positions[i]."""
     if len(obj) != len(ring.summands):

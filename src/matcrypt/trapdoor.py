@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .analysis import _random_elem, enumerate_group
+from .analysis import enumerate_group
 from .errors import (
     CapExceeded,
     NotDecomposable,
@@ -53,6 +53,7 @@ from .matrix import (
     _act,
     _entries,
     _kron_summand,
+    _random_data,
     _scale,
     _to_coeffs,
     _to_entry,
@@ -625,7 +626,7 @@ def _random_vector(ring: RingSpec, n: int, rng) -> tuple:
     """Random flat vector with a unit coordinate in every summand
     (normalizable)."""
     for _ in range(256):
-        vec = _vector_data([_random_elem(ring, rng) for _ in range(n)], ring)
+        vec = _random_data(ring, n, rng)
         if all(_first_unit(d, g) is not None for g, d in zip(ring.summands, vec)):
             return vec
     raise UnsupportedDecomposition("could not sample a normalizable vector")

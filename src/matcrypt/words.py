@@ -1,4 +1,5 @@
-"""Free-group reduced words and identity word pairs.
+"""Free-group reduced words, identity word pairs, and the package's one
+breadth-first closure, which lists a group from its generators.
 
 Words are stored freely reduced over a signed alphabet: letter +i is
 generator i (1-based), -i its inverse.  Identity word pairs (W_A, W_B) over
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     AlphabetMismatch,
+    CapExceeded,
     DegeneratePair,
     IndexOutOfRange,
     InsecurityWarning,
@@ -127,6 +129,39 @@ def fw_substitute(w: FreeWord, images: list[FreeWord]) -> FreeWord:
     for x in w.letters:
         push_reduced(out, table[x])
     return FreeWord._of(k, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# breadth-first closure
+# ---------------------------------------------------------------------------
+
+def _closure(start, steps, mul, key, cap=None) -> tuple[dict, dict]:
+    """Breadth-first closure of start under right multiplication by the
+    elements of steps, (letter, element) pairs taken in order at each
+    element reached.
+
+    Returns (elements, words), both keyed by key(element) in discovery
+    order; an element's word is the letters of the first product that
+    reached it, a shortest one.
+    CapExceeded when the closure passes cap elements (None: no cap).
+    """
+    k0 = key(start)
+    elements, words = {k0: start}, {k0: ()}
+    frontier = [(start, ())]
+    while frontier:
+        nxt = []
+        for a, aw in frontier:
+            for letter, g in steps:
+                b = mul(a, g)
+                k = key(b)
+                if k not in elements:
+                    if cap is not None and len(elements) >= cap:
+                        raise CapExceeded(f"group closure exceeds cap {cap}")
+                    elements[k] = b
+                    w = words[k] = aw + (letter,)
+                    nxt.append((b, w))
+        frontier = nxt
+    return elements, words
 
 
 # ---------------------------------------------------------------------------

@@ -280,3 +280,12 @@ def ref_module_decompose(emb, e, table):
         for j in range(d):
             comps[j].append(tuple(z[j * gs.r: (j + 1) * gs.r]))
     return [RingElement(emb.src, tuple(comps[j])) for j in range(d)]
+
+
+def ref_random_entries(ring, count, rng):
+    """count seeded RingElements drawn one element at a time, each summand
+    in turn and each coefficient in turn, checked and reduced by
+    ``RingSpec.element``."""
+    return [ring.element([tuple(rng.below(g.q) for _ in range(g.r))
+                          for g in ring.summands])
+            for _ in range(count)]

@@ -24,11 +24,13 @@ from matcrypt.errors import (
     ShapeMismatch,
 )
 from matcrypt.homcrypt import (
+    PermModel,
     dihedral4,
     hc_decrypt,
     hc_encrypt,
     hc_keygen,
     klein_four,
+    presentation,
     sym3,
 )
 from matcrypt.instance import base_general_linear, leaf_generators
@@ -60,6 +62,10 @@ def test_enumerate_examples():
             and m.rows[1][0] == zero
     with pytest.raises(CapExceeded):
         enumerate_group(gens, 10)
+    # a cap equal to the order admits the group, one less refuses it
+    assert len(enumerate_group(gens, 15)) == 15
+    with pytest.raises(CapExceeded):
+        enumerate_group(gens, 14)
 
 
 def test_oracle_membership():
@@ -222,6 +228,15 @@ def test_coset_attack_klein_four():
         got = attack.decrypt(cipher)
         want = pres.model.eval_key(hc_decrypt(sk, cipher))
         assert got == want
+
+
+def test_coset_attack_refuses_a_model_above_its_cap():
+    # S_8 (order 40320), generated by a transposition and an 8-cycle
+    model = PermModel([(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)])
+    pres = presentation(2, [(1, 1), (2,) * 8], model)
+    pk, _sk = hc_keygen(pres, 0)
+    with pytest.raises(CapExceeded):
+        coset_attack(pk, model, 1)
 
 
 def test_coset_attack_bound_zero():

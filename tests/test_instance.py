@@ -16,6 +16,7 @@ from matcrypt.errors import (
     TreeTypeError,
 )
 from matcrypt.instance import (
+    BaseGroupSpec,
     DerivationTree,
     base_diagonal,
     base_general_linear,
@@ -374,7 +375,32 @@ def test_diagonal_leaf_reads_its_power_table(monkeypatch):
     powers = [1, 3, 2, 6, 4, 5]
     assert diagonals == [[a, b] for a in powers for b in powers]
     monkeypatch.setattr(instance, "DIAG_ORDER_CAP", 5)
-    monkeypatch.setattr(instance, "_diag_powers_cache", {})
+    instance._diag_power_set.cache_clear()
     with pytest.raises(CapExceeded):
         validate_tree(leaf(spec))
-    assert instance._diag_powers_cache == {}
+    assert instance._diag_power_set.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_unipotent_leaf_lists_its_entries_in_ring_order(p):
+    # the generators' closure reaches [[1, x], [0, 1]] at x = 0, 1, ..., p-1
+    from matcrypt import instance
+    got = list(map(int_rows, instance.leaf_enumerate(base_unipotent(p))))
+    assert got == [[[1, x], [0, 1]] for x in range(p)]
+
+
+def test_diagonal_order_cap_admits_a_generator_of_that_order(monkeypatch):
+    from matcrypt import instance
+    monkeypatch.setattr(instance, "DIAG_ORDER_CAP", 6)
+    instance._diag_power_set.cache_clear()
+    spec = base_diagonal(1, 7, gen=(3,))  # order 6 mod 7
+    validate_tree(leaf(spec))
+    assert instance.leaf_order(spec) == 6
+
+
+def test_diagonal_powers_that_never_reach_one_are_refused():
+    # a zero generator passes no check, but leaf_contains reads its powers
+    from matcrypt import instance
+    spec = BaseGroupSpec("diagonal-cyclic", (1, 7, (0,)))
+    with pytest.raises(CapExceeded):
+        instance.leaf_contains(spec, identity(1, field(7)))

@@ -20,12 +20,15 @@ from matrix_reference import (
     ref_module_decode_table,
     ref_module_decompose,
     ref_preimage_coeffs,
+    ref_random_entries,
     ref_vector_act,
 )
 from matcrypt import matrix as matrix_module
 from matcrypt.errors import NonInvertible, RingMismatch, ShapeMismatch
 from matcrypt.matrix import (
     Matrix,
+    _random_data,
+    _vector_data,
     crt_project,
     find_embedding,
     identity,
@@ -371,3 +374,24 @@ def test_embedding_table_matches_both_decoders(name):
             assert emb.coords(s, cs) == [c.coeffs[s] for c in comps], (e, s)
         inside += None not in pres
     assert inside == emb.src.order
+
+
+DRAW_RINGS = {
+    "Z15": Zmod(15),
+    "GF4+Z9": ring_make("direct-sum", field(4), Zmod(9)),
+    "GR(4,2)": ring_make("galois", 2, 2, 2),
+    "GF8": field(8),
+}
+
+
+@pytest.mark.parametrize("count", [0, 1, 7])
+@pytest.mark.parametrize("name", DRAW_RINGS)
+def test_flat_draw_matches_the_element_draw(name, count):
+    # the same entries from the same draws, and the generator left in the
+    # same state
+    ring = DRAW_RINGS[name]
+    for seed in range(5):
+        rng, ref_rng = Rng(seed), Rng(seed)
+        want = ref_random_entries(ring, count, ref_rng)
+        assert _random_data(ring, count, rng) == _vector_data(want, ring)
+        assert rng._r.getstate() == ref_rng._r.getstate()
