@@ -24,9 +24,11 @@ from .errors import (
 from .matrix import (
     Matrix,
     RingElement,
+    _act,
     _eliminate,
     _entries,
     _random_data,
+    _vector_data,
     identity,
     is_invertible,
     mat_add,
@@ -34,7 +36,6 @@ from .matrix import (
     mat_mul,
     mat_scale,
     regular_rep_block,
-    vector_act,
     word_eval,
 )
 from .ring import RingSpec
@@ -75,9 +76,10 @@ def enumerate_group(gens, cap: int) -> EnumeratedGroup:
 
 
 def oracle_solve(problem: str, enum: EnumeratedGroup, query):
-    """Exhaustive ground truth: membership, conjugacy or ltp with witnesses."""
+    """Exhaustive ground truth: membership, conjugacy or ltp, first witness."""
+    gen = enum.gens[0]
     if problem == "membership":
-        g, gen = query, enum.gens[0]
+        g = query
         if g.ring != gen.ring or g.n != gen.n:
             raise ShapeMismatch("query shape does not match the instance")
         k = g.key()
@@ -85,15 +87,19 @@ def oracle_solve(problem: str, enum: EnumeratedGroup, query):
             return True, enum.words[k]
         return False, None
     if problem == "conjugacy":
+        # h invertible: h^-1 g h = f exactly when g h = h f
         f, g = query
         for h in enum.matrices():
-            if mat_mul(mat_mul(mat_inv(h), g), h) == f:
+            if mat_mul(g, h) == mat_mul(h, f):
                 return True, h
         return False, None
     if problem == "ltp":
         u, v = query
+        if len(u) != gen.n or len(v) != gen.n:
+            raise ShapeMismatch("vector length does not match the instance degree")
+        x, y = _vector_data(u, gen.ring), _vector_data(v, gen.ring)
         for g in enum.matrices():
-            if vector_act(u, g) == tuple(v):
+            if _act(x, g) == y:
                 return True, g
         return False, None
     raise ShapeMismatch(f"unknown oracle problem {problem!r}")
@@ -104,15 +110,18 @@ def oracle_solve(problem: str, enum: EnumeratedGroup, query):
 # ---------------------------------------------------------------------------
 
 def _local_rows(columns: list, s: int, g) -> list:
-    """Rows over Z/q of summand s of the system with these columns.
+    """Rows over Z/q of summand s of the system with these flat columns.
 
-    Through the regular representation an unknown of a rank r summand has r
-    integer unknowns, its coefficients; column j becomes the r columns
-    x^t * columns[j], and row i the r rows of its coefficients.
+    A rank-1 column is its stored summand data.  Through the regular
+    representation an unknown of a rank r summand has r integer unknowns,
+    its coefficients; column j becomes the r columns x^t * columns[j], and
+    row i the r rows of its coefficients.
     """
+    if g.r == 1:
+        return [list(row) for row in zip(*(col[s] for col in columns))]
     cols = []
     for col in columns:
-        blocks = [regular_rep_block(e.coeffs[s], g) for e in col]
+        blocks = [regular_rep_block(e, g) for e in col[s]]
         cols.extend([c for b in blocks for c in b[t]] for t in range(g.r))
     return [list(row) for row in zip(*cols)]
 
@@ -120,8 +129,9 @@ def _local_rows(columns: list, s: int, g) -> list:
 def solve_linear(ring: RingSpec, columns: list, target) -> list | None:
     """Solve sum_i c_i * columns[i] = target for ring scalars c_i, or None.
 
-    columns and target are equal-length tuples of RingElements.  Each CRT
-    summand is eliminated over Z/p^m by ``matrix._eliminate`` (see
+    columns and target are equal-length per-summand flat data, as
+    ``Matrix.data`` stores them; the answer is one RingElement per column.
+    Each CRT summand is eliminated over Z/p^m by ``matrix._eliminate`` (see
     ``_local_rows``) and solved by back substitution, free unknowns zero.
     Its least-valuation pivots make this exact: None means no solution.
     """
@@ -130,7 +140,7 @@ def solve_linear(ring: RingSpec, columns: list, target) -> list | None:
     per_summand = []
     for s, g in enumerate(ring.summands):
         q, width = g.q, len(columns) * g.r
-        rhs = [c for e in target for c in e.coeffs[s]]
+        rhs = target[s] if g.r == 1 else [c for cs in target[s] for c in cs]
         a = [row + [b] for row, b in zip(_local_rows(columns, s, g), rhs)]
         pivots = list(_eliminate(a, width, g.p, q))
         if any(row[width] for row in a[len(pivots):]):
@@ -148,29 +158,22 @@ def solve_linear(ring: RingSpec, columns: list, target) -> list | None:
     return [RingElement(ring, cs) for cs in zip(*per_summand)]
 
 
-def _vectorize(mat: Matrix) -> tuple:
-    return tuple(mat.rows[i][j] for i in range(mat.n) for j in range(mat.n))
-
-
 def span_basis(ring: RingSpec, gens: list[Matrix]):
     """A generating list for the matrix algebra module spanned by products
     of the generators (with the identity), grown until stable or for n^2
     rounds.
 
-    Returns (basis, vectors, words): each basis element, its vectorization
-    and the generator word it was built as, () for the identity.
+    Returns (basis, words): each basis element and the generator word it
+    was built as, () for the identity.
     """
     n = gens[0].n
     basis: list[Matrix] = []
-    vectors: list[tuple] = []
     words: list[tuple] = []
 
     def try_add(mat: Matrix, word: tuple) -> bool:
-        vec = _vectorize(mat)
-        if solve_linear(ring, vectors, vec) is not None:
+        if solve_linear(ring, [b.data for b in basis], mat.data) is not None:
             return False
         basis.append(mat)
-        vectors.append(vec)
         words.append(word)
         return True
 
@@ -186,7 +189,7 @@ def span_basis(ring: RingSpec, gens: list[Matrix]):
             for i, g in enumerate(gens):
                 if try_add(mat_mul(b, g), w + (i + 1,)):
                     changed = True
-    return basis, vectors, words
+    return basis, words
 
 
 def _combine(coeffs, mats: list[Matrix]) -> Matrix:
@@ -226,10 +229,9 @@ def scsp_linear_attack(n: int, q: int, gens_h2: list[Matrix], f: Matrix,
         warnings.warn(InsecurityWarning(
             f"degree {n} is not below q/2 = {q/2}; the random-solution "
             "argument does not apply"))
-    basis, _, _ = span_basis(ring, gens_h2)
-    # h = sum c_t B_t with h f - g h = 0: columns are vectorized B_t f - g B_t
-    columns = [_vectorize(mat_add(mat_mul(b, f),
-                                  mat_scale(mat_mul(g, b), _minus_one(ring))))
+    basis, _ = span_basis(ring, gens_h2)
+    # h = sum c_t B_t with h f - g h = 0: columns are the data of B_t f - g B_t
+    columns = [mat_add(mat_mul(b, f), mat_scale(mat_mul(g, b), -ring.one())).data
                for b in basis]
     null = _nullspace(ring, columns)
     if not null:
@@ -246,10 +248,6 @@ def scsp_linear_attack(n: int, q: int, gens_h2: list[Matrix], f: Matrix,
         if mat_mul(mat_mul(mat_inv(h), g), h) == f:
             return ScspReport(h, len(basis), draw, warned, seed)
     raise AttackFailure(f"no invertible verified solution in {SCSP_DRAWS} draws")
-
-
-def _minus_one(ring: RingSpec) -> RingElement:
-    return -ring.one()
 
 
 def _nullspace(ring: RingSpec, columns: list) -> list:
@@ -303,18 +301,19 @@ def linearity_attack(gens: list[Matrix], images: list[Matrix],
     rule reproduces the multiplicative images on sampled generator products.
     """
     ring = query.ring
-    basis, vectors, words = span_basis(ring, gens)
+    basis, words = span_basis(ring, gens)
+    columns = [b.data for b in basis]
     img_table = [word_eval(images, w) for w in words]
-    coeffs = solve_linear(ring, vectors, _vectorize(query))
+    coeffs = solve_linear(ring, columns, query.data)
     pred = INCONCLUSIVE if coeffs is None else _combine(coeffs, img_table)
-    consistent = _consistency_check(ring, gens, images, vectors, img_table)
+    consistent = _consistency_check(ring, gens, images, columns, img_table)
     return LinearityReport(pred, len(basis), consistent)
 
 
-def _consistency_check(ring, gens, images, vectors, img_table) -> bool:
+def _consistency_check(ring, gens, images, columns, img_table) -> bool:
     for i, g in enumerate(gens):
         for j, h in enumerate(gens):
-            coeffs = solve_linear(ring, vectors, _vectorize(mat_mul(g, h)))
+            coeffs = solve_linear(ring, columns, mat_mul(g, h).data)
             if coeffs is None or \
                     _combine(coeffs, img_table) != mat_mul(images[i], images[j]):
                 return False

@@ -36,6 +36,8 @@ from .matrix import (
     RingElement,
     _crt_lift,
     _random_invertible,
+    _to_entry,
+    _zero,
     block_perm_matrix,
     find_embedding,
     identity,
@@ -198,8 +200,8 @@ class _Unipotent(_LeafKind):
         return [_with_entry(2, ring, 0, 1, ring.one())]
 
     def contains(self, spec, g):
-        one, zero = g.ring.one(), g.ring.zero()
-        return g[0, 0] == one and g[1, 1] == one and g[1, 0] == zero
+        d = g.data[0]  # entries (0, 0), (1, 0) and (1, 1) are 1, 0, 1
+        return d[0] == 1 and d[2] == 0 and d[3] == 1
 
     def order(self, spec):
         return spec.params[0]
@@ -273,18 +275,19 @@ class _Diagonal(_LeafKind):
         if not g.is_diagonal():
             return False
         powers = _diag_power_set(spec)
-        return all(g[i, i].coeffs in powers for i in range(g.n))
+        return all(x in powers for x in g.data[0][::g.n + 1])
 
     def order(self, spec):
         return len(_diag_power_set(spec)) ** spec.params[0]
 
     def enumerate(self, spec, ring, n):
         # the table's keys are the generator's powers in exponent order
-        powers = [RingElement(ring, cs) for cs in _diag_power_set(spec)]
-        zero = ring.zero()
-        return [Matrix(n, ring, tuple(tuple(diag[a] if a == b else zero
-                                            for b in range(n)) for a in range(n)))
-                for diag in itertools.product(powers, repeat=n)]
+        out = []
+        d = [_zero(ring.summands[0])] * (n * n)
+        for diag in itertools.product(_diag_power_set(spec), repeat=n):
+            d[::n + 1] = diag
+            out.append(Matrix._of(n, ring, (tuple(d),)))
+        return out
 
 
 def _leaf_kind(spec: BaseGroupSpec) -> _LeafKind:
@@ -312,19 +315,20 @@ def leaf_contains(spec: BaseGroupSpec, g: Matrix) -> bool:
 
 @lru_cache(maxsize=None)
 def _diag_power_set(spec: BaseGroupSpec) -> dict:
-    """coeffs -> exponent for all powers of the diagonal generator, built by
-    multiplying until a power repeats; CapExceeded when the order passes
-    DIAG_ORDER_CAP, or when the powers cycle without reaching 1 (a
-    generator that is no unit)."""
+    """Stored entry (an int at rank 1, else coefficients) -> exponent for
+    all powers of the diagonal generator, built by multiplying until a power
+    repeats; CapExceeded when the order passes DIAG_ORDER_CAP, or when the
+    powers cycle without reaching 1 (a generator that is no unit)."""
     d = _diag_gen(spec)
+    g = d.ring.summands[0]
     table = {}
     cur = d.ring.one()
-    while cur.coeffs not in table:
+    while (x := _to_entry(g, cur.coeffs[0])) not in table:
         if len(table) >= DIAG_ORDER_CAP:
             raise CapExceeded(f"element order exceeds {DIAG_ORDER_CAP}")
-        table[cur.coeffs] = len(table)
+        table[x] = len(table)
         cur = cur * d
-    if table[cur.coeffs]:
+    if table[x]:
         raise CapExceeded("the generator's powers never reach 1")
     return table
 
@@ -448,6 +452,15 @@ class NodeInfo:
     # crt/direct nodes: per child, summand positions inside ring
     positions: tuple | None = None
     conj: Matrix | None = None
+
+
+def _place(info: NodeInfo, parts) -> tuple:
+    """Per node summand, the entry of parts[idx] for child idx, which owns it."""
+    out = [None] * len(info.ring.summands)
+    for part, positions in zip(parts, info.positions):
+        for tpos, pos in enumerate(positions):
+            out[pos] = part[tpos]
+    return tuple(out)
 
 
 def _info(t: DerivationTree) -> NodeInfo:
@@ -660,10 +673,8 @@ class _DirectSameDegree(_Product):
         return _crt_lift(h, info.ring, info.positions[idx])
 
     def assemble(self, t, info, parts, k=None):
-        out = identity(info.degree, info.ring)
-        for idx, part in enumerate(parts):
-            out = mat_mul(out, self.lift(t, info, idx, part))
-        return out
+        return Matrix._of(info.degree, info.ring,
+                          _place(info, [part.data for part in parts]))
 
 
 class _CrtAssemble(_DirectSameDegree):

@@ -246,7 +246,12 @@ class GaloisRingSpec:
     r: int
     modulus: tuple  # (c_0, ..., c_r), monic, coefficients in [0, p^m)
 
-    @property
+    # values cached in the instance __dict__ (q) stay out of pickles and
+    # copies, so a spec pickles the same whatever it has been asked
+    def __getstate__(self):
+        return {"p": self.p, "m": self.m, "r": self.r, "modulus": self.modulus}
+
+    @cached_property
     def q(self) -> int:
         """Characteristic p^m."""
         return self.p ** self.m
@@ -292,6 +297,10 @@ def _summand_key(g: GaloisRingSpec):
 class RingSpec:
     """A direct sum of Galois rings, canonically ordered."""
     summands: tuple[GaloisRingSpec, ...]
+
+    # as for GaloisRingSpec: the cached unit_list stays out of pickles
+    def __getstate__(self):
+        return {"summands": self.summands}
 
     @property
     def order(self) -> int:

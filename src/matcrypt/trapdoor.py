@@ -42,6 +42,7 @@ from .instance import (
     NodeInfo,
     _diag_power_set,
     _info,
+    _place,
     _replay,
     leaf_contains,
     leaf_enumerate,
@@ -69,7 +70,6 @@ from .matrix import (
     perm_inverse,
     regular_rep_block,
     tensor_perm_matrix,
-    vector_act,
 )
 from .ring import RingSpec, _pinv, _pmul, _ppow, ring_inv, root_of_unity
 
@@ -429,6 +429,7 @@ def lex_min_perfect_matching(adj: list[list[int]], m: int):
     used: set[int] = set()
     work = [sorted(a) for a in adj]
     for i in range(m):
+        # the choices so far extend to a perfect matching, so some j passes
         for j in work[i]:
             if j in used:
                 continue
@@ -438,8 +439,6 @@ def lex_min_perfect_matching(adj: list[list[int]], m: int):
                 chosen.append(j)
                 used.add(j)
                 break
-        else:
-            return None
     return chosen
 
 
@@ -460,10 +459,11 @@ def ltp_solve(t: DerivationTree, u: tuple, v: tuple):
     inst = tree_eval(t)
     if len(u) != inst.n or len(v) != inst.n:
         raise ShapeMismatch("vector length does not match the instance degree")
-    g = _ltp(t, [(_vector_data(u, inst.ring), _vector_data(v, inst.ring))])
+    x, y = _vector_data(u, inst.ring), _vector_data(v, inst.ring)
+    g = _ltp(t, [(x, y)])
     if g is None:
         return NoSolution(True)
-    if vector_act(u, g) != tuple(v):
+    if _act(x, g) != y:
         raise UnverifiedResult("the transporter does not map u to v")
     if not membership(t, g).accepted:
         raise UnverifiedResult("the transporter is not in the instance group")
@@ -709,12 +709,7 @@ class _UnipotentSolver(_LeafSolver):
         return (1,)
 
     def twists(self, t, info, a):
-        d = a[1, 1]
-        if d.is_unit():
-            u = ring_inv(d)
-            if leaf_contains(t.base, mat_scale(a, u)):
-                return u
-        return None
+        return _entry_twist(t, a, 3)  # entry (1, 1)
 
     def ltp(self, t, info, pairs):
         # g = [[1,x],[0,1]]: (u0, u1) -> (u0, u0 x + u1), over GF(p); the
@@ -755,12 +750,21 @@ class _DiagonalSolver(_LeafSolver):
         return (len(_diag_power_set(t.base)),)
 
     def twists(self, t, info, a):
-        if not (a.is_diagonal() and a[0, 0].is_unit()):
-            return None
-        u = ring_inv(a[0, 0])
-        powers = _diag_power_set(t.base)
-        return u if all((a[i, i] * u).coeffs in powers
-                         for i in range(1, a.n)) else None
+        # exact: when some u works, every a_ii / a_00 is a power of the
+        # generator, so a_00^-1 works
+        return _entry_twist(t, a, 0)
+
+
+def _entry_twist(t: DerivationTree, a: Matrix, k: int):
+    """u = a_k^-1 for the flat entry k of a, when a*u is in the leaf group
+    of t, else None."""
+    g = a.ring.summands[0]  # a leaf's ring is one field GF(q)
+    x = RingElement(a.ring, (_to_coeffs(g, a.data[0][k]),))
+    if x.is_unit():
+        u = ring_inv(x)
+        if leaf_contains(t.base, mat_scale(a, u)):
+            return u
+    return None
 
 
 class _UnarySolver(_Solver):
@@ -898,15 +902,6 @@ class _SameDegreeSolver(_Solver):
         # is drawn only to keep the seeded samples of earlier versions
         _random_vector(info.ring, info.degree, rng)
         return _place(info, parts)
-
-
-def _place(info: NodeInfo, parts) -> tuple:
-    """Per node summand, the entry of parts[idx] for child idx, which owns it."""
-    out = [None] * len(info.ring.summands)
-    for part, positions in zip(parts, info.positions):
-        for tpos, pos in enumerate(positions):
-            out[pos] = part[tpos]
-    return tuple(out)
 
 
 def _combine(info: NodeInfo, elems) -> RingElement:

@@ -21,6 +21,7 @@ from matcrypt.errors import (
     AttackFailure,
     CapExceeded,
     InsecurityWarning,
+    RingMismatch,
     ShapeMismatch,
 )
 from matcrypt.homcrypt import (
@@ -35,6 +36,7 @@ from matcrypt.homcrypt import (
 )
 from matcrypt.instance import base_general_linear, leaf_generators
 from matcrypt.matrix import (
+    _vector_data,
     identity,
     mat_inv,
     mat_mul,
@@ -114,19 +116,36 @@ def test_oracle_ltp():
     assert not ok
 
 
+def test_oracle_ltp_refuses_malformed_vectors():
+    # a v over another ring or of another length is no query, not a
+    # "no transporter" verdict
+    e = enumerate_group(leaf_generators(base_general_linear(2, 5)), 1000)
+    u = vector(Z5, [1, 0])
+    with pytest.raises(RingMismatch):
+        oracle_solve("ltp", e, (u, vector(field(7), [1, 0])))
+    for v in (vector(Z5, [1, 0, 0]), vector(Z5, [1])):
+        with pytest.raises(ShapeMismatch):
+            oracle_solve("ltp", e, (u, v))
+        with pytest.raises(ShapeMismatch):
+            oracle_solve("ltp", e, (v, u))
+    assert oracle_solve("ltp", e, (u, vector(Z5, [0, 1])))[0]
+
+
 def test_solve_linear_over_zpm():
     # valuation pivoting handles non-unit pivots exactly over Z_9
     z9 = Zmod(9)
     cols = [(z9.from_int(3), z9.from_int(1)),
             (z9.from_int(6), z9.from_int(0))]
     target = (z9.from_int(3), z9.from_int(1))
-    sol = solve_linear(z9, cols, target)
+    sol = solve_linear(z9, [_vector_data(c, z9) for c in cols],
+                       _vector_data(target, z9))
     assert sol is not None
     acc0 = sol[0] * cols[0][0] + sol[1] * cols[1][0]
     acc1 = sol[0] * cols[0][1] + sol[1] * cols[1][1]
     assert (acc0, acc1) == target
     # and reports unsolvable systems
-    assert solve_linear(z9, [(z9.from_int(3),)], (z9.from_int(1),)) is None
+    assert solve_linear(z9, [_vector_data((z9.from_int(3),), z9)],
+                        _vector_data((z9.from_int(1),), z9)) is None
 
 
 def test_scsp_worked_example():
@@ -269,12 +288,12 @@ def test_coset_search_matches_the_reference(make):
 
 def test_span_basis_stabilizes():
     gens = leaf_generators(base_general_linear(2, 5))
-    basis, _, words = span_basis(Z5, gens)
+    basis, words = span_basis(Z5, gens)
     assert len(basis) == 4  # GL(2,5) spans the full 2x2 matrix algebra
     # each basis element is the product its word names; s^2 = 1, so the
     # swap s and the shear t need the word (1, 2) for s*t, not t*s
     for gens in (gens, [matrix(Z5, [[0, 1], [1, 0]]), matrix(Z5, [[1, 1], [0, 1]])]):
-        basis, _, words = span_basis(Z5, gens)
+        basis, words = span_basis(Z5, gens)
         assert words[0] == ()
         assert [word_eval(gens, w) for w in words] == basis
     assert words == [(), (1,), (2,), (1, 2)]

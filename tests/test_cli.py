@@ -400,6 +400,29 @@ def test_transporter_and_oracle_verdicts(tmp_path, capsys):
         assert (code, out) == (0, want + "\n"), (problem, files)
 
 
+def test_oracle_ltp_refuses_malformed_vectors(tmp_path, capsys):
+    # a v over GF(7) against GL(2, 5), or of length 3, is an input error
+    from matcrypt.ring import field
+    from matcrypt.serialize import vector_to_obj
+    sec = _write_json(tmp_path / "sec.json",
+                      {"leaf": {"kind": "general-linear", "params": [2, 5]}})
+
+    def vec(name, q, xs):
+        ring = field(q)
+        return _write_json(tmp_path / f"{name}.json", vector_to_obj(
+            ring, tuple(ring.from_int(x) for x in xs)))
+    u = vec("u", 5, [1, 0])
+    for v, error in ((vec("v7", 7, [1, 0]), "RingMismatch"),
+                     (vec("v3", 5, [1, 0, 0]), "ShapeMismatch")):
+        code, out, err = run(capsys, "oracle", "solve", "--problem", "ltp",
+                             "--sec", sec, "--u", u, "--v", v)
+        assert (code, out) == (1, ""), v
+        assert err.startswith(f"error: {error}"), err
+    code, out, _ = run(capsys, "oracle", "solve", "--problem", "ltp",
+                       "--sec", sec, "--u", u, "--v", vec("v", 5, [0, 1]))
+    assert (code, out) == (0, "solvable\n")
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "member", "--sec", str(tmp_path / "no.json"),
                        "--elem", str(tmp_path / "no2.json"))

@@ -52,7 +52,7 @@ from matcrypt.matrix import (
     vector_act,
     word_eval,
 )
-from matcrypt.ring import Zmod, field
+from matcrypt.ring import Zmod, field, ring_make
 from matcrypt.rng import Rng
 from matcrypt.serialize import dumps
 from matcrypt.trapdoor import (
@@ -330,6 +330,29 @@ def test_tree_hash_and_pickles_see_only_the_fields():
     _queries(t)
     assert pickle.dumps(t) == before == blob
     assert vars(pickle.loads(before)).keys() == {"base", "label", "children"}
+
+
+def test_ring_extend_tree_pickles_the_same_after_transporter_queries():
+    # twist queries list the units of the ring-extend target, a ring the
+    # tree holds; neither that list nor a summand's characteristic enters
+    # the pickle.  The target is built apart from field(4), which other
+    # queries of this process may have asked already.
+    import pickle
+
+    target = ring_make("field", 4)
+    t = tensor(conjugate(leaf(base_general_linear(1, 4)), 3),
+               ring_extend(leaf(base_general_linear(1, 2)), target))
+    before = pickle.dumps(t)
+    inst = tree_eval(t)
+    for seed in range(5):
+        g = word_eval(inst.gens, [1 + seed % len(inst.gens), -1])
+        u = sample_transportable_vector(t, Rng(seed))
+        assert ltp_solve(t, u, vector_act(u, g)) is not None
+    assert "unit_list" in vars(target)
+    assert pickle.dumps(t) == before
+    loaded = pickle.loads(before).children[1].label.target
+    assert vars(loaded).keys() == {"summands"}
+    assert vars(loaded.summands[0]).keys() == {"p", "m", "r", "modulus"}
 
 
 def test_a_dropped_tree_is_freed_after_queries():

@@ -1,7 +1,8 @@
 """Exact linear algebra per CRT summand: ``solve_linear`` and the field
 nullspace against the reference solver of ``analysis_reference`` over
 fields, and against brute-force enumeration over Galois rings with m > 1,
-where the reference can decline solvable systems."""
+where the reference can decline solvable systems.  The solvers take flat
+columns (``_vector_data``); the systems here are built as RingElements."""
 
 import itertools
 
@@ -11,6 +12,7 @@ from analysis_reference import ref_nullspace, ref_solve_linear
 from conftest import rand_element
 from matcrypt.analysis import _nullspace, solve_linear
 from matcrypt.errors import ShapeMismatch
+from matcrypt.matrix import _vector_data
 from matcrypt.ring import RingElement, Zmod, field, ring_make
 from matcrypt.rng import Rng
 
@@ -66,6 +68,15 @@ def _flat(vec):
     return tuple(c for e in vec for cs in e.coeffs for c in cs)
 
 
+def _solve(ring, columns, target):
+    return solve_linear(ring, [_vector_data(c, ring) for c in columns],
+                        _vector_data(target, ring))
+
+
+def _null(ring, columns):
+    return _nullspace(ring, [_vector_data(c, ring) for c in columns])
+
+
 @pytest.mark.parametrize("name", FIELDS)
 def test_solve_and_nullspace_match_reference_over_fields(name):
     ring = FIELDS[name]
@@ -76,9 +87,9 @@ def test_solve_and_nullspace_match_reference_over_fields(name):
         targets = [tuple(rand_element(ring, rng) for _ in range(height)),
                    _combine([rand_element(ring, rng) for _ in cols], cols)]
         for target in targets:
-            assert solve_linear(ring, cols, target) == \
+            assert _solve(ring, cols, target) == \
                 ref_solve_linear(ring, cols, target)
-        assert _nullspace(ring, cols) == ref_nullspace(ring, cols)
+        assert _null(ring, cols) == ref_nullspace(ring, cols)
 
 
 @pytest.mark.parametrize("name", LOCAL)
@@ -92,7 +103,7 @@ def test_solve_is_exact_against_brute_force(name):
         targets = [tuple(rand_element(ring, rng) for _ in range(height)),
                    _combine([rand_element(ring, rng) for _ in cols], cols)]
         for target in targets:
-            sol = solve_linear(ring, cols, target)
+            sol = _solve(ring, cols, target)
             assert (sol is not None) == (_flat(target) in image), (cols, target)
             if sol is not None:
                 assert _combine(sol, cols) == target
@@ -106,11 +117,11 @@ def test_solve_needs_a_column_swap():
             for col in ((2, 0, 2), (3, 1, 2), (2, 3, 3))]
     target = tuple(z4.from_int(v) for v in (3, 2, 1))
     assert ref_solve_linear(z4, cols, target) is None
-    sol = solve_linear(z4, cols, target)
+    sol = _solve(z4, cols, target)
     assert sol is not None and _combine(sol, cols) == target
 
 
 def test_nullspace_needs_a_field():
     z4 = Zmod(4)
     with pytest.raises(ShapeMismatch):
-        _nullspace(z4, [(z4.from_int(2),)])
+        _null(z4, [(z4.from_int(2),)])

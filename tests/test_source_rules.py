@@ -1,19 +1,31 @@
 """Source rules for the package: no check that ``python -O`` strips, no
-handler that swallows every exception, and no ``RingElement`` vector inside
-the transporter recursion.
+handler that swallows every exception, no ``RingElement`` vector inside
+the transporter recursion, and no ``RingElement`` view of a matrix in the
+solvers, oracles and attacks.
 
 ``assert`` statements vanish under ``python -O``, so a verification written
 as one silently stops verifying; a bare ``except:`` or ``except Exception``
 turns a programming error into whatever the handler reports.  The solvers of
 ``trapdoor`` pass vectors as flat per-summand data, converted once at the
 public functions; a solver that calls a ``RingElement``-vector entry point
-converts again at every node it passes.
+converts again at every node it passes.  Likewise the solvers, the leaf
+groups, the oracles and the attacks read a matrix only as ``Matrix.data``;
+``rows`` and ``a[i, j]`` build n^2 ``RingElement``s.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from matcrypt.analysis import enumerate_group, oracle_solve
+from matcrypt.cli import main
+from matcrypt.errors import CapExceeded
+from matcrypt.instance import tree_eval, tree_random
+from matcrypt.matrix import Matrix, mat_inv, mat_mul, vector_act, word_eval
+from matcrypt.rng import Rng
+from matcrypt.trapdoor import ltp_solve, membership, sample_transportable_vector
+from test_golden_digest import HAND_TREES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "matcrypt"
 BROAD = {"Exception", "BaseException"}
@@ -96,3 +108,39 @@ def test_solver_rule_catches_each_form(tmp_path):
         ("_Solver", "vector_act"),
         ("_Leaf", "sample_transportable_vector"),
         ("_Leaf", "vector_tensor_split")]
+
+
+class _ViewBuilt(Exception):
+    """Raised by the patched views; no handler of the package catches it."""
+
+
+def test_solvers_oracles_and_attacks_read_only_matrix_data(monkeypatch):
+    def refuse(*args):
+        raise _ViewBuilt("a RingElement view of a matrix was built")
+    monkeypatch.setattr(Matrix, "rows", property(refuse))
+    monkeypatch.setattr(Matrix, "__getitem__", refuse)
+    trees = HAND_TREES + [tree_random(45, i, max_degree=9, max_ring=4000)
+                          for i in range(30)]
+    oracles = 0
+    for i, t in enumerate(trees):
+        gens = tree_eval(t).gens
+        rng = Rng(i)
+        g = word_eval(gens, [rng.randint(1, len(gens)) for _ in range(3)] + [-1])
+        assert membership(t, g).accepted
+        u = sample_transportable_vector(t, rng)
+        v = vector_act(u, g)
+        assert isinstance(ltp_solve(t, u, v), Matrix)
+        try:
+            enum = enumerate_group(gens, 600)
+        except CapExceeded:
+            continue
+        oracles += 1
+        h = gens[0]
+        f = mat_mul(mat_mul(mat_inv(h), g), h)
+        assert oracle_solve("membership", enum, g)[0]
+        assert oracle_solve("conjugacy", enum, (f, g))[0]
+        assert oracle_solve("ltp", enum, (u, v))[0]
+    assert oracles >= 40
+    for argv in (["attack", "scsp"], ["attack", "scsp", "--q", "9"],
+                 ["attack", "linearity"], ["attack", "linearity", "--q", "9"]):
+        assert main(argv) == 0, argv
