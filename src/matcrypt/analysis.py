@@ -328,14 +328,36 @@ def _consistency_check(ring, gens, images, columns, img_table) -> bool:
 class CosetAttack:
     """The coset attack's tables for one public key and one model group.
 
-    ``table`` holds one representative X-word per model element.
-    ``searched`` is the ball of reduced products of at most ``bound`` public
-    X-words and their inverses, in breadth-first order; each word is keyed by
-    its packed letters (``_pack``: the native 4-byte ints of
-    ``array('i', letters)``), not by its letter tuple.
+    ``table`` holds one representative X-word per model element.  The
+    search space, the ball of reduced products of at most ``bound`` public
+    X-words and their inverses, is held as two half balls built by
+    ``_word_ball``, each in breadth-first order: ``far``, of radius
+    ceil(bound / 2), maps each word, packed (``_pack``: the native 4-byte
+    ints of ``array('i', letters)``), to the model image of its f-image;
+    ``near``, of radius floor(bound / 2), lists (letters, packed letters,
+    image).
+
+    A product of at most ``bound`` steps is a prefix of at most
+    ceil(bound / 2) steps times a suffix of at most floor(bound / 2), and
+    the balls are closed under inverses, so q lies in the ball of radius
+    ``bound`` exactly when q v lies in ``far`` for some v in ``near``.  Then
+    q = u v^-1 with u = q v, and q's image is the identity exactly when
+    image(u) = image(v).  ``decrypt`` makes at most |table| x |near|
+    lookups; over two X-words a ball of radius r holds 2 * 3^r - 1 words,
+    so the two half balls hold about three times the square root of the
+    ball of radius ``bound``, which is never built.
+
+    This needs a word's image not to depend on the product of steps that
+    reaches it.  Step j's image is y_f(j).  For every key that ``hc_keygen``
+    or ``assemble_keypair`` makes, x_j = phi_sigma^-1(r y_f(j) r') with r, r'
+    products of relators, which evaluate to 1 in H, so every path to a word
+    w has the image eval_H(phi_sigma(w)).  It holds as well for any key
+    whose X-words freely generate their subgroup, as any two X-words that do
+    not commute do in a free group of rank 2.
     """
     table: list          # (model element key, representative X-word)
-    searched: dict       # packed free word -> model image key of the f-image
+    far: dict            # packed free word -> model image key of the f-image
+    near: list           # (letters, packed letters, model image key)
     bound: int
     pk: object
     model: object
@@ -343,16 +365,30 @@ class CosetAttack:
     def decrypt(self, cipher: FreeWord):
         """Model image of the plaintext, or INCONCLUSIVE."""
         for key, rep_word in self.table:
-            q = fw_mul(cipher, fw_inv(rep_word))
-            hit = self.searched.get(_pack(q.letters))
-            if hit is not None and hit == self.model.identity_key():
+            images = self._halves(fw_mul(cipher, fw_inv(rep_word)).letters)
+            if images is not None and images[0] == images[1]:
                 return key
         return INCONCLUSIVE
+
+    def _halves(self, q: tuple):
+        """(image(q v), image(v)) for the first v in ``near`` with q v in
+        ``far``, or None when q lies outside the ball."""
+        word, far = _pack(q), self.far
+        for v, chunk, image in self.near:
+            # both words are reduced, so letters cancel only where they meet
+            i, n = 0, min(len(q), len(v))
+            while i < n and q[-1 - i] == -v[i]:
+                i += 1
+            u = far.get(word[:len(word) - _WIDTH * i] + chunk[_WIDTH * i:])
+            if u is not None:
+                return u, image
+        return None
 
 
 def coset_attack(pk, model, length_bound: int) -> CosetAttack:
     """List the model group, pick coset representatives f^-1(h_i), and decide
-    cosets by bounded-length search over products of public generators."""
+    cosets by a meet-in-the-middle search over products of public
+    generators (see ``CosetAttack``)."""
     from .homcrypt import f_inverse_word
 
     # one representative word per model element, by BFS over Y letters;
@@ -373,15 +409,17 @@ def coset_attack(pk, model, length_bound: int) -> CosetAttack:
         x = FreeWord(k, tuple(xw))
         steps.append((x.letters, model.gen_key(y, 1)))
         steps.append((fw_inv(x).letters, model.gen_key(y, -1)))
-    searched = _word_ball(model, steps, length_bound)
-    return CosetAttack(table, searched, length_bound, pk, model)
+    far = _word_ball(model, steps, (length_bound + 1) // 2)
+    near = [(tuple(array("i", w)), w, image) for w, image in
+            _word_ball(model, steps, length_bound // 2).items()]
+    return CosetAttack(table, far, near, length_bound, pk, model)
 
 
 _WIDTH = array("i").itemsize
 
 
 def _pack(letters) -> bytes:
-    """A word's letters as its key in ``CosetAttack.searched``."""
+    """A word's letters as its key in ``CosetAttack.far``."""
     return array("i", letters).tobytes()
 
 

@@ -92,18 +92,6 @@ def instance_to_obj(inst) -> dict:
             "gens": [matrix_to_obj(g) for g in inst.gens]}
 
 
-def homspec_to_obj(h) -> dict:
-    """Secret-key file with a homomorphism: the tree plus per-leaf choices."""
-    return {"tree": tree_to_obj(h.tree),
-            "choices": [list(c) for c in h.choices]}
-
-
-def homspec_from_obj(obj: dict):
-    from .instance import hom_build
-    t = tree_from_obj(obj["tree"])
-    return hom_build(t, [tuple(c) for c in obj["choices"]])
-
-
 # --- subcommands --------------------------------------------------------------
 
 def cmd_version(args) -> int:

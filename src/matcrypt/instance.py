@@ -53,9 +53,9 @@ from .matrix import (
     wreath_rep,
 )
 from .ring import (
-    GaloisRingSpec,
     RingAutomorphism,
     RingSpec,
+    Zmod,
     direct_sum_specs,
     field,
     frobenius_apply,
@@ -597,7 +597,7 @@ class _RingRep(_Unary):
         g = k.ring.summands[0]
         if g.r != lab.d or lab.d < 2:
             raise TreeTypeError("ring-rep block degree must equal the ring rank >= 2")
-        dst = RingSpec((GaloisRingSpec(g.p, g.m, 1, (0, 1)),))
+        dst = Zmod(g.q)
         return self.node_info(kids, dst, k.degree * lab.d)
 
     def label_size(self, t):

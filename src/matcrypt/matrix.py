@@ -33,6 +33,7 @@ from .ring import (
     GaloisRingSpec,
     RingElement,
     RingSpec,
+    Zmod,
     _coeff_tuples,
     _padd,
     _pinv,
@@ -809,7 +810,7 @@ def ring_change(a: Matrix, target) -> Matrix:
         g = a.ring.summands[0]
         if g.r != d:
             raise IncompatibleDegrees(f"rep-to degree {d} != ring rank {g.r}")
-        dst = RingSpec((GaloisRingSpec(g.p, g.m, 1, (0, 1)),))
+        dst = Zmod(g.q)
         x = a.data[0] if g.r > 1 else tuple((v,) for v in a.data[0])
         return Matrix._of(a.n * d, dst, (_rep_data(x, a.n, g),))
     if kind == "crt-lift":

@@ -409,6 +409,7 @@ def ring_make(kind: str, *params) -> RingSpec:
     raise NonPrimeP(f"unknown ring kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
 def Zmod(n: int) -> RingSpec:
     return ring_make("integer-residue", n)
 

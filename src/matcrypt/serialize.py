@@ -94,6 +94,22 @@ def vector_from_obj(obj: dict) -> tuple:
     return tuple(_elem(ring, positions, e) for e in obj["coords"])
 
 
+# --- homomorphisms ----------------------------------------------------------
+
+def homspec_to_obj(h) -> dict:
+    """Secret-key file with a homomorphism: the tree, in the CLI's tree
+    format, plus the per-leaf choices."""
+    from .cli import tree_to_obj
+    return {"tree": tree_to_obj(h.tree),
+            "choices": [list(c) for c in h.choices]}
+
+
+def homspec_from_obj(obj: dict):
+    from .cli import tree_from_obj
+    from .instance import hom_build
+    return hom_build(tree_from_obj(obj["tree"]), [tuple(c) for c in obj["choices"]])
+
+
 # --- words -------------------------------------------------------------------
 
 def word_to_obj(w) -> list:

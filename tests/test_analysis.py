@@ -46,7 +46,7 @@ from matcrypt.matrix import (
 )
 from matcrypt.ring import Zmod, field
 from matcrypt.rng import Rng
-from matcrypt.words import FreeWord
+from matcrypt.words import FreeWord, fw_inv, push_reduced
 
 Z5 = Zmod(5)
 Z15 = Zmod(15)
@@ -266,24 +266,95 @@ def test_coset_attack_bound_zero():
     assert attack.decrypt(cipher) == INCONCLUSIVE
 
 
-@pytest.mark.parametrize("make", [klein_four, sym3, dihedral4],
-                         ids=["klein4", "s3", "d4"])
+PRESETS = pytest.mark.parametrize("make", [klein_four, sym3, dihedral4],
+                                  ids=["klein4", "s3", "d4"])
+
+
+@PRESETS
 def test_coset_search_matches_the_reference(make):
-    # the packed-word ball holds the reference's words, in its order, with
-    # its images; the table and every verdict agree
+    # each half ball holds the reference ball's words of its radius, in its
+    # order, with its images; the table and every verdict agree
     pres = make()
     for seed in range(10):
         pk, _sk = hc_keygen(pres, seed)
         ciphers = [hc_encrypt(pk, FreeWord(pres.k, (x,)), 7 * seed + j, pad_length=1)
                    for j, x in enumerate((1, -1, 2, -2))]
-        for bound in range(9):
+        refs = [ref_coset_attack(pk, pres.model, bound) for bound in range(10)]
+        for bound, want in enumerate(refs):
             got = coset_attack(pk, pres.model, bound)
-            want = ref_coset_attack(pk, pres.model, bound)
             assert got.table == want.table, (seed, bound)
-            ball = [(tuple(array("i", w)), img) for w, img in got.searched.items()]
-            assert ball == list(want.searched.items()), (seed, bound)
+            far = [(tuple(array("i", w)), img) for w, img in got.far.items()]
+            assert far == list(refs[(bound + 1) // 2].searched.items()), (seed, bound)
+            assert [(v, img) for v, _w, img in got.near] == \
+                list(refs[bound // 2].searched.items()), (seed, bound)
             assert [got.decrypt(c) for c in ciphers] == \
                 [want.decrypt(c) for c in ciphers], (seed, bound)
+
+
+@PRESETS
+@pytest.mark.parametrize("seeds, bounds", [(range(10), range(7)),
+                                           (range(1), range(7, 9))],
+                         ids=["bounds0-6", "bounds7-8"])
+def test_half_balls_decide_membership_as_the_ball_does(make, seeds, bounds):
+    # every word of the reference ball of radius b + 1, the ring just outside
+    # radius b included: the half balls find it exactly when the ball of
+    # radius b holds it, and split it as u v^-1 with image(u v^-1) the
+    # ball's image.  A word outside costs |near| lookups, so radii 7 and 8
+    # (about 5 * 10^6 lookups per key) run on one key
+    pres = make()
+    model = pres.model
+    for seed in seeds:
+        pk, _sk = hc_keygen(pres, seed)
+        balls = [ref_coset_attack(pk, model, b).searched
+                 for b in range(bounds[-1] + 2)]
+        for bound in bounds:
+            attack, ball = coset_attack(pk, model, bound), balls[bound]
+            for w in balls[bound + 1]:
+                halves = attack._halves(w)
+                if w not in ball:
+                    assert halves is None, (seed, bound, w)
+                    continue
+                assert halves is not None, (seed, bound, w)
+                image_u, image_v = halves
+                assert model.mul_key(ball[w], image_v) == image_u, (seed, bound, w)
+
+
+@PRESETS
+def test_every_path_to_a_word_carries_one_image(make):
+    # the half-ball decision rests on this: every product of at most six
+    # public steps (undoing steps included) that reaches an already-reached
+    # word reaches it with the same model image
+    pres = make()
+    model = pres.model
+    for seed in range(20):
+        pk, _sk = hc_keygen(pres, seed)
+        steps = []
+        for idx, xw in enumerate(pk.x_words):
+            y = pk.f_table[idx] + 1
+            x = FreeWord(pres.k, tuple(xw))
+            steps.append((x.letters, model.gen_key(y, 1)))
+            steps.append((fw_inv(x).letters, model.gen_key(y, -1)))
+        seen = {(): model.identity_key()}
+        level = [((), model.identity_key())]
+        for _ in range(6):
+            nxt = []
+            for letters, img in level:
+                for chunk, gk in steps:
+                    w = tuple(push_reduced(list(letters), chunk))
+                    img2 = model.mul_key(img, gk)
+                    assert seen.setdefault(w, img2) == img2, (seed, w)
+                    nxt.append((w, img2))
+            level = nxt
+
+
+def test_coset_attack_decides_a_default_padded_cipher_at_bound_17():
+    # out of reach of one ball of radius 17 (about 2.6e8 words); the half
+    # balls hold 39 365 and 13 121
+    pres = klein_four()
+    pk, sk = hc_keygen(pres, 11)
+    cipher = hc_encrypt(pk, FreeWord(2, (1,)), 0)
+    got = coset_attack(pk, pres.model, 17).decrypt(cipher)
+    assert got == (1, 0, 3, 2) == pres.model.eval_key(hc_decrypt(sk, cipher))
 
 
 def test_span_basis_stabilizes():

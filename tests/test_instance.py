@@ -54,7 +54,7 @@ from matcrypt.matrix import (
 )
 from matcrypt.ring import Zmod, field, ring_make
 from matcrypt.rng import Rng
-from matcrypt.serialize import dumps
+from matcrypt.serialize import dumps, homspec_from_obj, homspec_to_obj
 from matcrypt.trapdoor import (
     ltp_solve,
     membership,
@@ -281,7 +281,6 @@ def test_instance_serialization_byte_identical():
 
 
 def test_homspec_serialization_roundtrip():
-    from matcrypt.cli import homspec_from_obj, homspec_to_obj
     t = conjugate(tensor(leaf(base_unipotent(3)), leaf(base_unipotent(3))), 17)
     h = hom_build(t, [("f0",), ("frob", 0)])
     obj = homspec_to_obj(h)

@@ -199,6 +199,8 @@ def test_ring_change_rep():
     m = matrix(gf4, [[x]])
     rep = ring_change(m, ("rep-to", 2))
     assert int_rows(rep) == [[0, 1], [1, 1]]  # companion matrix of x^2+x+1
+    # one destination ring per (p, m), shared by every ring-rep product
+    assert rep.ring is Zmod(2) is ring_change(m, ("rep-to", 2)).ring
 
 
 @pytest.mark.parametrize("target", [
