@@ -353,7 +353,8 @@ class CosetAttack:
     products of relators, which evaluate to 1 in H, so every path to a word
     w has the image eval_H(phi_sigma(w)).  It holds as well for any key
     whose X-words freely generate their subgroup, as any two X-words that do
-    not commute do in a free group of rank 2.
+    not commute do in a free group of rank 2; ``HomPublicKey`` refuses a key
+    with two X-words that commute.
     """
     table: list          # (model element key, representative X-word)
     far: dict            # packed free word -> model image key of the f-image

@@ -15,6 +15,7 @@ import sys
 from . import __version__
 from .errors import BadInputFile, KeyMismatch, MatcryptError
 from .rng import Rng
+from .serialize import instance_to_obj, tree_from_obj, tree_to_obj
 
 
 class UsageError(Exception):
@@ -43,53 +44,6 @@ def _read(path: str, kind: str, parse):
 def _fingerprint(obj) -> str:
     from .serialize import fingerprint
     return fingerprint(obj)
-
-
-# --- tree / instance file formats -------------------------------------------
-
-def tree_to_obj(t) -> dict:
-    from .serialize import ring_to_obj
-    if t.is_leaf():
-        return {"leaf": {"kind": t.base.kind,
-                         "params": _params_obj(t.base.params)}}
-    lab = t.label
-    out = {"op": {"kind": lab.kind}}
-    if lab.m:
-        out["op"]["m"] = lab.m
-    if lab.d:
-        out["op"]["d"] = lab.d
-    if lab.kind == "conjugate":
-        out["op"]["seed"] = lab.seed
-    if lab.target is not None:
-        out["op"]["target"] = ring_to_obj(lab.target)
-    out["children"] = [tree_to_obj(c) for c in t.children]
-    return out
-
-
-def _params_obj(params) -> list:
-    return [list(p) if isinstance(p, tuple) else p for p in params]
-
-
-def tree_from_obj(obj: dict):
-    from .instance import BaseGroupSpec, DerivationTree, OpLabel
-    from .serialize import ring_from_obj
-    if "leaf" in obj:
-        raw = obj["leaf"]
-        params = tuple(tuple(p) if isinstance(p, list) else p
-                       for p in raw["params"])
-        return DerivationTree(base=BaseGroupSpec(raw["kind"], params))
-    raw = obj["op"]
-    label = OpLabel(raw["kind"], m=raw.get("m", 0), d=raw.get("d", 0),
-                    seed=raw.get("seed", 0),
-                    target=ring_from_obj(raw["target"]) if "target" in raw else None)
-    children = tuple(tree_from_obj(c) for c in obj["children"])
-    return DerivationTree(label=label, children=children)
-
-
-def instance_to_obj(inst) -> dict:
-    from .serialize import matrix_to_obj, ring_to_obj
-    return {"n": inst.n, "ring": ring_to_obj(inst.ring),
-            "gens": [matrix_to_obj(g) for g in inst.gens]}
 
 
 # --- subcommands --------------------------------------------------------------

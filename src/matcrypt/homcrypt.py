@@ -142,11 +142,19 @@ class HomPublicKey:
         """f^-1 of each Y generator: its public x-word, reduced and checked.
 
         Built on first use, once per key, so a malformed x-word is reported
-        by the first encryption."""
+        by the first encryption or attack.  Two x-words that commute in the
+        free group, such as (2) and (2, 2, 2), are refused with
+        DegenerateKey: on such a key a word's image in H depends on the
+        product of x-words that spells it (see ``analysis.CosetAttack``)."""
         k = self.presentation.k
+        words = [FreeWord(k, tuple(x)) for x in self.x_words]
+        for i, u in enumerate(words):
+            for j in range(i + 1, k):
+                if fw_mul(u, words[j]).letters == fw_mul(words[j], u).letters:
+                    raise DegenerateKey(f"public words {i + 1} and {j + 1} commute")
         back = [None] * k
         for idx, y in enumerate(self.f_table):
-            back[y] = FreeWord(k, tuple(self.x_words[idx]))
+            back[y] = words[idx]
         return tuple(back)
 
 

@@ -8,14 +8,19 @@ acting on the right.
 
 A matrix is stored flat per CRT summand (see ``Matrix``); the kernels work on
 those tuples of plain ints or coefficient tuples, and ``RingElement`` entries
-are built only when a caller reads ``rows`` or ``a[i, j]``.
+are built only when a caller reads ``rows`` or ``a[i, j]``.  Rank-1 products
+of degree _PACK_MUL_MIN and up, and eliminations of _PACK_ROWS_MIN rows and
+up that are not sparse, pack each row into one integer (see "packed rows"
+below); smaller ones run on row lists.  Both give the same entries.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import product
+from itertools import chain, compress, product
 from math import gcd, prod
 from operator import mul
 
@@ -116,6 +121,8 @@ class Matrix:
     them; kernels build results from ``data`` with ``Matrix._of``.  ``rows``
     and ``a[i, j]`` give ``RingElement`` views, built on first use.
     Matrices are immutable; ``rows`` and the inverse are kept once computed.
+    The storage stays flat: the packed rows of ``mat_mul`` and
+    ``_eliminate`` are built per call and never stored.
     """
 
     __slots__ = ("n", "ring", "data", "_rows", "_inv")
@@ -295,14 +302,89 @@ def _unpack(v: int, w: int, folds: tuple, q: int) -> tuple:
     return tuple(out)
 
 
+# --- packed rows -------------------------------------------------------------
+#
+# A row of ints in [0, 2^w) packs into one integer whose slot j (bits
+# j*w .. j*w + w - 1) holds entry j: the Kronecker substitution that
+# ``_fold_table`` makes within a rank > 1 entry, made across a row of rank-1
+# entries (Harvey, J. Symbolic Comput. 44, 2009; Dumas, Giorgi and Pernet,
+# ACM TOMS 35(3), 2008).  A sum of nonnegative multiples of packed rows then
+# adds slot by slot, with no carry as long as every slot stays below 2^w,
+# and is read mod q only at the end.  Each kernel states the bound that its
+# slots stay below.  A width up to 64 bits is rounded up to 8, 16, 32 or 64,
+# so ``array`` packs and reads all slots of a row in C; a wider slot goes
+# through shifts.
+#
+# Packing costs a pass over the rows that short rows do not win back, so
+# each kernel has a measured crossover below which its row-list code runs;
+# both paths give the same reduced entries.  Rank-1 products pack from
+# degree _PACK_MUL_MIN on.  Eliminations pack from _PACK_ROWS_MIN rows on
+# (twice that for the forward-only determinant, which makes half the row
+# updates), and only when the rows hold at least _PACK_NONZERO nonzero
+# entries each on average: the row-list code skips a row whose entry in the
+# pivot column is zero at no cost, so a sparse matrix (a permutation or
+# block-monomial matrix of a wreath product) eliminates faster unpacked.
+
+_PACK_MUL_MIN = 8
+_PACK_ROWS_MIN = 16
+_PACK_NONZERO = 6
+
+_ORDER = sys.byteorder
+_WORDS = {}
+for _tc in "BHILQ":
+    _WORDS.setdefault(array(_tc).itemsize * 8, _tc)
+
+
+def _slots(bound: int) -> tuple:
+    """(w, array typecode) for slots holding values up to bound: the bit
+    length of bound rounded up to a word size, or itself with typecode None
+    above 64 bits."""
+    bits = bound.bit_length()
+    for w in (8, 16, 32, 64):
+        if bits <= w:
+            return w, _WORDS[w]
+    return bits, None
+
+
+def _pack_row(row, w: int, tc) -> int:
+    if tc is None:
+        return _pack(row, w)
+    return int.from_bytes(array(tc, row).tobytes(), _ORDER)
+
+
+def _unpack_row(v: int, count: int, w: int, tc):
+    """The count slots of v, unreduced, lowest first."""
+    if tc is None:
+        mask = (1 << w) - 1
+        return [(v >> s) & mask for s in range(0, count * w, w)]
+    return array(tc, v.to_bytes(count * w // 8, _ORDER))
+
+
+def _mul_packed(x: tuple, y: tuple, n: int, q: int) -> tuple:
+    """Rank-1 summand product on packed rows: row k of y packs into B_k,
+    and row i of the product is sum_k x_ik B_k, one dot product.
+
+    Each slot of row i is sum_k x_ik y_kj, n products of entries below q,
+    so it is at most n (q-1)^2.
+    """
+    w, tc = _slots(n * (q - 1) ** 2)
+    packed = [_pack_row(y[k:k + n], w, tc) for k in range(0, n * n, n)]
+    return tuple([v % q for i in range(0, n * n, n)
+                  for v in _unpack_row(sum(map(mul, x[i:i + n], packed)),
+                                       n, w, tc)])
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     _check_pair(a, b)
     n = a.n
     data = []
     for g, x, y in zip(a.ring.summands, a.data, b.data):
+        q = g.q
+        if g.r == 1 and n >= _PACK_MUL_MIN:
+            data.append(_mul_packed(x, y, n, q))
+            continue
         rows = [x[i:i + n] for i in range(0, n * n, n)]
         cols = [y[j::n] for j in range(n)]
-        q = g.q
         if g.r == 1:
             data.append(tuple([sum(map(mul, row, col)) % q
                                for row in rows for col in cols]))
@@ -376,8 +458,9 @@ def _swap_columns(a: list, j: int, c: int) -> None:
         row[j], row[c] = row[c], row[j]
 
 
-def _eliminate(a: list, ncols: int, p: int, q: int):
-    """Gauss-Jordan over Z/q, q = p^m, in place on the row lists ``a``.
+def _eliminate(a: list, ncols: int, p: int, q: int, forward: bool = False):
+    """Gauss-Jordan over Z/q, q = p^m, in place on the row lists ``a``,
+    whose entries lie in [0, q).
 
     Columns 0..ncols-1 are eliminated in order; any further columns (an
     identity, a right-hand side) ride along.  The pivot is the column's
@@ -385,15 +468,31 @@ def _eliminate(a: list, ncols: int, p: int, q: int):
     skips the column; it is swapped into place.  The pivot row is scaled by
     the inverse of the pivot's unit part, so the pivot becomes p^v, and
     every other row is reduced by it (rows above keep a remainder below
-    p^v).
+    p^v).  With ``forward`` the rows above the pivot are left alone: rows
+    at and below it get the same updates either way, so the pivots are the
+    same, and a determinant needs nothing else.
 
     A generator: it yields each pivot once its column is eliminated, so a
     caller may stop at the first pivot it cannot use.  Pivot k sits in row k
     as (column, d), d the entry before scaling, negated for each row or
     column swap made for it; with len(a) pivots of a square matrix the
-    product of the d is its determinant.  Column swaps are undone once the
-    generator is exhausted.
+    product of the d is its determinant.  The rows of ``a`` hold the result
+    once the generator is exhausted, column swaps undone.
+
+    The rows are packed (``_eliminate_packed``) or not (``_eliminate_rows``)
+    by the crossover rule of the packed-rows section, chosen here once per
+    call; both paths make the same pivots and leave the same reduced rows.
     """
+    n = len(a)
+    packed = (n >= _PACK_ROWS_MIN * (2 if forward else 1)
+              and sum(map(len, a)) - sum(row.count(0) for row in a)
+              >= _PACK_NONZERO * n)
+    kernel = _eliminate_packed if packed else _eliminate_rows
+    return kernel(a, ncols, p, q, forward)
+
+
+def _eliminate_rows(a: list, ncols: int, p: int, q: int, forward: bool):
+    """``_eliminate`` on the row lists themselves."""
     n = len(a)
     order = list(range(ncols))  # order[j]: the input column now at j
     k = 0
@@ -415,36 +514,111 @@ def _eliminate(a: list, ncols: int, p: int, q: int):
             g = gcd(a[i][j], q)
         if i != k:
             a[k], a[i] = a[i], a[k]
-        x = a[k][j]
+        pk = a[k]
+        x = pk[j]
         inv_u = pow(x // g, -1, q)
         # columns left of j are zero in the pivot row
-        prow = [v * inv_u % q for v in a[k][j:]]
-        a[k][j:] = prow
-        for r, row in enumerate(a):
+        prow = [v * inv_u % q for v in pk[j:]]
+        pk[j:] = prow
+        for row in a[k + 1:] if forward else a:
             f = row[j] // g
-            if f and r != k:
+            if f and row is not pk:
                 row[j:] = [(u - f * v) % q for u, v in zip(row[j:], prow)]
         # one swap, of rows or of columns, negates the determinant
         yield order[j], (-x if (i != k) != (c != j) else x)
         k += 1
     if order != list(range(ncols)):
-        for row in a:
-            row[:ncols] = [v for _, v in sorted(zip(order, row))]
+        _unswap(a, order)
+
+
+def _eliminate_packed(a: list, ncols: int, p: int, q: int, forward: bool):
+    """``_eliminate`` on packed rows: each row of ``a`` packs into one
+    integer, and a row update is R += (q - f) P, P the pivot row, scaled
+    and packed once per pivot; entry (r, j) is slot j of R read mod q.
+
+    Every row starts reduced, below q.  A pivot row is read, reduced,
+    scaled and packed again, so it restarts below q; every other row gets
+    at most one update per pivot, adding at most (q-1)^2 to a slot.  There
+    are at most min(rows, ncols) pivots, so no slot exceeds
+    (q-1) + min(rows, ncols) (q-1)^2.
+
+    Rows whose entry in the pivot column is zero are skipped
+    (``compress``).  A column without a unit among the rows left (never
+    over a field unless the column is zero there) unpacks every row for
+    ``_pivot`` and its column swap, and packs them again.  The rows are
+    written back to ``a``, reduced, when the generator ends.
+    """
+    n, width = len(a), len(a[0])
+    w, tc = _slots((q - 1) + min(n, ncols) * (q - 1) ** 2)
+    mask = (1 << w) - 1
+    rows = [_pack_row(row, w, tc) for row in a]
+    order = list(range(ncols))
+    k = 0
+    for j in range(ncols):
+        if k == n:
+            break
+        s = j * w
+        col = [(v >> s) & mask for v in rows]
+        for i in range(k, n):
+            if col[i] % p:
+                c, g = j, 1
+                break
+        else:
+            if not any(v % q for v in col[k:]):
+                continue
+            a[:] = [[v % q for v in _unpack_row(v, width, w, tc)] for v in rows]
+            i, c = _pivot(a, k, j, ncols, partial(gcd, q), q)
+            if c != j:
+                _swap_columns(a, j, c)
+                order[j], order[c] = order[c], order[j]
+            rows = [_pack_row(row, w, tc) for row in a]
+            col = [row[j] for row in a]
+            g = gcd(col[i], q)
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            col[k], col[i] = col[i], col[k]
+        x = col[k] % q
+        inv_u = pow(x // g, -1, q)
+        # columns left of j are zero mod q in the pivot row: pack from j on
+        prow = _pack_row([v * inv_u % q for v in
+                          _unpack_row(rows[k] >> s, width - j, w, tc)],
+                         w, tc) << s
+        rows[k] = prow
+        lo = k + 1 if forward else 0
+        for r in compress(range(lo, n), col[lo:]):
+            # the entry over p^v is f; add (q - f) P, nothing when f = 0
+            m = -(col[r] % q // g) % q
+            if m and r != k:
+                rows[r] += m * prow
+        yield order[j], (-x if (i != k) != (c != j) else x)
+        k += 1
+    a[:] = [[v % q for v in _unpack_row(v, width, w, tc)] for v in rows]
+    if order != list(range(ncols)):
+        _unswap(a, order)
+
+
+def _unswap(a: list, order: list) -> None:
+    """Put the columns that ``_eliminate`` swapped back in input order."""
+    for row in a:
+        row[:len(order)] = [v for _, v in sorted(zip(order, row))]
 
 
 def _int_inv(x: tuple, n: int, p: int, q: int) -> tuple:
     """Inverse over Z_q, q a power of the prime p: ``_eliminate`` on [x | I],
-    stopped at the first pivot that is missing, moved or not a unit."""
+    stopped at the first pivot that is missing, moved or not a unit, and
+    otherwise run to its end, so that the rows hold [I | x^-1]."""
     a = _square(x, n)
     for i, row in enumerate(a):
         row.extend([0] * n)
         row[n + i] = 1
-    pivots = _eliminate(a, n, p, q)
-    for k in range(n):
-        c, d = next(pivots, (None, 0))
+    k = 0
+    for c, d in _eliminate(a, n, p, q):
         if c != k or d % p == 0:
-            raise NonInvertible("no unit pivot")
-    return tuple(v for row in a for v in row[n:])
+            break
+        k += 1
+    if k < n:
+        raise NonInvertible("no unit pivot")
+    return tuple(chain.from_iterable([row[n:] for row in a]))
 
 
 def _summand_det(mat, g: GaloisRingSpec):
@@ -523,7 +697,7 @@ def mat_det(a: Matrix) -> RingElement:
             out.append(_summand_det(_square(x, n), g))
             continue
         # the product of the pivots, or 0 when a column has none
-        pivots = list(_eliminate(_square(x, n), n, g.p, g.q))
+        pivots = list(_eliminate(_square(x, n), n, g.p, g.q, forward=True))
         det = prod(v for _, v in pivots) if len(pivots) == n else 0
         out.append((det % g.q,))
     return RingElement(a.ring, tuple(out))

@@ -94,18 +94,64 @@ def vector_from_obj(obj: dict) -> tuple:
     return tuple(_elem(ring, positions, e) for e in obj["coords"])
 
 
+# --- derivation trees and instances ------------------------------------------
+
+def tree_to_obj(t) -> dict:
+    """Secret-key file: a derivation tree, leaves and operation labels."""
+    if t.is_leaf():
+        return {"leaf": {"kind": t.base.kind,
+                         "params": _params_obj(t.base.params)}}
+    lab = t.label
+    out = {"op": {"kind": lab.kind}}
+    if lab.m:
+        out["op"]["m"] = lab.m
+    if lab.d:
+        out["op"]["d"] = lab.d
+    if lab.kind == "conjugate":
+        out["op"]["seed"] = lab.seed
+    if lab.target is not None:
+        out["op"]["target"] = ring_to_obj(lab.target)
+    out["children"] = [tree_to_obj(c) for c in t.children]
+    return out
+
+
+def _params_obj(params) -> list:
+    return [list(p) if isinstance(p, tuple) else p for p in params]
+
+
+def tree_from_obj(obj: dict):
+    # instance is imported on use: it loads the group and solver layers,
+    # which reading rings, matrices, vectors and words does not need
+    from .instance import BaseGroupSpec, DerivationTree, OpLabel
+    if "leaf" in obj:
+        raw = obj["leaf"]
+        params = tuple(tuple(p) if isinstance(p, list) else p
+                       for p in raw["params"])
+        return DerivationTree(base=BaseGroupSpec(raw["kind"], params))
+    raw = obj["op"]
+    label = OpLabel(raw["kind"], m=raw.get("m", 0), d=raw.get("d", 0),
+                    seed=raw.get("seed", 0),
+                    target=ring_from_obj(raw["target"]) if "target" in raw else None)
+    children = tuple(tree_from_obj(c) for c in obj["children"])
+    return DerivationTree(label=label, children=children)
+
+
+def instance_to_obj(inst) -> dict:
+    """Public-key file: the degree, the ring and the generators."""
+    return {"n": inst.n, "ring": ring_to_obj(inst.ring),
+            "gens": [matrix_to_obj(g) for g in inst.gens]}
+
+
 # --- homomorphisms ----------------------------------------------------------
 
 def homspec_to_obj(h) -> dict:
-    """Secret-key file with a homomorphism: the tree, in the CLI's tree
-    format, plus the per-leaf choices."""
-    from .cli import tree_to_obj
+    """Secret-key file with a homomorphism: the tree, in the tree format,
+    plus the per-leaf choices."""
     return {"tree": tree_to_obj(h.tree),
             "choices": [list(c) for c in h.choices]}
 
 
 def homspec_from_obj(obj: dict):
-    from .cli import tree_from_obj
     from .instance import hom_build
     return hom_build(tree_from_obj(obj["tree"]), [tuple(c) for c in obj["choices"]])
 

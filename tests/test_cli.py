@@ -196,6 +196,27 @@ def test_bad_hom_keys_exit_one(tmp_path, capsys):
         assert err.startswith("error: DegenerateKey"), table
 
 
+def test_hom_key_with_commuting_x_words_exits_one(tmp_path, capsys):
+    # x-words (2) and (2,2,2) commute, so a word's image depends on the
+    # product of x-words that spells it; the half-ball coset verdict used to
+    # differ from the single ball's on such keys (bound 2, ciphertext -2)
+    pub, sec = tmp_path / "hp.json", tmp_path / "hs.json"
+    cipher = tmp_path / "c.json"
+    run(capsys, "hom", "keygen", "--preset", "klein4", "--seed", "3",
+        "--pub", str(pub), "--sec", str(sec))
+    raw = json.loads(pub.read_text())
+    pub.write_text(json.dumps(dict(raw, x_words=[[2], [2, 2, 2]],
+                                   f_table=[0, 1])))
+    cipher.write_text("[-2]")
+    for argv in (("hom", "encrypt", "--pub", str(pub), "--message", "1",
+                  "--seed", "1", "--out", str(tmp_path / "out.json")),
+                 ("attack", "coset", "--pub", str(pub), "--cipher", str(cipher),
+                  "--bound", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: DegenerateKey"), argv
+
+
 def test_attack_commands(tmp_path, capsys):
     code, out, _ = run(capsys, "attack", "scsp", "--q", "17", "--seed", "2")
     assert code == 0 and "conjugator fingerprint" in out

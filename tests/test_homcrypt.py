@@ -203,6 +203,17 @@ def test_pullback_checks_public_words():
         hc_encrypt(bad, fw(2, [1, 2]), 0)
 
 
+@pytest.mark.parametrize("words", [((2,), (2, 2, 2)), ((1, 2), (-2, -1)),
+                                   ((1, 2, 1), (1, 2, 1)), ((), (1,)),
+                                   ((1, 2), (1, 2, 1, 2, 1, 2))])
+def test_commuting_public_words_are_refused(words):
+    # powers of one word, its inverse, itself and the empty word all commute
+    pk = HomPublicKey(KLEIN, words, (0, 1))
+    with pytest.raises(DegenerateKey):
+        hc_encrypt(pk, fw(2, [1]), 0)
+    assert HomPublicKey(KLEIN, ((2,), (1, 2, 2)), (0, 1)).pullback_images
+
+
 def test_public_words_are_pulled_back_once_per_key(monkeypatch):
     pk, sk = hc_keygen(KLEIN, 5)
     made = []

@@ -10,6 +10,7 @@ import pytest
 
 from analysis_reference import ref_nullspace, ref_solve_linear
 from conftest import rand_element
+from matcrypt import matrix as matrix_module
 from matcrypt.analysis import _nullspace, solve_linear
 from matcrypt.errors import ShapeMismatch
 from matcrypt.matrix import _vector_data
@@ -125,3 +126,70 @@ def test_nullspace_needs_a_field():
     z4 = Zmod(4)
     with pytest.raises(ShapeMismatch):
         _null(z4, [(z4.from_int(2),)])
+
+
+# --- systems on packed rows ----------------------------------------------------
+#
+# The elimination packs its rows from _PACK_ROWS_MIN rows on when they are
+# dense; these systems sit on both sides of that crossover.
+
+ROWS_MIN = matrix_module._PACK_ROWS_MIN
+PACKED_FIELDS = {"GF2": field(2), "GF4": field(4), "GF5": field(5),
+                 "GF65521": field(65521)}
+
+
+def _spy_packed(monkeypatch):
+    calls = []
+    real = matrix_module._eliminate_packed
+    monkeypatch.setattr(matrix_module, "_eliminate_packed",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", PACKED_FIELDS)
+def test_packed_solve_and_nullspace_match_reference_over_fields(name, monkeypatch):
+    ring = PACKED_FIELDS[name]
+    packed = _spy_packed(monkeypatch)
+    rng = Rng(_seed(name) + 2)
+    for height in (ROWS_MIN - 1, ROWS_MIN, 24):
+        for width in (12, 20):
+            cols = _system(ring, rng, height, width)
+            targets = [tuple(rand_element(ring, rng) for _ in range(height)),
+                       _combine([rand_element(ring, rng) for _ in cols], cols)]
+            for target in targets:
+                assert _solve(ring, cols, target) == \
+                    ref_solve_linear(ring, cols, target)
+            assert _null(ring, cols) == ref_nullspace(ring, cols)
+    assert packed
+
+
+def _non_unit_system(ring, rng, height, width):
+    """Columns whose entries are random multiples of random powers of p."""
+    g = ring.summands[0]
+    return [tuple(ring.from_int(rng.below(g.q) * g.p ** rng.below(g.m))
+                  for _ in range(height)) for _ in range(width)]
+
+
+@pytest.mark.parametrize("name", ["Z8", "Z9"])
+def test_packed_solve_is_exact_over_local_rings(name, monkeypatch):
+    # too large for brute force: a target built as a combination must be
+    # solved, every answer must solve its system, and the packed rows must
+    # give the answer the row lists give
+    ring = LOCAL[name]
+    packed = _spy_packed(monkeypatch)
+    rng = Rng(_seed(name) + 3)
+    for height, width in ((ROWS_MIN, 8), (ROWS_MIN, 16), (24, 12)):
+        for _ in range(3):
+            cols = _non_unit_system(ring, rng, height, width)
+            combo = _combine([rand_element(ring, rng) for _ in cols], cols)
+            other = tuple(rand_element(ring, rng) for _ in range(height))
+            answers = []
+            for target in (combo, other):
+                sol = _solve(ring, cols, target)
+                assert sol is not None or target is other
+                assert sol is None or _combine(sol, cols) == target
+                answers.append(sol)
+            with monkeypatch.context() as m:
+                m.setattr(matrix_module, "_PACK_ROWS_MIN", 10 ** 9)
+                assert [_solve(ring, cols, t) for t in (combo, other)] == answers
+    assert packed

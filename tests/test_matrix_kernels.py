@@ -395,3 +395,149 @@ def test_flat_draw_matches_the_element_draw(name, count):
         want = ref_random_entries(ring, count, ref_rng)
         assert _random_data(ring, count, rng) == _vector_data(want, ring)
         assert rng._r.getstate() == ref_rng._r.getstate()
+
+
+# --- packed rank-1 kernels ----------------------------------------------------
+#
+# Rank-1 products pack their rows from degree _PACK_MUL_MIN on, and
+# eliminations from _PACK_ROWS_MIN rows on when the rows are not sparse.  The
+# cases sit on both sides of each crossover, so the row-list and the packed
+# paths are checked against the same references.
+
+PACKED_RINGS = {
+    "GF2": field(2),
+    "GF65521": field(65521),
+    "Z9": Zmod(9),
+    "Z8": Zmod(8),
+    "Z(2^31-1)": Zmod(2 ** 31 - 1),     # slots wider than 64 bits: shifts
+}
+MUL_MIN = matrix_module._PACK_MUL_MIN
+ROWS_MIN = matrix_module._PACK_ROWS_MIN
+PACKED_DEGREES = sorted({MUL_MIN - 1, MUL_MIN, ROWS_MIN - 1, ROWS_MIN, 48})
+
+
+def _spy(monkeypatch, name):
+    """Count the calls of a matrix-module kernel."""
+    calls = []
+    real = getattr(matrix_module, name)
+    monkeypatch.setattr(matrix_module, name,
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n", PACKED_DEGREES)
+@pytest.mark.parametrize("name", PACKED_RINGS)
+def test_packed_kernels_match_reference(name, n, monkeypatch):
+    ring = PACKED_RINGS[name]
+    rng = Rng(_seed(name, n) + 7)
+    muls = _spy(monkeypatch, "_mul_packed")
+    elims = _spy(monkeypatch, "_eliminate_packed")
+    a, b = rand_invertible(ring, n, rng), rand_matrix(ring, n, rng)
+    assert mat_mul(a, b) == Matrix(n, ring, ref_mat_mul(a, b))
+    assert mat_mul(b, a) == Matrix(n, ring, ref_mat_mul(b, a))
+    assert bool(muls) == (n >= MUL_MIN)
+    assert mat_inv(a).rows == ref_mat_inv(a)
+    assert bool(elims) == (n >= ROWS_MIN)
+    assert mat_det(a) == ref_mat_det(a)
+    assert mat_det(b) == ref_mat_det(b)
+
+
+@pytest.mark.parametrize("name", PACKED_RINGS)
+def test_packed_singular_inverse_raises(name):
+    ring = PACKED_RINGS[name]
+    rng = Rng(_seed(name, 0) + 8)
+    for n in (ROWS_MIN, 48):
+        a = _singular(ring, n, rng)
+        for fn in (mat_inv, ref_mat_inv):
+            with pytest.raises(NonInvertible):
+                fn(a)
+        if ring.summands[0].m == 1:
+            assert mat_det(a) == ring.zero()
+
+
+@pytest.mark.parametrize("name", PACKED_RINGS)
+def test_packed_largest_coefficients_match_reference(name):
+    # every entry q-1 gives every slot of a packed product row its largest
+    # value, n (q-1)^2, so a slot width one bit too narrow carries here
+    ring = PACKED_RINGS[name]
+    n = 64
+    top = ring.from_int(-1)
+    a = Matrix(n, ring, ((top,) * n,) * n)
+    assert mat_mul(a, a) == Matrix(n, ring, ref_mat_mul(a, a))
+    rng = Rng(_seed(name, n))
+    b = rand_matrix(ring, n, rng)
+    assert mat_mul(a, b) == Matrix(n, ring, ref_mat_mul(a, b))
+
+
+NON_UNIT_ENTRIES = {"Z8": (2, 4, 6), "Z9": (3, 6)}
+
+
+@pytest.mark.parametrize("name", NON_UNIT_ENTRIES)
+def test_packed_det_with_non_unit_pivots(name, monkeypatch):
+    # A * D * B with invertible A, B and several non-units on the diagonal
+    # of D: det(A) det(B) prod(D), with least-valuation pivots on the packed
+    # path (the forward-only determinant packs from twice ROWS_MIN rows)
+    ring = PACKED_RINGS[name]
+    elims = _spy(monkeypatch, "_eliminate_packed")
+    rng = Rng(_seed(name, 1))
+    for n in (2 * ROWS_MIN, 48):
+        diag = [rng.choice(NON_UNIT_ENTRIES[name]) if i % 5 == 2 else 1
+                for i in range(n)]
+        d = matrix(ring, [[diag[i] if i == j else 0 for j in range(n)]
+                          for i in range(n)])
+        a, b = rand_invertible(ring, n, rng), rand_invertible(ring, n, rng)
+        want = ref_mat_det(a) * ref_mat_det(b) * ring.from_int(prod(diag))
+        m = mat_mul(mat_mul(a, d), b)
+        elims.clear()
+        assert mat_det(m) == want
+        assert len(elims) == 1
+
+
+@pytest.mark.parametrize("forward", [False, True])
+@pytest.mark.parametrize("name", NON_UNIT_ENTRIES)
+def test_packed_elimination_matches_row_lists(name, forward, monkeypatch):
+    # entries mostly multiples of p: columns without a unit, least-valuation
+    # pivots and column swaps on the packed path, which must leave the same
+    # pivots and the same rows as the row lists
+    ring = PACKED_RINGS[name]
+    g = ring.summands[0]
+    swaps = []
+    real_swap = matrix_module._swap_columns
+    monkeypatch.setattr(matrix_module, "_swap_columns",
+                        lambda a, j, c: swaps.append(c) or real_swap(a, j, c))
+    rng = Rng(_seed(name, 2) + forward)
+    packed_swaps = 0
+    for height, width, ncols in ((16, 16, 16), (20, 14, 12), (16, 32, 16),
+                                 (33, 40, 33)):
+        for _ in range(4):
+            mat = _mostly_non_units(ring, max(height, width), rng).data[0]
+            rows = [list(mat[i * max(height, width):][:width])
+                    for i in range(height)]
+            want, got = [r[:] for r in rows], [r[:] for r in rows]
+            swaps.clear()
+            pivots = list(matrix_module._eliminate_rows(want, ncols, g.p, g.q,
+                                                        forward))
+            made, swaps[:] = swaps[:], []
+            assert list(matrix_module._eliminate_packed(
+                got, ncols, g.p, g.q, forward)) == pivots
+            assert got == want and swaps == made
+            packed_swaps += len(swaps)
+    assert packed_swaps
+
+
+@pytest.mark.parametrize("n", [ROWS_MIN, 2 * ROWS_MIN])
+def test_packed_elimination_at_its_slot_bound(n, monkeypatch):
+    # over GF(2), row 0 all ones over the identity, with six all-ones
+    # columns riding along: each of the n - 1 pivots after the first adds
+    # its row to row 0, so the riding slots of row 0 reach n, next to the
+    # slot bound (q-1) + n (q-1)^2 = n + 1; at n a power of two a slot one
+    # bit narrower carries
+    elims = _spy(monkeypatch, "_eliminate_packed")
+    rows = [[1] * n + [1] * 6] + [[int(j == i) for j in range(n)] + [1] * 6
+                                  for i in range(1, n)]
+    want = [r[:] for r in rows]
+    pivots = list(matrix_module._eliminate_rows(want, n, 2, 2, False))
+    assert list(matrix_module._eliminate(rows, n, 2, 2)) == pivots
+    assert elims and rows == want
+    assert want == [[int(j == i) for j in range(n)] + [int(i > 0)] * 6
+                    for i in range(n)]
