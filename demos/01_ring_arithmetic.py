@@ -10,8 +10,8 @@ from matcrypt.ring import (
     Zmod,
     field,
     frobenius_apply,
+    galois_ring,
     ring_inv,
-    ring_make,
     teichmuller_decompose,
     teichmuller_recompose,
 )
@@ -26,7 +26,7 @@ print("9 + 8 mod 15 =", z15.to_int(a + b))
 print("inverse of 7 mod 15 =", z15.to_int(ring_inv(z15.from_int(7))))
 
 print("\n=== the Galois ring GR(4,2) = Z_4[x]/(x^2+x+1) ===")
-gr = ring_make("galois", 2, 2, 2, (1, 1, 1))
+gr = galois_ring(2, 2, 2, (1, 1, 1))
 x = gr.element([(0, 1)])
 print("x * x =", (x * x).coeffs[0], " (that is 3x+3)")
 print("inverse of x =", ring_inv(x).coeffs[0], " (x^3 = 1)")

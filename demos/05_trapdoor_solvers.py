@@ -10,7 +10,7 @@ one is left with exhaustive search.
 import time
 import warnings
 
-from matcrypt.analysis import enumerate_group, oracle_solve
+from matcrypt.analysis import enumerate_group
 from matcrypt.instance import (
     base_diagonal,
     base_unipotent,
@@ -41,7 +41,7 @@ z7 = Zmod(7)
 t = wreath_imprimitive(leaf(base_diagonal(1, 7, gen=(2,))), 2)
 inst = tree_eval(t)
 g = matrix(z7, [[0, 2], [2, 0]])
-hs, k = wreath_split(g, 1, 2, "imprimitive")
+hs, k = wreath_split(g, 1, 2)
 print("[[0,2],[2,0]] splits into coordinates",
       [int_rows(h) for h in hs], "and permutation", k)
 

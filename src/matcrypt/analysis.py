@@ -75,34 +75,36 @@ def enumerate_group(gens, cap: int) -> EnumeratedGroup:
     return EnumeratedGroup(elements, words, tuple(gens), cap)
 
 
-def oracle_solve(problem: str, enum: EnumeratedGroup, query):
-    """Exhaustive ground truth: membership, conjugacy or ltp, first witness."""
+def oracle_member(enum: EnumeratedGroup, g: Matrix):
+    """Exhaustive membership: (True, the first word reaching g) or (False, None)."""
     gen = enum.gens[0]
-    if problem == "membership":
-        g = query
-        if g.ring != gen.ring or g.n != gen.n:
-            raise ShapeMismatch("query shape does not match the instance")
-        k = g.key()
-        if k in enum.elements:
-            return True, enum.words[k]
-        return False, None
-    if problem == "conjugacy":
-        # h invertible: h^-1 g h = f exactly when g h = h f
-        f, g = query
-        for h in enum.matrices():
-            if mat_mul(g, h) == mat_mul(h, f):
-                return True, h
-        return False, None
-    if problem == "ltp":
-        u, v = query
-        if len(u) != gen.n or len(v) != gen.n:
-            raise ShapeMismatch("vector length does not match the instance degree")
-        x, y = _vector_data(u, gen.ring), _vector_data(v, gen.ring)
-        for g in enum.matrices():
-            if _act(x, g) == y:
-                return True, g
-        return False, None
-    raise ShapeMismatch(f"unknown oracle problem {problem!r}")
+    if g.ring != gen.ring or g.n != gen.n:
+        raise ShapeMismatch("query shape does not match the instance")
+    k = g.key()
+    if k in enum.elements:
+        return True, enum.words[k]
+    return False, None
+
+
+def oracle_conjugator(enum: EnumeratedGroup, f: Matrix, g: Matrix):
+    """Exhaustive conjugacy: (True, the first h with h^-1 g h = f) or (False, None)."""
+    # h invertible: h^-1 g h = f exactly when g h = h f
+    for h in enum.matrices():
+        if mat_mul(g, h) == mat_mul(h, f):
+            return True, h
+    return False, None
+
+
+def oracle_transporter(enum: EnumeratedGroup, u, v):
+    """Exhaustive transporter: (True, the first g with u^g = v) or (False, None)."""
+    gen = enum.gens[0]
+    if len(u) != gen.n or len(v) != gen.n:
+        raise ShapeMismatch("vector length does not match the instance degree")
+    x, y = _vector_data(u, gen.ring), _vector_data(v, gen.ring)
+    for g in enum.matrices():
+        if _act(x, g) == y:
+            return True, g
+    return False, None
 
 
 # ---------------------------------------------------------------------------

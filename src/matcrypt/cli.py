@@ -11,11 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import gcd
 
 from . import __version__
 from .errors import BadInputFile, KeyMismatch, MatcryptError
+from .matrix import _random_invertible, mat_inv, mat_mul, matrix, vector
+from .ring import Zmod, is_prime
 from .rng import Rng
-from .serialize import instance_to_obj, tree_from_obj, tree_to_obj
+from .serialize import (dumps, fingerprint, instance_to_obj, matrix_from_obj,
+                        matrix_to_obj, tree_from_obj, tree_to_obj,
+                        vector_from_obj, vector_to_obj)
+from .words import FreeWord, _random_word, build_solvable_pair
 
 
 class UsageError(Exception):
@@ -24,7 +30,6 @@ class UsageError(Exception):
 
 
 def _write(path: str, obj) -> None:
-    from .serialize import dumps
     with open(path, "w") as fh:
         fh.write(dumps(obj))
 
@@ -39,11 +44,6 @@ def _read(path: str, kind: str, parse):
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise BadInputFile(
                 f"{path} is not a {kind} file ({type(e).__name__}: {e})") from e
-
-
-def _fingerprint(obj) -> str:
-    from .serialize import fingerprint
-    return fingerprint(obj)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -62,21 +62,19 @@ def cmd_gen(args) -> int:
     pub_obj = instance_to_obj(inst)
     _write(args.sec, sec_obj)
     _write(args.pub, pub_obj)
-    print(f"secret fingerprint {_fingerprint(sec_obj)}")
-    print(f"public fingerprint {_fingerprint(pub_obj)}")
+    print(f"secret fingerprint {fingerprint(sec_obj)}")
+    print(f"public fingerprint {fingerprint(pub_obj)}")
     if args.sample:
         rng = Rng(args.seed ^ 0xA5A5)
         specs = tree_leaves(t)
         lid = rng.below(len(specs))
         elem = leaf_embed(t, lid, leaf_random(specs[lid], rng))
-        from .serialize import matrix_to_obj
         _write(args.sample, matrix_to_obj(elem))
         print(f"sample element written to {args.sample}")
     return 0
 
 
 def cmd_member(args) -> int:
-    from .serialize import matrix_from_obj
     from .trapdoor import membership
     t = _read(args.sec, "secret tree", tree_from_obj)
     g = _read(args.elem, "matrix", matrix_from_obj)
@@ -89,7 +87,6 @@ def cmd_member(args) -> int:
 
 
 def _witness_obj(wit):
-    from .serialize import matrix_to_obj
     kind = wit[0]
     if kind == "leaf":
         return {"leaf": matrix_to_obj(wit[1])}
@@ -104,7 +101,6 @@ def _witness_obj(wit):
 
 
 def cmd_ltp(args) -> int:
-    from .serialize import matrix_to_obj, vector_from_obj
     from .trapdoor import NoSolution, ltp_solve
     t = _read(args.sec, "secret tree", tree_from_obj)
     u = _read(args.u, "vector", vector_from_obj)
@@ -116,7 +112,7 @@ def cmd_ltp(args) -> int:
     obj = matrix_to_obj(res)
     if args.out:
         _write(args.out, obj)
-    print(f"transporter fingerprint {_fingerprint(obj)}")
+    print(f"transporter fingerprint {fingerprint(obj)}")
     return 0
 
 
@@ -130,15 +126,13 @@ def _random_instance_config(size: int, seed: int):
 
 def cmd_aag(args) -> int:
     from .protocol import AagConfig, aag_run
-    from .serialize import matrix_to_obj
-    from .words import _random_word
     t, gens_a, gens_b, rng = _random_instance_config(args.size, args.seed)
     cfg = AagConfig(gens_a, gens_b,
                     _random_word(rng, len(gens_a)), _random_word(rng, len(gens_b)))
     key_a, key_b, transcript = aag_run(cfg)
     if key_a != key_b:
         raise KeyMismatch("the two parties derived different keys")
-    print(f"key fingerprint {_fingerprint(matrix_to_obj(key_a))}")
+    print(f"key fingerprint {fingerprint(matrix_to_obj(key_a))}")
     if args.transcript:
         _write(args.transcript, transcript.to_obj())
     return 0
@@ -146,15 +140,13 @@ def cmd_aag(args) -> int:
 
 def cmd_mparty(args) -> int:
     from .protocol import multiparty_run
-    from .serialize import matrix_to_obj
-    from .words import _random_word
     t, gens_a, gens_b, rng = _random_instance_config(args.size, args.seed)
     gens = gens_a + gens_b
     configs = [(gens, _random_word(rng, len(gens))) for _ in range(args.parties)]
     keys, transcript, ops = multiparty_run(args.parties, configs, args.seed)
     if any(k != keys[0] for k in keys):
         raise KeyMismatch("the parties derived different keys")
-    print(f"key fingerprint {_fingerprint(matrix_to_obj(keys[0]))}")
+    print(f"key fingerprint {fingerprint(matrix_to_obj(keys[0]))}")
     print(f"op counts {json.dumps(ops, separators=(',', ':'))}")
     if args.transcript:
         _write(args.transcript, transcript.to_obj())
@@ -163,10 +155,8 @@ def cmd_mparty(args) -> int:
 
 def cmd_gdh(args) -> int:
     from .protocol import GdhConfig, MatrixAction, PowerAction, gdh_run
-    from .words import _random_word, build_solvable_pair
     rng = Rng(args.seed)
     if args.mode == "dh":
-        from .ring import is_prime
         p = args.p
         if p < 5 or not is_prime(p):
             raise UsageError(f"--mode dh needs a prime --p of at least 5, got {p}")
@@ -177,9 +167,6 @@ def cmd_gdh(args) -> int:
         key_a, key_b, transcript = gdh_run(GdhConfig(act, pair, sa, sb))
         print(f"key {key_a}")
     else:
-        from math import gcd
-        from .matrix import matrix, vector
-        from .ring import Zmod
         p = args.p
         # the generators have determinants 2 and 3
         if p <= 1 or gcd(p, 6) > 1:
@@ -192,15 +179,13 @@ def cmd_gdh(args) -> int:
         cfg = GdhConfig(act, pair, _random_word(rng, len(gens)),
                         _random_word(rng, len(gens)))
         key_a, key_b, transcript = gdh_run(cfg)
-        from .serialize import vector_to_obj
-        print(f"key fingerprint {_fingerprint(vector_to_obj(zp, key_a))}")
+        print(f"key fingerprint {fingerprint(vector_to_obj(zp, key_a))}")
     if args.transcript:
         _write(args.transcript, transcript.to_obj())
     return 0
 
 
 def _random_unit(rng: Rng, n: int) -> int:
-    from math import gcd
     while True:
         x = 1 + rng.below(n - 1)
         if gcd(x, n) == 1:
@@ -220,13 +205,11 @@ def _hom_public_key(raw: dict):
 
 
 def _read_cipher(path: str, k: int):
-    from .words import FreeWord
     return _read(path, "ciphertext", lambda raw: FreeWord(k, tuple(raw)))
 
 
 def cmd_hom(args) -> int:
     from .homcrypt import HomSecretKey, hc_decrypt, hc_encrypt, hc_keygen
-    from .words import FreeWord
 
     if args.hom_cmd == "keygen":
         pres = _hom_preset(args.preset)
@@ -238,15 +221,15 @@ def cmd_hom(args) -> int:
         sec = {"preset": args.preset, "sigma": list(sk.sigma)}
         _write(args.pub, pub)
         _write(args.sec, sec)
-        print(f"public fingerprint {_fingerprint(pub)}")
-        print(f"secret fingerprint {_fingerprint(sec)}")
+        print(f"public fingerprint {fingerprint(pub)}")
+        print(f"secret fingerprint {fingerprint(sec)}")
         return 0
     if args.hom_cmd == "encrypt":
         pk = _read(args.pub, "hom public key", _hom_public_key)
         msg = FreeWord(pk.presentation.k, args.message)
         cipher = hc_encrypt(pk, msg, args.seed, pad_length=args.pad_length)
         _write(args.out, list(cipher.letters))
-        print(f"ciphertext fingerprint {_fingerprint(list(cipher.letters))}")
+        print(f"ciphertext fingerprint {fingerprint(list(cipher.letters))}")
         return 0
     if args.hom_cmd == "decrypt":
         pres, sk = _read(args.sec, "hom secret key", lambda raw: (
@@ -263,21 +246,18 @@ def cmd_attack(args) -> int:
     if args.attack_cmd == "scsp":
         from .analysis import scsp_linear_attack
         from .instance import base_general_linear, leaf_generators
-        from .matrix import _random_invertible, mat_inv, mat_mul
         rng = Rng(args.seed)
         gens = leaf_generators(base_general_linear(args.n, args.q))
         g = _random_invertible(gens[0].ring, args.n, rng)
         h = _random_invertible(gens[0].ring, args.n, rng)
         f = mat_mul(mat_mul(mat_inv(h), g), h)
         report = scsp_linear_attack(args.n, args.q, gens, f, g, args.seed)
-        from .serialize import matrix_to_obj
-        print(f"conjugator fingerprint {_fingerprint(matrix_to_obj(report.h))}")
+        print(f"conjugator fingerprint {fingerprint(matrix_to_obj(report.h))}")
         print(f"span dimension {report.span_dim}, draws {report.draws}")
         return 0
     if args.attack_cmd == "linearity":
         from .analysis import INCONCLUSIVE, linearity_attack
         from .instance import base_general_linear, leaf_generators
-        from .matrix import _random_invertible, mat_inv, mat_mul
         rng = Rng(args.seed)
         gens = leaf_generators(base_general_linear(2, args.q))
         c = _random_invertible(gens[0].ring, 2, rng)
@@ -316,7 +296,8 @@ def cmd_oracle(args) -> int:
                    if getattr(args, name) is None]
         if missing:
             raise UsageError(f"--problem {args.problem} requires {', '.join(missing)}")
-    from .analysis import enumerate_group, oracle_solve
+    from .analysis import (enumerate_group, oracle_conjugator, oracle_member,
+                           oracle_transporter)
     from .instance import tree_eval
     t = _read(args.sec, "secret tree", tree_from_obj)
     inst = tree_eval(t)
@@ -325,20 +306,19 @@ def cmd_oracle(args) -> int:
         print(f"order {len(enum)}")
         return 0
     if args.oracle_cmd == "solve":
-        from .serialize import matrix_from_obj, vector_from_obj
         if args.problem == "membership":
             g = _read(args.elem, "matrix", matrix_from_obj)
-            ok, wit = oracle_solve("membership", enum, g)
+            ok, wit = oracle_member(enum, g)
             print("yes" if ok else "no")
         elif args.problem == "ltp":
             u = _read(args.u, "vector", vector_from_obj)
             v = _read(args.v, "vector", vector_from_obj)
-            ok, wit = oracle_solve("ltp", enum, (u, v))
+            ok, wit = oracle_transporter(enum, u, v)
             print("solvable" if ok else "no-solution (certified)")
         elif args.problem == "conjugacy":
             f = _read(args.f, "matrix", matrix_from_obj)
             g = _read(args.g, "matrix", matrix_from_obj)
-            ok, wit = oracle_solve("conjugacy", enum, (f, g))
+            ok, wit = oracle_conjugator(enum, f, g)
             print("conjugate" if ok else "not-conjugate")
         return 0
     raise MatcryptError(f"unknown oracle subcommand {args.oracle_cmd!r}")

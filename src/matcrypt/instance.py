@@ -41,16 +41,17 @@ from .matrix import (
     block_perm_matrix,
     find_embedding,
     identity,
+    imprimitive_rep,
     is_invertible,
     kron_all,
     mat_det,
     mat_inv,
     mat_mul,
     perm_id,
+    product_rep,
     ring_change,
     tensor_perm_matrix,
     word_eval,
-    wreath_rep,
 )
 from .ring import (
     RingAutomorphism,
@@ -685,7 +686,6 @@ class _CrtAssemble(_DirectSameDegree):
 
 class _Wreath(_Op):
     tag = "wreath"
-    mode = ""
 
     def info(self, lab, kids):
         k = _single("wreath", kids)
@@ -717,12 +717,12 @@ class _Wreath(_Op):
             self.perm_matrix(k, n, info.ring) for k in perms]
 
     def assemble(self, t, info, parts, k=None):
-        return wreath_rep(parts, k, self.mode)
+        return self.rep(parts, k)
 
 
 class _WreathImprimitive(_Wreath):
     kind = "wreath-imprimitive"
-    mode = "imprimitive"
+    rep = staticmethod(imprimitive_rep)
     perm_matrix = staticmethod(block_perm_matrix)
 
     def degree(self, n: int, m: int) -> int:
@@ -731,7 +731,7 @@ class _WreathImprimitive(_Wreath):
 
 class _WreathProduct(_Wreath):
     kind = "wreath-product"
-    mode = "product"
+    rep = staticmethod(product_rep)
     perm_matrix = staticmethod(tensor_perm_matrix)
     twisted = True
 

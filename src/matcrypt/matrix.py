@@ -117,9 +117,9 @@ class Matrix:
     r = 1, coefficient tuples of length r otherwise.  Equality and hashing use
     (n, data), plus the ring for equality.
 
-    ``Matrix(n, ring, rows)`` takes n rows of n ``RingElement``s and flattens
-    them; kernels build results from ``data`` with ``Matrix._of``.  ``rows``
-    and ``a[i, j]`` give ``RingElement`` views, built on first use.
+    ``Matrix(n, ring, rows)`` takes n >= 1 rows of n ``RingElement``s and
+    flattens them; kernels build results from ``data`` with ``Matrix._of``.
+    ``rows`` and ``a[i, j]`` give ``RingElement`` views, built on first use.
     Matrices are immutable; ``rows`` and the inverse are kept once computed.
     The storage stays flat: the packed rows of ``mat_mul`` and
     ``_eliminate`` are built per call and never stored.
@@ -130,6 +130,8 @@ class Matrix:
     def __init__(self, n: int, ring: RingSpec, rows):
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ShapeMismatch(f"degree {n} needs {n} rows of {n} entries")
+        if n < 1:
+            raise ShapeMismatch(f"degree {n} is not positive")
         _fill(self, n, ring, _vector_data([e for row in rows for e in row], ring))
 
     @classmethod
@@ -794,13 +796,8 @@ def tensor_perm_matrix(k: tuple, n: int, ring: RingSpec) -> Matrix:
                               for a in product(range(n), repeat=len(k))), ring)
 
 
-def wreath_rep(hs: list[Matrix], k: tuple, mode: str) -> Matrix:
-    """Linear representation of the wreath element (h_1..h_m; k).
-
-    Acting on row tuples (u_1..u_m): component j of the image is
-    u_i^{h_i} with i = k^{-1}(j).  ``imprimitive`` acts on the m-fold direct
-    sum (degree n*m), ``product`` on the m-fold tensor power (degree n^m).
-    """
+def _wreath_coords(hs: list[Matrix], k: tuple) -> tuple[RingSpec, int]:
+    """The common ring and degree of the wreath coordinates h_1..h_m."""
     m = len(hs)
     if len(k) != m:
         raise ArityMismatch(f"{m} matrices but permutation of {len(k)} points")
@@ -811,21 +808,33 @@ def wreath_rep(hs: list[Matrix], k: tuple, mode: str) -> Matrix:
             raise RingMismatch("wreath coordinates over different rings")
         if h.n != n:
             raise DegreeMismatch("wreath coordinates of different degrees")
-    if mode == "imprimitive":
-        size = n * m
-        data = []
-        for s, g in enumerate(ring.summands):
-            d = [_zero(g)] * (size * size)
-            for i in range(m):
-                h = hs[i].data[s]
-                for a in range(n):
-                    start = (i * n + a) * size + k[i] * n
-                    d[start:start + n] = h[a * n:a * n + n]
-            data.append(tuple(d))
-        return Matrix._of(size, ring, tuple(data))
-    if mode == "product":
-        return mat_mul(kron_all(hs), tensor_perm_matrix(k, n, ring))
-    raise ArityMismatch(f"unknown wreath mode {mode!r}")
+    return ring, n
+
+
+def imprimitive_rep(hs: list[Matrix], k: tuple) -> Matrix:
+    """The wreath element (h_1..h_m; k) acting on the m-fold direct sum
+    (degree n*m): on row tuples (u_1..u_m), component j of the image is
+    u_i^{h_i} with i = k^{-1}(j)."""
+    ring, n = _wreath_coords(hs, k)
+    m = len(hs)
+    size = n * m
+    data = []
+    for s, g in enumerate(ring.summands):
+        d = [_zero(g)] * (size * size)
+        for i in range(m):
+            h = hs[i].data[s]
+            for a in range(n):
+                start = (i * n + a) * size + k[i] * n
+                d[start:start + n] = h[a * n:a * n + n]
+        data.append(tuple(d))
+    return Matrix._of(size, ring, tuple(data))
+
+
+def product_rep(hs: list[Matrix], k: tuple) -> Matrix:
+    """The wreath element (h_1..h_m; k) acting on the m-fold tensor power
+    (degree n^m): h_1 (x) ... (x) h_m, then tensor slot i moves to k[i]."""
+    ring, n = _wreath_coords(hs, k)
+    return mat_mul(kron_all(hs), tensor_perm_matrix(k, n, ring))
 
 
 # --- ring-change embeddings ------------------------------------------------
@@ -950,11 +959,13 @@ def regular_rep_block(a_coeffs: tuple, g: GaloisRingSpec):
 
 def _rep_data(x: tuple, n: int, g: GaloisRingSpec) -> tuple:
     """Flat degree n*r matrix over Z_q: entry (i, j) of x becomes its r x r
-    regular-representation block."""
+    regular-representation block (a zero entry's block is left zero)."""
     r = g.r
     size = n * r
     out = [0] * (size * size)
     for k, cs in enumerate(x):
+        if not any(cs):
+            continue
         i, j = divmod(k, n)
         for bi, brow in enumerate(regular_rep_block(cs, g)):
             start = (i * r + bi) * size + j * r

@@ -3,8 +3,9 @@
 Parties are single-threaded state machines exchanging values over an
 in-process ordered channel; the transcript records exactly what crosses the
 public channel (conjugated generator lists and evolving action points),
-never a party's secret word.  Identical configs and seeds yield identical
-transcripts.
+never a party's secret word.  The simulations draw nothing at random, so
+identical configs yield identical transcripts; ``multiparty_run`` accepts a
+``seed`` and never reads it.
 """
 
 from __future__ import annotations
@@ -199,6 +200,8 @@ def multiparty_run(s: int, configs, seed: int = 0):
     op_counts) where op_counts[i] = {"compute": ..., "answer": ...} counts
     group operations.  All keys are bit-identical; a warning fires when the
     common key is the identity.  Records share their payloads read-only.
+    ``seed`` is not read (the run draws nothing at random); callers pass it
+    positionally, so it stays.
     """
     if s < 2:
         raise BadPartyCount(f"need at least two parties, got {s}")

@@ -369,54 +369,41 @@ def direct_sum_specs(parts: list[GaloisRingSpec]) -> tuple[RingSpec, list[int]]:
     return RingSpec(tuple(parts[i] for i in order)), positions
 
 
-def ring_make(kind: str, *params) -> RingSpec:
-    """Construct a ring.
+def galois_ring(p: int, m: int, r: int, modulus=None) -> RingSpec:
+    """GR(p^m, r) = Z_{p^m}[x]/(modulus); the default modulus lifts the
+    first irreducible polynomial of degree r over GF(p)."""
+    if modulus is None:
+        if not is_prime(p):
+            raise NonPrimeP(f"p = {p} is not prime")
+        modulus = tuple(c % (p ** m) for c in default_modulus(p, r))
+    return RingSpec((_validate_summand(GaloisRingSpec(p, m, r, tuple(modulus))),))
 
-    kinds: ("integer-residue", n), ("galois", p, m, r[, modulus]),
-    ("field", q), ("direct-sum", spec, spec, ...).
-    """
-    if kind == "integer-residue":
-        (n,) = params
-        if n < 2:
-            raise NonPrimeP(f"modulus {n} < 2")
-        fac = factorize(n)
-        parts = [GaloisRingSpec(p, m, 1, (0, 1)) for p, m in sorted(fac.items())]
-        return direct_sum_specs(parts)[0]
-    if kind == "galois":
-        p, m, r = params[0], params[1], params[2]
-        modulus = tuple(params[3]) if len(params) > 3 else None
-        if modulus is None:
-            if not is_prime(p):
-                raise NonPrimeP(f"p = {p} is not prime")
-            base = default_modulus(p, r)
-            modulus = tuple(c % (p ** m) for c in base)
-        g = _validate_summand(GaloisRingSpec(p, m, r, modulus))
-        return RingSpec((g,))
-    if kind == "field":
-        (q,) = params
-        fac = factorize(q)
-        if len(fac) != 1:
-            raise NonPrimeP(f"{q} is not a prime power")
-        p, r = next(iter(fac.items()))
-        return ring_make("galois", p, 1, r)
-    if kind == "direct-sum":
-        parts = []
-        for spec in params:
-            parts.extend(spec.summands)
-        for g in parts:
-            _validate_summand(g)
-        return direct_sum_specs(parts)[0]
-    raise NonPrimeP(f"unknown ring kind {kind!r}")
+
+def direct_sum(*rings: RingSpec) -> RingSpec:
+    """The canonically ordered direct sum of the rings' summands."""
+    parts = [g for ring in rings for g in ring.summands]
+    for g in parts:
+        _validate_summand(g)
+    return direct_sum_specs(parts)[0]
 
 
 @lru_cache(maxsize=None)
 def Zmod(n: int) -> RingSpec:
-    return ring_make("integer-residue", n)
+    """Z/n, as the direct sum of its prime-power parts Z/p^m."""
+    if n < 2:
+        raise NonPrimeP(f"modulus {n} < 2")
+    return direct_sum_specs([GaloisRingSpec(p, m, 1, (0, 1))
+                             for p, m in sorted(factorize(n).items())])[0]
 
 
 @lru_cache(maxsize=None)
 def field(q: int) -> RingSpec:
-    return ring_make("field", q)
+    """GF(q), as the Galois ring GR(p, r) for q = p^r."""
+    fac = factorize(q)
+    if len(fac) != 1:
+        raise NonPrimeP(f"{q} is not a prime power")
+    p, r = next(iter(fac.items()))
+    return galois_ring(p, 1, r)
 
 
 # ---------------------------------------------------------------------------

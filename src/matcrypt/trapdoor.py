@@ -176,41 +176,33 @@ def tensor_split(g: Matrix, degrees) -> list[Matrix]:
             zip(degrees, _kron_split(g.data, g.ring, [(n, n) for n in degrees]))]
 
 
-def wreath_split(g: Matrix, n: int, m: int, mode: str):
-    """Recover (coordinate matrices, permutation) from a wreath-shaped matrix.
-
-    Imprimitive recovery is exact (the block pattern is the probe image set);
-    product-action factors are normalized like tensor_split, so the
-    coordinate list is canonical up to the same unit convention.
-    """
-    if mode == "imprimitive":
-        if g.n != n * m:
-            raise ShapeMismatch(f"degree {g.n} != {n}*{m}")
-        k = []
-        zeros = [_zero(gs) for gs in g.ring.summands]
-        for i in range(m):
-            cols = [j for j in range(m)
-                    if any(x != z for d, z in zip(g.data, zeros)
-                           for x in _block(d, g.n, (n, n), i, j))]
-            if len(cols) != 1:
-                raise NotWreathShaped(
-                    "a block row has no unique nonzero block")
-            k.append(cols[0])
-        if sorted(k) != list(range(m)):
-            raise NotWreathShaped("block pattern is not a permutation")
-        hs = [Matrix._of(n, g.ring, tuple(_block(d, g.n, (n, n), i, k[i])
-                                          for d in g.data))
-              for i in range(m)]
-        return hs, tuple(k)
-    if mode == "product":
-        for hs, k in product_split_candidates(g, n, m):
-            return hs, k
-        raise NotWreathShaped("no permutation yields a Kronecker factorization")
-    raise ShapeMismatch(f"unknown wreath mode {mode!r}")
+def wreath_split(g: Matrix, n: int, m: int):
+    """Recover (coordinate matrices, permutation) from an imprimitive wreath
+    matrix, exactly: the block pattern is the probe image set.  Product-action
+    splits are ``product_split_candidates``."""
+    if g.n != n * m:
+        raise ShapeMismatch(f"degree {g.n} != {n}*{m}")
+    k = []
+    zeros = [_zero(gs) for gs in g.ring.summands]
+    for i in range(m):
+        cols = [j for j in range(m)
+                if any(x != z for d, z in zip(g.data, zeros)
+                       for x in _block(d, g.n, (n, n), i, j))]
+        if len(cols) != 1:
+            raise NotWreathShaped(
+                "a block row has no unique nonzero block")
+        k.append(cols[0])
+    if sorted(k) != list(range(m)):
+        raise NotWreathShaped("block pattern is not a permutation")
+    hs = [Matrix._of(n, g.ring, tuple(_block(d, g.n, (n, n), i, k[i])
+                                      for d in g.data))
+          for i in range(m)]
+    return hs, tuple(k)
 
 
 def product_split_candidates(g: Matrix, n: int, m: int):
-    """All (factors, k) with g = kron(factors) * S_k, k in lex order."""
+    """All (factors, k) with g = kron(factors) * S_k, k in lex order; the
+    factors are normalized as ``tensor_split`` normalizes them."""
     if g.n != n ** m:
         raise ShapeMismatch(f"degree {g.n} != {n}^{m}")
     perms = list(itertools.permutations(range(m)))
@@ -1012,8 +1004,7 @@ class _WreathImprimitiveSolver(_Solver):
 
     def split(self, t, g: Matrix):
         try:
-            return wreath_split(g, _info(t.children[0]).degree, t.label.m,
-                                "imprimitive")
+            return wreath_split(g, _info(t.children[0]).degree, t.label.m)
         except NotWreathShaped:
             return None, None
 

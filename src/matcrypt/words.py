@@ -190,14 +190,14 @@ class IdentityWordPair:
                                extract_schedule(self.wb, U_B))
 
 
-def extract_schedule(w: FreeWord, first_gen: int, strict: bool = False) -> tuple[int, ...]:
+def extract_schedule(w: FreeWord, first_gen: int) -> tuple[int, ...]:
     """Run-length exponents alternating from first_gen.
 
     Runs of a reduced two-letter word alternate strictly between the
     generators, so the schedule is the run exponents with a leading zero when
     the word starts on the other generator, and a trailing zero when it ends
-    on the other generator.  ``strict`` raises on a trailing zero (the word
-    then violates the terminal-letter condition (W1)).
+    on the other generator (the word then violates the terminal-letter
+    condition (W1); ``satisfies_w1`` tells).
     """
     if w.is_empty():
         raise TerminalLetterViolation("empty word has no terminal letter")
@@ -212,9 +212,6 @@ def extract_schedule(w: FreeWord, first_gen: int, strict: bool = False) -> tuple
     sched: list[int] = [] if runs[0][0] == first_gen else [0]
     sched.extend(e for _, e in runs)
     if runs[-1][0] != first_gen:
-        if strict:
-            raise TerminalLetterViolation(
-                f"word must end in generator {first_gen}")
         sched.append(0)
     return tuple(sched)
 

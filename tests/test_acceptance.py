@@ -41,14 +41,15 @@ from matcrypt.instance import (
     wreath_imprimitive,
 )
 from matcrypt.matrix import (
+    imprimitive_rep,
     int_rows,
     is_invertible,
     mat_inv,
     mat_mul,
     matrix,
+    product_rep,
     vector,
     vector_act,
-    wreath_rep,
 )
 from matcrypt.protocol import (
     AagConfig,
@@ -65,7 +66,7 @@ from matcrypt.ring import (
     all_automorphisms,
     field,
     frobenius_apply,
-    ring_make,
+    galois_ring,
     teichmuller_decompose,
     teichmuller_recompose,
 )
@@ -74,6 +75,7 @@ from matcrypt.trapdoor import (
     NoSolution,
     ltp_solve,
     membership,
+    product_split_candidates,
     sample_transportable_vector,
     wreath_split,
 )
@@ -286,8 +288,8 @@ def test_criterion_07_wreath_inversion():
         hs = [rand_invertible(z5, n, rng) for _ in range(m)]
         k = tuple(rng.shuffle(list(range(m))))
         # imprimitive: exact round trip
-        w = wreath_rep(hs, k, "imprimitive")
-        hs2, k2 = wreath_split(w, n, m, "imprimitive")
+        w = imprimitive_rep(hs, k)
+        hs2, k2 = wreath_split(w, n, m)
         assert list(hs2) == hs and k2 == k, f"imprimitive sample {sample}"
         # product: round trip on the unit-normalized coordinate tuple
         hs_n = list(hs)
@@ -298,9 +300,9 @@ def test_criterion_07_wreath_inversion():
                                   for row in hs_n[i].rows])
             hs_n[0] = matrix(z5, [[e * u for e in row]
                                   for row in hs_n[0].rows])
-        wp = wreath_rep(hs_n, k, "product")
-        hs3, k3 = wreath_split(wp, n, m, "product")
-        assert wreath_rep(hs3, k3, "product") == wp
+        wp = product_rep(hs_n, k)
+        hs3, k3 = next(product_split_candidates(wp, n, m))
+        assert product_rep(hs3, k3) == wp
         assert list(hs3) == hs_n and k3 == k, f"product sample {sample}"
         checked += 1
     assert checked == 1000
@@ -316,14 +318,14 @@ def test_criterion_07_wreath_inversion():
 
 
 def test_criterion_08_galois_ring_algebra():
-    rings = [Zmod(4), Zmod(9), ring_make("galois", 2, 2, 2, (1, 1, 1)),
-             ring_make("galois", 2, 3, 2), field(8)]
+    rings = [Zmod(4), Zmod(9), galois_ring(2, 2, 2, (1, 1, 1)),
+             galois_ring(2, 3, 2), field(8)]
     for ring in rings:
         elems = list(ring.enumerate())
         for a in elems:
             digits = teichmuller_decompose(a)
             for g, ds in zip(ring.summands, digits):
-                sub = ring_make("galois", g.p, g.m, g.r, g.modulus)
+                sub = galois_ring(g.p, g.m, g.r, g.modulus)
                 for t_ in ds:
                     el = sub.element([t_])
                     assert el.pow(g.p ** g.r) == el  # digit in T u {0}

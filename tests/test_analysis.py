@@ -12,7 +12,9 @@ from matcrypt.analysis import (
     coset_attack,
     enumerate_group,
     linearity_attack,
-    oracle_solve,
+    oracle_conjugator,
+    oracle_member,
+    oracle_transporter,
     scsp_linear_attack,
     solve_linear,
     span_basis,
@@ -72,9 +74,9 @@ def test_enumerate_examples():
 
 def test_oracle_membership():
     e = enumerate_group([matrix(Z5, [[1, 1], [0, 1]])], 100)
-    ok, wit = oracle_solve("membership", e, identity(2, Z5))
+    ok, wit = oracle_member(e, identity(2, Z5))
     assert ok and wit == ()
-    ok, _ = oracle_solve("membership", e, matrix(Z5, [[2, 0], [0, 1]]))
+    ok, _ = oracle_member(e, matrix(Z5, [[2, 0], [0, 1]]))
     assert not ok
 
 
@@ -87,7 +89,7 @@ def test_oracle_membership_compares_the_ring():
     assert not e.contains(identity(3, z3))
     for g in (matrix(z9, [[1, 2], [0, 1]]), identity(3, z3)):
         with pytest.raises(ShapeMismatch):
-            oracle_solve("membership", e, g)
+            oracle_member(e, g)
 
 
 def test_oracle_conjugacy():
@@ -98,7 +100,7 @@ def test_oracle_conjugacy():
     g = rand_invertible(z3, 2, rng)
     h = rand_invertible(z3, 2, rng)
     f = mat_mul(mat_mul(mat_inv(h), g), h)
-    ok, found = oracle_solve("conjugacy", e, (f, g))
+    ok, found = oracle_conjugator(e, f, g)
     assert ok
     assert mat_mul(mat_mul(mat_inv(found), g), found) == f
 
@@ -108,11 +110,11 @@ def test_oracle_ltp():
     e = enumerate_group(gens, 100)
     z7 = Zmod(7)
     u, v = vector(z7, [1, 3]), vector(z7, [6, 2])
-    ok, g = oracle_solve("ltp", e, (u, v))
+    ok, g = oracle_transporter(e, u, v)
     assert ok
     from matcrypt.matrix import vector_act
     assert vector_act(u, g) == v
-    ok, _ = oracle_solve("ltp", e, (u, vector(z7, [0, 0])))
+    ok, _ = oracle_transporter(e, u, vector(z7, [0, 0]))
     assert not ok
 
 
@@ -122,13 +124,13 @@ def test_oracle_ltp_refuses_malformed_vectors():
     e = enumerate_group(leaf_generators(base_general_linear(2, 5)), 1000)
     u = vector(Z5, [1, 0])
     with pytest.raises(RingMismatch):
-        oracle_solve("ltp", e, (u, vector(field(7), [1, 0])))
+        oracle_transporter(e, u, vector(field(7), [1, 0]))
     for v in (vector(Z5, [1, 0, 0]), vector(Z5, [1])):
         with pytest.raises(ShapeMismatch):
-            oracle_solve("ltp", e, (u, v))
+            oracle_transporter(e, u, v)
         with pytest.raises(ShapeMismatch):
-            oracle_solve("ltp", e, (v, u))
-    assert oracle_solve("ltp", e, (u, vector(Z5, [0, 1])))[0]
+            oracle_transporter(e, v, u)
+    assert oracle_transporter(e, u, vector(Z5, [0, 1]))[0]
 
 
 def test_solve_linear_over_zpm():

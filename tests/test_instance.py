@@ -52,7 +52,7 @@ from matcrypt.matrix import (
     vector_act,
     word_eval,
 )
-from matcrypt.ring import Zmod, field, ring_make
+from matcrypt.ring import Zmod, field
 from matcrypt.rng import Rng
 from matcrypt.serialize import dumps, homspec_from_obj, homspec_to_obj
 from matcrypt.trapdoor import (
@@ -338,7 +338,7 @@ def test_ring_extend_tree_pickles_the_same_after_transporter_queries():
     # queries of this process may have asked already.
     import pickle
 
-    target = ring_make("field", 4)
+    target = field(4)
     t = tensor(conjugate(leaf(base_general_linear(1, 4)), 3),
                ring_extend(leaf(base_general_linear(1, 2)), target))
     before = pickle.dumps(t)

@@ -18,7 +18,7 @@ from matcrypt.instance import (
     tree_eval,
 )
 from matcrypt.matrix import Matrix, _vector_data, vector_act
-from matcrypt.ring import RingSpec, Zmod, field, ring_make
+from matcrypt.ring import RingSpec, Zmod, direct_sum, field, galois_ring
 from matcrypt.rng import Rng
 from trapdoor_reference import ref_leaf_ltp, ref_leaf_ltp_twists, ref_ltp_brute
 
@@ -141,8 +141,8 @@ def test_brute_matches_reference(tree):
 
 
 @pytest.mark.parametrize("ring", [
-    ring_make("galois", 2, 2, 2), ring_make("galois", 3, 2, 2),
-    ring_make("direct-sum", Zmod(8), field(4)),
+    galois_ring(2, 2, 2), galois_ring(3, 2, 2),
+    direct_sum(Zmod(8), field(4)),
 ], ids=["GR(4,2)", "GR(9,2)", "Z/8+GF(4)"])
 def test_flat_scan_matches_vector_act_over_galois_rings(ring):
     # the scan's arithmetic is exact over Z/p^m, not only over fields

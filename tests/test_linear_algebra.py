@@ -14,12 +14,12 @@ from matcrypt import matrix as matrix_module
 from matcrypt.analysis import _nullspace, solve_linear
 from matcrypt.errors import ShapeMismatch
 from matcrypt.matrix import _vector_data
-from matcrypt.ring import RingElement, Zmod, field, ring_make
+from matcrypt.ring import RingElement, Zmod, field, galois_ring
 from matcrypt.rng import Rng
 
 FIELDS = {"GF2": field(2), "GF5": field(5), "GF4": field(4)}
 LOCAL = {"Z4": Zmod(4), "Z8": Zmod(8), "Z9": Zmod(9),
-         "GR(4,2)": ring_make("galois", 2, 2, 2), "Z12": Zmod(12)}
+         "GR(4,2)": galois_ring(2, 2, 2), "Z12": Zmod(12)}
 SYSTEMS = {"Z4": 400, "Z8": 400, "Z9": 400, "GR(4,2)": 60, "Z12": 100}
 
 

@@ -8,6 +8,7 @@ from matcrypt.matrix import (
     Matrix,
     block_perm_matrix,
     identity,
+    imprimitive_rep,
     int_rows,
     mat_det,
     mat_inv,
@@ -17,14 +18,14 @@ from matcrypt.matrix import (
     perm_compose,
     perm_id,
     perm_inverse,
+    product_rep,
     ring_change,
     tensor_perm_matrix,
     vector,
     vector_act,
     word_eval,
-    wreath_rep,
 )
-from matcrypt.ring import Zmod, field, ring_make
+from matcrypt.ring import Zmod, field, galois_ring
 from matcrypt.rng import Rng
 
 Z5 = Zmod(5)
@@ -58,7 +59,7 @@ def test_mat_mul_examples():
 
 
 def test_mat_inv_examples():
-    any_ring = ring_make("galois", 2, 2, 2, (1, 1, 1))
+    any_ring = galois_ring(2, 2, 2, (1, 1, 1))
     x = any_ring.element([(0, 1)])
     u = matrix(any_ring, [[any_ring.one(), x],
                           [any_ring.zero(), any_ring.one()]])
@@ -119,15 +120,15 @@ def test_kron_mixed_product():
 
 def test_wreath_examples():
     two = matrix(Z7, [[2]])
-    w = wreath_rep([two, two], (1, 0), "imprimitive")
+    w = imprimitive_rep([two, two], (1, 0))
     assert int_rows(w) == [[0, 2], [2, 0]]
     # oracle: image of basis tuples under the action formula
     # (u_1, u_2)^g = (u_{i_1}^{h_{i_1}}, u_{i_2}^{h_{i_2}}), i_j = j^{k^-1}
     u = vector(Z7, [1, 0])
     assert [Z7.to_int(e) for e in vector_act(u, w)] == [0, 2]
-    ident = wreath_rep([identity(2, Z7)] * 3, perm_id(3), "imprimitive")
+    ident = imprimitive_rep([identity(2, Z7)] * 3, perm_id(3))
     assert ident == identity(6, Z7)
-    swap = wreath_rep([identity(2, Z7)] * 2, (1, 0), "product")
+    swap = product_rep([identity(2, Z7)] * 2, (1, 0))
     # images of e_i (x) e_j: slot swap
     for i in range(2):
         for j in range(2):
@@ -148,17 +149,18 @@ def wreath_mul(hk1, hk2):
     return h, perm_compose(k1, k2)
 
 
-@pytest.mark.parametrize("mode", ["imprimitive", "product"])
-def test_wreath_homomorphism(mode):
+@pytest.mark.parametrize("rep", [imprimitive_rep, product_rep],
+                         ids=["imprimitive", "product"])
+def test_wreath_homomorphism(rep):
     rng = Rng(7)
     for _ in range(8):
         hs1 = [rand_invertible(Z5, 2, rng) for _ in range(3)]
         hs2 = [rand_invertible(Z5, 2, rng) for _ in range(3)]
         k1 = tuple(rng.shuffle([0, 1, 2]))
         k2 = tuple(rng.shuffle([0, 1, 2]))
-        lhs = mat_mul(wreath_rep(hs1, k1, mode), wreath_rep(hs2, k2, mode))
+        lhs = mat_mul(rep(hs1, k1), rep(hs2, k2))
         h3, k3 = wreath_mul((hs1, k1), (hs2, k2))
-        assert lhs == wreath_rep(h3, k3, mode)
+        assert lhs == rep(h3, k3)
 
 
 def test_perm_matrices_compose():

@@ -29,6 +29,7 @@ from matcrypt.matrix import (
     Matrix,
     _random_data,
     _vector_data,
+    block_perm_matrix,
     crt_project,
     find_embedding,
     identity,
@@ -39,7 +40,7 @@ from matcrypt.matrix import (
     matrix,
     vector_act,
 )
-from matcrypt.ring import RingElement, Zmod, field, ring_make
+from matcrypt.ring import RingElement, Zmod, direct_sum, field, galois_ring
 from matcrypt.rng import Rng
 from matcrypt.serialize import (
     dumps,
@@ -59,9 +60,9 @@ RINGS = {
     "GF8": field(8),                        # rank 3
     "GF16": field(16),                      # rank 4
     "GF9": field(9),                        # rank 2, odd characteristic
-    "GR(4,2)": ring_make("galois", 2, 2, 2),  # rank 2 over Z/4
-    "GR(8,3)": ring_make("galois", 2, 3, 3),  # rank 3 over Z/8
-    "GF4+Z9": ring_make("direct-sum", field(4), Zmod(9)),  # mixed ranks
+    "GR(4,2)": galois_ring(2, 2, 2),  # rank 2 over Z/4
+    "GR(8,3)": galois_ring(2, 3, 3),  # rank 3 over Z/8
+    "GF4+Z9": direct_sum(field(4), Zmod(9)),  # mixed ranks
 }
 DEGREES = range(1, 9)
 CASES = [(name, n) for name in RINGS for n in DEGREES]
@@ -129,7 +130,7 @@ def _singular(ring, n, rng):
 
 SINGULAR_RINGS = {"GF2": field(2), "GF9": field(9), "Z4": Zmod(4),
                   "Z8": Zmod(8), "Z9": Zmod(9),
-                  "GR(4,2)": ring_make("galois", 2, 2, 2)}
+                  "GR(4,2)": galois_ring(2, 2, 2)}
 
 
 @pytest.mark.parametrize("n", DEGREES)
@@ -288,7 +289,7 @@ def test_rows_view_round_trips(name, n):
 @pytest.mark.parametrize("name", ["Z12", "GF4+Z9"])
 def test_crt_project_matches_reference(name, positions):
     ring = RINGS[name]
-    sub = ring_make("direct-sum", *(
+    sub = direct_sum(*(
         type(ring)((ring.summands[s],)) for s in positions))
     rng = Rng(_seed(name, len(positions)) + 5)
     for n in DEGREES:
@@ -325,6 +326,45 @@ def test_errors_raised_where_the_reference_raises():
         Matrix(1, z5, ((z7.one(),),))
 
 
+def test_degree_zero_matrices_are_refused():
+    # none reaches mat_mul, mat_inv or mat_det, whose kernels need n >= 1
+    z5 = field(5)
+    for make in (lambda: Matrix(0, z5, ()), lambda: matrix(z5, []),
+                 lambda: matrix_from_obj({"n": 0, "ring": ring_to_obj(z5), "rows": []})):
+        with pytest.raises(ShapeMismatch):
+            make()
+
+
+def _block_diagonal(ring, blocks):
+    n = sum(b.n for b in blocks)
+    rows = [[ring.zero()] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b.rows):
+            rows[at + i][at:at + b.n] = row
+        at += b.n
+    return Matrix(n, ring, rows)
+
+
+@pytest.mark.parametrize("name", ["GF4", "GR(4,2)"])
+def test_sparse_rank_r_inverses_match_reference(name):
+    # mostly zero entries: _rep_data leaves their regular-representation
+    # blocks zero instead of building them
+    ring = RINGS[name]
+    rng = Rng(_seed(name, 0) + 6)
+    for sizes in ((1, 1), (2, 2), (1, 2, 3), (2, 2, 2, 2)):
+        blocks = [rand_invertible(ring, s, rng) for s in sizes]
+        diag = _block_diagonal(ring, blocks)
+        perm = block_perm_matrix(tuple(rng.shuffle(list(range(diag.n)))), 1, ring)
+        for a in (diag, mat_mul(perm, diag), mat_mul(diag, perm)):
+            assert mat_inv(a).rows == ref_mat_inv(a)
+        blocks[-1] = Matrix(sizes[-1], ring, [[ring.zero()] * sizes[-1]] * sizes[-1])
+        singular = mat_mul(perm, _block_diagonal(ring, blocks))
+        for fn in (mat_inv, ref_mat_inv):
+            with pytest.raises(NonInvertible):
+                fn(singular)
+
+
 def test_matrices_are_immutable_and_copy():
     a = matrix(Zmod(12), [[1, 2], [3, 5]])
     with pytest.raises(AttributeError):
@@ -350,9 +390,9 @@ EMBEDDINGS = {
     "GF3>GF27": (field(3), field(27)),
     "GF4>GF16": (field(4), field(16)),
     "GF5>GF25": (field(5), field(25)),
-    "GR(4,1)>GR(4,2)": (Zmod(4), ring_make("galois", 2, 2, 2)),
-    "GR(9,1)>GR(9,2)": (Zmod(9), ring_make("galois", 3, 2, 2)),
-    "GF2+GF3>GF4+GF9": (Zmod(6), ring_make("direct-sum", field(4), field(9))),
+    "GR(4,1)>GR(4,2)": (Zmod(4), galois_ring(2, 2, 2)),
+    "GR(9,1)>GR(9,2)": (Zmod(9), galois_ring(3, 2, 2)),
+    "GF2+GF3>GF4+GF9": (Zmod(6), direct_sum(field(4), field(9))),
 }
 
 
@@ -378,8 +418,8 @@ def test_embedding_table_matches_both_decoders(name):
 
 DRAW_RINGS = {
     "Z15": Zmod(15),
-    "GF4+Z9": ring_make("direct-sum", field(4), Zmod(9)),
-    "GR(4,2)": ring_make("galois", 2, 2, 2),
+    "GF4+Z9": direct_sum(field(4), Zmod(9)),
+    "GR(4,2)": galois_ring(2, 2, 2),
     "GF8": field(8),
 }
 

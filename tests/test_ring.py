@@ -16,13 +16,14 @@ from matcrypt.ring import (
     RingSpec,
     Zmod,
     all_automorphisms,
+    direct_sum,
     factorize,
     field,
     frobenius_apply,
+    galois_ring,
     is_irreducible_mod_p,
     ring_add,
     ring_inv,
-    ring_make,
     teichmuller_decompose,
     teichmuller_recompose,
     units,
@@ -54,25 +55,25 @@ def egcd(a, b):
     return g, y, x - (a // b) * y
 
 
-GR42 = ring_make("galois", 2, 2, 2, (1, 1, 1))
+GR42 = galois_ring(2, 2, 2, (1, 1, 1))
 
 
 def test_ring_make_examples():
-    z15 = ring_make("integer-residue", 15)
+    z15 = Zmod(15)
     assert [(g.p, g.m, g.r) for g in z15.summands] == [(3, 1, 1), (5, 1, 1)]
     assert GR42.order == 16
-    gf4 = ring_make("field", 4)
+    gf4 = field(4)
     assert gf4.summands[0].modulus == (1, 1, 1)
     assert gf4.order == 4
 
 
 def test_ring_make_errors():
     with pytest.raises(NonPrimeP):
-        ring_make("galois", 4, 1, 2)
+        galois_ring(4, 1, 2)
     with pytest.raises(ReducibleModulus):
-        ring_make("galois", 2, 1, 2, (0, 0, 1))  # x^2 = x*x
+        galois_ring(2, 1, 2, (0, 0, 1))  # x^2 = x*x
     with pytest.raises(NonPrimeP):
-        ring_make("field", 12)
+        field(12)
 
 
 def test_factorize():
@@ -97,7 +98,7 @@ def test_add_examples():
     x = GR42.element([(0, 1)])
     assert (x + GR42.element([(3, 3)])).coeffs == ((3, 0),)
     # componentwise over a direct sum
-    z3z5 = ring_make("direct-sum", Zmod(3), Zmod(5))
+    z3z5 = direct_sum(Zmod(3), Zmod(5))
     a = z3z5.element([(1,), (2,)])
     b = z3z5.element([(2,), (4,)])
     assert (a + b).coeffs == ((0,), (1,))
@@ -136,9 +137,9 @@ TEST_RINGS = [
     Zmod(9),
     Zmod(15),
     GR42,
-    ring_make("galois", 2, 3, 2),   # GR(8, 2)
+    galois_ring(2, 3, 2),   # GR(8, 2)
     field(8),
-    ring_make("direct-sum", field(4), Zmod(9)),
+    direct_sum(field(4), Zmod(9)),
 ]
 
 
@@ -205,7 +206,7 @@ def test_frobenius_examples():
         assert frobenius_apply(RingAutomorphism(z9, (0,)), a) == a
 
 
-@pytest.mark.parametrize("ring", [GR42, field(8), ring_make("galois", 2, 3, 2)],
+@pytest.mark.parametrize("ring", [GR42, field(8), galois_ring(2, 3, 2)],
                          ids=lambda r: f"order{r.order}")
 def test_frobenius_properties(ring):
     auts = all_automorphisms(ring)
@@ -277,7 +278,7 @@ def test_element_checks_the_summand_count():
 
 
 def test_canonical_summand_order():
-    r1 = ring_make("direct-sum", Zmod(5), Zmod(3))
-    r2 = ring_make("direct-sum", Zmod(3), Zmod(5))
+    r1 = direct_sum(Zmod(5), Zmod(3))
+    r2 = direct_sum(Zmod(3), Zmod(5))
     assert r1 == r2
     assert [g.p for g in r1.summands] == [3, 5]

@@ -10,15 +10,22 @@ turns a programming error into whatever the handler reports.  The solvers of
 public functions; a solver that calls a ``RingElement``-vector entry point
 converts again at every node it passes.  Likewise the solvers, the leaf
 groups, the oracles and the attacks read a matrix only as ``Matrix.data``;
-``rows`` and ``a[i, j]`` build n^2 ``RingElement``s.
+``rows`` and ``a[i, j]`` build n^2 ``RingElement``s.  ``cli`` imports inside
+a function only the modules that a cold ``import matcrypt.cli`` would
+otherwise pay for (``LAZY_CLI_MODULES``); everything else it imports once at
+the top.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from matcrypt.analysis import enumerate_group, oracle_solve
+from matcrypt.analysis import (enumerate_group, oracle_conjugator, oracle_member,
+                               oracle_transporter)
 from matcrypt.cli import main
 from matcrypt.errors import CapExceeded
 from matcrypt.instance import tree_eval, tree_random
@@ -33,6 +40,8 @@ BROAD = {"Exception", "BaseException"}
 # _act, _sample and _kron_split
 VECTOR_ENTRY_POINTS = {"vector_act", "sample_transportable_vector",
                        "vector_tensor_split"}
+# the modules cli may import inside a function, to keep its cold import short
+LAZY_CLI_MODULES = {"instance", "trapdoor", "analysis", "protocol", "homcrypt"}
 
 
 def _violations(path: Path):
@@ -137,10 +146,59 @@ def test_solvers_oracles_and_attacks_read_only_matrix_data(monkeypatch):
         oracles += 1
         h = gens[0]
         f = mat_mul(mat_mul(mat_inv(h), g), h)
-        assert oracle_solve("membership", enum, g)[0]
-        assert oracle_solve("conjugacy", enum, (f, g))[0]
-        assert oracle_solve("ltp", enum, (u, v))[0]
+        assert oracle_member(enum, g)[0]
+        assert oracle_conjugator(enum, f, g)[0]
+        assert oracle_transporter(enum, u, v)[0]
     assert oracles >= 40
     for argv in (["attack", "scsp"], ["attack", "scsp", "--q", "9"],
                  ["attack", "linearity"], ["attack", "linearity", "--q", "9"]):
         assert main(argv) == 0, argv
+
+
+def _local_imports(path: Path):
+    """(line, module) for each import inside a function body; a relative
+    module is named without its package (``.trapdoor`` is ``trapdoor``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    # keyed by node: a nested function's imports are walked twice
+    nodes = {id(node): node for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    for node in nodes.values():
+        if isinstance(node, ast.ImportFrom):
+            yield node.lineno, node.module or "."
+        else:
+            yield from ((node.lineno, a.name) for a in node.names)
+
+
+def test_cli_imports_only_the_heavy_modules_lazily():
+    found = [f"cli.py:{line}: imports {module}"
+             for line, module in _local_imports(SRC / "cli.py")
+             if module not in LAZY_CLI_MODULES]
+    assert not found, "\n".join(found)
+
+
+def test_local_import_rule_catches_each_form(tmp_path):
+    src = tmp_path / "bad.py"
+    src.write_text("import json\n"
+                   "from .serialize import dumps\n"
+                   "def cmd(args):\n"
+                   "    from .trapdoor import membership\n"
+                   "    from .serialize import dumps\n"
+                   "    if args:\n        from math import gcd\n"
+                   "    def inner():\n        import json, os\n"
+                   "class C:\n"
+                   "    def m(self):\n        from . import words\n")
+    assert sorted(_local_imports(src)) == [
+        (4, "trapdoor"), (5, "serialize"), (7, "math"), (9, "json"), (9, "os"),
+        (12, ".")]
+
+
+def test_cli_import_leaves_the_heavy_modules_unloaded():
+    code = ("import sys, matcrypt.cli; print(' '.join(sorted("
+            "m for m in sys.modules if m.startswith('matcrypt.'))))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert res.returncode == 0, res.stderr
+    loaded = {m.rpartition(".")[2] for m in res.stdout.split()}
+    assert "cli" in loaded and not loaded & LAZY_CLI_MODULES, loaded

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from conftest import rand_element, rand_invertible, rand_matrix
-from matcrypt.analysis import enumerate_group, oracle_solve
+from matcrypt.analysis import enumerate_group, oracle_transporter
 from matcrypt.errors import (
     CapExceeded,
     NotDecomposable,
@@ -31,6 +31,7 @@ from matcrypt.instance import (
 )
 from matcrypt.matrix import (
     identity,
+    imprimitive_rep,
     int_rows,
     kron_all,
     mat_add,
@@ -39,11 +40,11 @@ from matcrypt.matrix import (
     mat_mul,
     mat_scale,
     matrix,
+    product_rep,
     vector,
     vector_act,
-    wreath_rep,
 )
-from matcrypt.ring import RingElement, Zmod, field, ring_inv, ring_make
+from matcrypt.ring import RingElement, Zmod, direct_sum, field, galois_ring, ring_inv
 from matcrypt.rng import Rng
 from matcrypt.trapdoor import (
     NoSolution,
@@ -53,6 +54,7 @@ from matcrypt.trapdoor import (
     ltp_solve,
     max_matching,
     membership,
+    product_split_candidates,
     replay_witness,
     sample_transportable_vector,
     tensor_split,
@@ -139,23 +141,29 @@ def test_membership_over_a_large_field_tensor(first):
 
 def test_wreath_split_imprimitive():
     two = matrix(Z7, [[2]])
-    w = wreath_rep([two, two], (1, 0), "imprimitive")
-    hs, k = wreath_split(w, 1, 2, "imprimitive")
+    w = imprimitive_rep([two, two], (1, 0))
+    hs, k = wreath_split(w, 1, 2)
     assert [int_rows(h) for h in hs] == [[[2]], [[2]]] and k == (1, 0)
     ident = identity(4, Z7)
-    hs, k = wreath_split(ident, 2, 2, "imprimitive")
+    hs, k = wreath_split(ident, 2, 2)
     assert all(h.is_identity() for h in hs) and k == (0, 1)
     with pytest.raises(NotWreathShaped):
-        wreath_split(matrix(Z7, [[1, 1], [1, 2]]), 1, 2, "imprimitive")
+        wreath_split(matrix(Z7, [[1, 1], [1, 2]]), 1, 2)
 
 
-@pytest.mark.parametrize("mode", ["imprimitive", "product"])
-def test_wreath_split_roundtrip(mode):
+def _first_product_split(g, n, m):
+    return next(product_split_candidates(g, n, m))
+
+
+@pytest.mark.parametrize("rep, split", [(imprimitive_rep, wreath_split),
+                                        (product_rep, _first_product_split)],
+                         ids=["imprimitive", "product"])
+def test_wreath_split_roundtrip(rep, split):
     rng = Rng(41)
     for _ in range(40):
         m = rng.randint(2, 3)
         hs = [rand_invertible(Z5, 2, rng) for _ in range(m)]
-        if mode == "product":
+        if rep is product_rep:
             # canonicalize: product-action coordinates are recoverable only up
             # to unit twists, so compare against the normalized tuple
             for i in range(1, m):
@@ -166,11 +174,11 @@ def test_wreath_split_roundtrip(mode):
                 hs[0] = matrix(Z5, [[e * u for e in row]
                                     for row in hs[0].rows])
         k = tuple(rng.shuffle(list(range(m))))
-        w = wreath_rep(hs, k, mode)
-        hs2, k2 = wreath_split(w, 2, m, mode)
+        w = rep(hs, k)
+        hs2, k2 = split(w, 2, m)
         assert k2 == k
         assert list(hs2) == list(hs)
-        assert wreath_rep(hs2, k2, mode) == w
+        assert rep(hs2, k2) == w
 
 
 def test_tensor_split():
@@ -239,8 +247,8 @@ def _split_outcome(split, vec, degrees, ring):
 
 
 SPLIT_RINGS = [Z5, Zmod(9), Zmod(15), field(4), field(9),
-               ring_make("galois", 2, 2, 2),
-               ring_make("direct-sum", field(4), Zmod(9))]
+               galois_ring(2, 2, 2),
+               direct_sum(field(4), Zmod(9))]
 
 
 @pytest.mark.parametrize("ring", SPLIT_RINGS,
@@ -311,7 +319,7 @@ def test_ltp_matches_oracle_random_trees():
                 v = vector_act(u, elems[rng.below(len(elems))])
             else:
                 v = sample_transportable_vector(t, rng)
-            want, _ = oracle_solve("ltp", enum, (u, v))
+            want, _ = oracle_transporter(enum, u, v)
             got = ltp_solve(t, u, v)
             if isinstance(got, NoSolution):
                 assert not want
@@ -340,14 +348,14 @@ def test_ring_extend_ltp_over_two_summands():
     # basis; into GF(4) + GF(27) the summands' degrees 2 and 3 differ, and
     # the GF(4) summand's third coordinate is zero
     child = direct_same_degree(leaf(base_unipotent(2)), leaf(base_unipotent(3)))
-    t = ring_extend(child, ring_make("direct-sum", field(4), field(9)))
+    t = ring_extend(child, direct_sum(field(4), field(9)))
     rng = Rng(1)
     g = tree_eval(t).gens[0]
     for _ in range(4):
         u = sample_transportable_vector(t, rng)
         got = ltp_solve(t, u, vector_act(u, g))
         assert vector_act(u, got) == vector_act(u, g)
-    mixed = ring_extend(child, ring_make("direct-sum", field(4), field(27)))
+    mixed = ring_extend(child, direct_sum(field(4), field(27)))
     inst = tree_eval(mixed)
     enum = enumerate_group(list(inst.gens), 100)
     elems = list(enum.matrices())
@@ -357,7 +365,7 @@ def test_ring_extend_ltp_over_two_summands():
             v = vector_act(u, elems[rng.below(len(elems))])
         else:
             v = sample_transportable_vector(mixed, rng)
-        want, _ = oracle_solve("ltp", enum, (u, v))
+        want, _ = oracle_transporter(enum, u, v)
         got = ltp_solve(mixed, u, v)
         if isinstance(got, NoSolution):
             assert not want
@@ -390,7 +398,7 @@ def test_brute_fallback_answers_a_vector_that_is_no_pure_tensor(tree, monkeypatc
     targets += [vector(ring, [1, 0, 0, 0]), vector(ring, [0, 0, 0, 0])]
     answered = 0
     for v in targets:
-        want, _ = oracle_solve("ltp", enum, (u, v))
+        want, _ = oracle_transporter(enum, u, v)
         got = ltp_solve(tree, u, v)
         assert isinstance(got, NoSolution) == (not want), v
         if not isinstance(got, NoSolution):

@@ -18,7 +18,6 @@ from matcrypt.words import (
     FreeWord,
     build_exponent_pair,
     build_solvable_pair,
-    extract_schedule,
     fw,
     fw_commutator,
     fw_inv,
@@ -187,8 +186,6 @@ def test_schedules_regenerate():
         warnings.simplefilter("ignore", InsecurityWarning)
         p3 = build_solvable_pair(3)
     assert schedule_words(p3.schedule_b, 2) == p3.wb  # trailing zero form
-    with pytest.raises(TerminalLetterViolation):
-        extract_schedule(p3.wb, 2, strict=True)
 
 
 def test_exponent_pair():
