@@ -11,12 +11,12 @@ cryptosystem.  Every attack verifies its own output before reporting success.
 from __future__ import annotations
 
 import warnings
-from array import array
 from dataclasses import dataclass
 from functools import reduce
 
 from .errors import (
     AttackFailure,
+    DegenerateKey,
     InsecurityWarning,
     NoSolutionSpace,
     ShapeMismatch,
@@ -40,7 +40,7 @@ from .matrix import (
 )
 from .ring import RingSpec
 from .rng import Rng
-from .words import FreeWord, _closure, fw_inv, fw_mul
+from .words import FreeWord, _closure, fw_inv, fw_mul, push_reduced
 
 
 # ---------------------------------------------------------------------------
@@ -330,68 +330,62 @@ def _consistency_check(ring, gens, images, columns, img_table) -> bool:
 class CosetAttack:
     """The coset attack's tables for one public key and one model group.
 
-    ``table`` holds one representative X-word per model element.  The
-    search space, the ball of reduced products of at most ``bound`` public
-    X-words and their inverses, is held as two half balls built by
-    ``_word_ball``, each in breadth-first order: ``far``, of radius
-    ceil(bound / 2), maps each word, packed (``_pack``: the native 4-byte
-    ints of ``array('i', letters)``), to the model image of its f-image;
-    ``near``, of radius floor(bound / 2), lists (letters, packed letters,
-    image).
+    ``table`` holds one representative X-word per model element.  ``graph``
+    is the subgroup graph of <X> (Stallings, "Topology of finite graphs",
+    1983): the public x-words as loops at vertex 0, spelled in Y letters and
+    folded by ``_fold`` until no vertex has two edges with one letter.
+    ``graph[v]`` maps a Y letter to (vertex, label), the reverse edge
+    carrying the inverse label.  A label is a reduced word in which letter y
+    stands for the x-word f^-1(y), and along any path the labels multiply to
+    a product of x-words that spells the path.  So a reduced word q lies in
+    <X> exactly when it reads a path from 0 back to 0, and the labels then
+    give an x-word expression of q, written through f in Y letters
+    (``read``).  Reading costs one step per letter of q, whatever ``bound``.
 
-    A product of at most ``bound`` steps is a prefix of at most
-    ceil(bound / 2) steps times a suffix of at most floor(bound / 2), and
-    the balls are closed under inverses, so q lies in the ball of radius
-    ``bound`` exactly when q v lies in ``far`` for some v in ``near``.  Then
-    q = u v^-1 with u = q v, and q's image is the identity exactly when
-    image(u) = image(v).  ``decrypt`` makes at most |table| x |near|
-    lookups; over two X-words a ball of radius r holds 2 * 3^r - 1 words,
-    so the two half balls hold about three times the square root of the
-    ball of radius ``bound``, which is never built.
-
-    This needs a word's image not to depend on the product of steps that
-    reaches it.  Step j's image is y_f(j).  For every key that ``hc_keygen``
-    or ``assemble_keypair`` makes, x_j = phi_sigma^-1(r y_f(j) r') with r, r'
-    products of relators, which evaluate to 1 in H, so every path to a word
-    w has the image eval_H(phi_sigma(w)).  It holds as well for any key
-    whose X-words freely generate their subgroup, as any two X-words that do
-    not commute do in a free group of rank 2; ``HomPublicKey`` refuses a key
-    with two X-words that commute.
+    The x-words must be a free basis of <X>.  Then q's expression is
+    unique, and every product of x-words and their inverses that spells q
+    reduces to it, so q is a product of at most ``bound`` of them with f-image
+    1 in the model exactly when the expression has at most ``bound`` letters
+    and model image 1.  A relation among the x-words shows in the fold as one
+    edge with two different labels, and ``coset_attack`` refuses such a key
+    with DegenerateKey: on it a word's image in H depends on the product of
+    x-words that spells it.  Two x-words, as over every preset, are a free
+    basis unless they commute, and ``HomPublicKey`` refuses those.
     """
     table: list          # (model element key, representative X-word)
-    far: dict            # packed free word -> model image key of the f-image
-    near: list           # (letters, packed letters, model image key)
+    graph: list          # vertex -> {Y letter: (vertex, label)}, None if merged
     bound: int
     pk: object
     model: object
 
+    def read(self, q: tuple):
+        """q's x-word expression as f-image letters, or None when q is
+        outside <X>."""
+        v, expr = 0, []
+        for a in q:
+            edge = self.graph[v].get(a)
+            if edge is None:
+                return None
+            v, label = edge
+            if label:
+                push_reduced(expr, label)
+        return tuple(expr) if v == 0 else None
+
     def decrypt(self, cipher: FreeWord):
         """Model image of the plaintext, or INCONCLUSIVE."""
+        ident = self.model.identity_key()
         for key, rep_word in self.table:
-            images = self._halves(fw_mul(cipher, fw_inv(rep_word)).letters)
-            if images is not None and images[0] == images[1]:
+            expr = self.read(fw_mul(cipher, fw_inv(rep_word)).letters)
+            if expr is not None and len(expr) <= self.bound \
+                    and self.model.eval_key(expr) == ident:
                 return key
         return INCONCLUSIVE
-
-    def _halves(self, q: tuple):
-        """(image(q v), image(v)) for the first v in ``near`` with q v in
-        ``far``, or None when q lies outside the ball."""
-        word, far = _pack(q), self.far
-        for v, chunk, image in self.near:
-            # both words are reduced, so letters cancel only where they meet
-            i, n = 0, min(len(q), len(v))
-            while i < n and q[-1 - i] == -v[i]:
-                i += 1
-            u = far.get(word[:len(word) - _WIDTH * i] + chunk[_WIDTH * i:])
-            if u is not None:
-                return u, image
-        return None
 
 
 def coset_attack(pk, model, length_bound: int) -> CosetAttack:
     """List the model group, pick coset representatives f^-1(h_i), and decide
-    cosets by a meet-in-the-middle search over products of public
-    generators (see ``CosetAttack``)."""
+    cosets in the folded subgroup graph of the public x-words (see
+    ``CosetAttack``)."""
     from .homcrypt import f_inverse_word
 
     # one representative word per model element, by BFS over Y letters;
@@ -404,79 +398,75 @@ def coset_attack(pk, model, length_bound: int) -> CosetAttack:
                        lambda key: key, cap=4096)
     table = [(key, f_inverse_word(pk, FreeWord._of(k, w)))
              for key, w in reps.items()]
-    # bounded-length search table: products of X-generators and inverses;
-    # step 2i is x-word i and step 2i + 1 its inverse
-    steps = []
-    for idx, xw in enumerate(pk.x_words):
-        y = pk.f_table[idx] + 1
-        x = FreeWord(k, tuple(xw))
-        steps.append((x.letters, model.gen_key(y, 1)))
-        steps.append((fw_inv(x).letters, model.gen_key(y, -1)))
-    far = _word_ball(model, steps, (length_bound + 1) // 2)
-    near = [(tuple(array("i", w)), w, image) for w, image in
-            _word_ball(model, steps, length_bound // 2).items()]
-    return CosetAttack(table, far, near, length_bound, pk, model)
+    graph = _fold(pk.pullback_images)
+    return CosetAttack(table, graph, length_bound, pk, model)
 
 
-_WIDTH = array("i").itemsize
+def _fold(words: list[FreeWord]) -> list:
+    """The folded graph of loops at vertex 0 spelling the words, word i
+    labelled (i,) on its first edge (see ``CosetAttack``).
 
-
-def _pack(letters) -> bytes:
-    """A word's letters as its key in ``CosetAttack.far``."""
-    return array("i", letters).tobytes()
-
-
-def _word_ball(model, steps, bound: int) -> dict:
-    """Packed reduced word -> model image, for every product of at most
-    bound steps, in breadth-first order (steps in order within a level).
-
-    A word extends by one bytes concatenation; only where the step's first
-    letter cancels the word's last letter does the cancellation run, on a
-    memoryview of the word.  The step that undoes the word's last step
-    (s ^ 1) is skipped: it gives back the parent word.  Images are indices
-    into ``images``, and ``moves[i][s]`` is the image of image i times step
-    s, computed once per image the search reaches.
+    Merged vertices go into ``alias`` with a potential: alias[w] = (u, d)
+    puts d in front of the label of every edge that leaves w, and d^-1 after
+    the label of every edge that enters it.  Two edges v -a-> u (label m)
+    and v -a-> w (label l) fold by merging w into u with d = m^-1 l, which
+    makes both labels m; vertex 0 is always kept.  Two such edges into one
+    vertex with different labels give a closed path that reads a a^-1 in Y
+    and a nontrivial product of the words: DegenerateKey.  Labels and
+    potentials are reduced letter tuples.
     """
-    ident = model.identity_key()
-    images, index, moves = [ident], {ident: 0}, [None]
-    # per step: its letters, their packing, and the packed letter that
-    # its first letter cancels (None for an empty step)
-    packed = [(letters, _pack(letters),
-               _pack((-letters[0],)) if letters else None)
-              for letters, _ in steps]
-    searched, size = {b"": ident}, 1
-    frontier = [(b"", 0, -1)]
-    for _ in range(bound):
-        nxt = []
-        for word, img, last in frontier:
-            row = moves[img]
-            if row is None:
-                row = moves[img] = []
-                for _letters, gk in steps:
-                    key = model.mul_key(images[img], gk)
-                    if key not in index:
-                        index[key] = len(images)
-                        images.append(key)
-                        moves.append(None)
-                    row.append(index[key])
-            tail, undone = word[-_WIDTH:], last ^ 1
-            for s, (letters, chunk, undo) in enumerate(packed):
-                if s == undone:
-                    continue
-                if tail == undo:
-                    # the word is reduced, so letters cancel only where
-                    # they meet (as in words.push_reduced)
-                    stack = memoryview(word).cast("i")
-                    i, n = 1, min(len(stack), len(letters))
-                    while i < n and stack[-1 - i] == -letters[i]:
-                        i += 1
-                    w2 = word[:len(word) - _WIDTH * i] + chunk[_WIDTH * i:]
-                else:
-                    w2 = word + chunk
-                img2 = row[s]
-                searched.setdefault(w2, images[img2])
-                if len(searched) > size:
-                    size += 1
-                    nxt.append((w2, img2, s))
-        frontier = nxt
-    return searched
+    graph, alias, todo = [{}], {}, []
+    for i, word in enumerate(words, 1):
+        letters = word.letters
+        path = [0, *range(len(graph), len(graph) + len(letters) - 1), 0]
+        graph.extend({} for _ in letters[1:])
+        todo.extend((path[j], a, path[j + 1], (i,) if j == 0 else ())
+                    for j, a in enumerate(letters))
+    while todo:
+        v, a, w, label = todo.pop()
+        (v, pv), (w, pw) = _find(alias, v), _find(alias, w)
+        label = _mul(pv, label, _inv(pw))
+        if a not in graph[v]:
+            # fold at w instead, if w has an edge with letter a^-1
+            v, a, w, label = w, -a, v, _inv(label)
+        edge = graph[v].get(a)
+        if edge is None:
+            graph[v][a], graph[w][-a] = (w, label), (v, _inv(label))
+            continue
+        u, old = edge
+        if u == w:
+            if old != label:
+                raise DegenerateKey("the public words satisfy a relation")
+            continue
+        if w == 0:
+            u, w, old, label = w, u, label, old
+        alias[w] = (u, _mul(_inv(old), label))
+        # w's edges join again from u; a loop at w is one edge, listed twice
+        for b, (x, lab) in graph[w].items():
+            if x != w:
+                del graph[x][-b]
+            if x != w or b > 0:
+                todo.append((w, b, x, lab))
+        graph[w] = None
+    return graph
+
+
+def _find(alias: dict, v: int):
+    """(kept vertex, potential) of v: the potentials along its aliases,
+    multiplied from the kept vertex down."""
+    pot = ()
+    while v in alias:
+        v, d = alias[v]
+        pot = _mul(d, pot)
+    return v, pot
+
+
+def _mul(*words) -> tuple:
+    out: list = []
+    for w in words:
+        push_reduced(out, w)
+    return tuple(out)
+
+
+def _inv(w: tuple) -> tuple:
+    return tuple(-x for x in reversed(w))

@@ -117,8 +117,9 @@ class Matrix:
     r = 1, coefficient tuples of length r otherwise.  Equality and hashing use
     (n, data), plus the ring for equality.
 
-    ``Matrix(n, ring, rows)`` takes n >= 1 rows of n ``RingElement``s and
-    flattens them; kernels build results from ``data`` with ``Matrix._of``.
+    ``Matrix(n, ring, rows)`` takes an int n >= 1 and n rows of n
+    ``RingElement``s and flattens them; kernels build results from ``data``
+    with ``Matrix._of``.
     ``rows`` and ``a[i, j]`` give ``RingElement`` views, built on first use.
     Matrices are immutable; ``rows`` and the inverse are kept once computed.
     The storage stays flat: the packed rows of ``mat_mul`` and
@@ -130,8 +131,8 @@ class Matrix:
     def __init__(self, n: int, ring: RingSpec, rows):
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ShapeMismatch(f"degree {n} needs {n} rows of {n} entries")
-        if n < 1:
-            raise ShapeMismatch(f"degree {n} is not positive")
+        if type(n) is not int or n < 1:
+            raise ShapeMismatch(f"degree {n!r} is not a positive int")
         _fill(self, n, ring, _vector_data([e for row in rows for e in row], ring))
 
     @classmethod

@@ -198,8 +198,8 @@ def test_bad_hom_keys_exit_one(tmp_path, capsys):
 
 def test_hom_key_with_commuting_x_words_exits_one(tmp_path, capsys):
     # x-words (2) and (2,2,2) commute, so a word's image depends on the
-    # product of x-words that spells it; the half-ball coset verdict used to
-    # differ from the single ball's on such keys (bound 2, ciphertext -2)
+    # product of x-words that spells it; a coset verdict on such a key would
+    # depend on how the search reaches a word (bound 2, ciphertext -2)
     pub, sec = tmp_path / "hp.json", tmp_path / "hs.json"
     cipher = tmp_path / "c.json"
     run(capsys, "hom", "keygen", "--preset", "klein4", "--seed", "3",
@@ -321,6 +321,20 @@ def _write_json(path, obj):
 
 GL23 = {"leaf": {"kind": "general-linear", "params": [2, 3]}}
 
+
+
+def test_member_refuses_a_non_integer_degree(tmp_path, capsys):
+    # "n": 2.0 used to answer yes and "n": true to load as a degree-1 matrix
+    from matcrypt.instance import base_general_linear, leaf, tree_eval
+    from matcrypt.serialize import matrix_to_obj
+    sec = _write_json(tmp_path / "sec.json", GL23)
+    obj = matrix_to_obj(tree_eval(leaf(base_general_linear(2, 3))).gens[0])
+    one = dict(obj, rows=[obj["rows"][0][:1]])
+    for n, mat in ((2.0, obj), (True, one)):
+        elem = _write_json(tmp_path / "elem.json", dict(mat, n=n))
+        code, out, err = run(capsys, "member", "--sec", sec, "--elem", elem)
+        assert code == 1 and out == "", n
+        assert err.startswith("error: ShapeMismatch"), n
 
 def test_oracle_membership_refuses_a_query_over_another_ring(tmp_path, capsys):
     # [[1, 1], [0, 1]] over Z/9 stores the same integers as over Z/3

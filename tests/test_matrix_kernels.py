@@ -335,6 +335,20 @@ def test_degree_zero_matrices_are_refused():
             make()
 
 
+
+def test_non_integer_degrees_are_refused():
+    # a float or bool degree equal to the row count used to load, and then
+    # failed in mat_mul with a TypeError
+    z5 = field(5)
+    one, two = ((z5.one(),),), ((z5.one(), z5.zero()), (z5.zero(), z5.one()))
+    obj = matrix_to_obj(Matrix(2, z5, two))
+    for make in (lambda: Matrix(2.0, z5, two), lambda: Matrix(True, z5, one),
+                 lambda: matrix_from_obj(dict(obj, n=2.0)),
+                 lambda: matrix_from_obj(dict(matrix_to_obj(Matrix(1, z5, one)),
+                                              n=True))):
+        with pytest.raises(ShapeMismatch):
+            make()
+
 def _block_diagonal(ring, blocks):
     n = sum(b.n for b in blocks)
     rows = [[ring.zero()] * n for _ in range(n)]
@@ -393,6 +407,9 @@ EMBEDDINGS = {
     "GR(4,1)>GR(4,2)": (Zmod(4), galois_ring(2, 2, 2)),
     "GR(9,1)>GR(9,2)": (Zmod(9), galois_ring(3, 2, 2)),
     "GF2+GF3>GF4+GF9": (Zmod(6), direct_sum(field(4), field(9))),
+    # rank 2 sources over Z/p^2: the root found mod p is Hensel-lifted once
+    "GR(4,2)>GR(4,4)": (galois_ring(2, 2, 2), galois_ring(2, 2, 4)),
+    "GR(9,2)>GR(9,4)": (galois_ring(3, 2, 2), galois_ring(3, 2, 4)),
 }
 
 
@@ -415,6 +432,28 @@ def test_embedding_table_matches_both_decoders(name):
         inside += None not in pres
     assert inside == emb.src.order
 
+
+
+# GR(8,2) > GR(8,6) lifts its root twice
+HOMOMORPHISMS = {
+    "GR(4,2)>GR(4,4)": EMBEDDINGS["GR(4,2)>GR(4,4)"],
+    "GR(9,2)>GR(9,4)": EMBEDDINGS["GR(9,2)>GR(9,4)"],
+    "GR(8,2)>GR(8,6)": (galois_ring(2, 3, 2), galois_ring(2, 3, 6)),
+}
+
+
+@pytest.mark.parametrize("name", HOMOMORPHISMS)
+def test_embedding_is_a_unital_ring_homomorphism(name):
+    # on every pair of source elements; a root that is not exact mod p^m
+    # breaks the products
+    emb = find_embedding(*HOMOMORPHISMS[name])
+    elems = list(emb.src.enumerate())
+    images = [emb.apply(a) for a in elems]
+    assert emb.apply(emb.src.one()) == emb.dst.one()
+    for a, fa in zip(elems, images):
+        for b, fb in zip(elems, images):
+            assert emb.apply(a + b) == fa + fb, (a, b)
+            assert emb.apply(a * b) == fa * fb, (a, b)
 
 DRAW_RINGS = {
     "Z15": Zmod(15),

@@ -14,14 +14,18 @@ u0 times those scalars.
 
 import warnings
 
+import pytest
+
 from conftest import rand_matrix
 from matcrypt.analysis import enumerate_group
 from matcrypt.errors import CapExceeded
 from matcrypt.instance import (
     base_diagonal,
+    base_general_linear,
     base_special_linear,
     base_unipotent,
     leaf,
+    leaf_contains,
     tensor,
     tree_eval,
     tree_random,
@@ -127,6 +131,36 @@ def _closed_form_scalars(t, us):
             if all(u.pow(d).coeffs[s] == one.coeffs[s]
                    for s, d in enumerate(scalar_subgroup(t)))}
 
+
+
+# one leaf spec per kind and shape; SL(3,4) and SL(3,7) have
+# gcd(n, q - 1) = 3 and gcd(n, q + 1) = 1
+LEAF_SPECS = {
+    "unipotent(3)": base_unipotent(3),
+    "unipotent(5)": base_unipotent(5),
+    "SL(2,3)": base_special_linear(2, 3),
+    "SL(2,5)": base_special_linear(2, 5),
+    "SL(2,9)": base_special_linear(2, 9),
+    "SL(3,4)": base_special_linear(3, 4),
+    "SL(3,7)": base_special_linear(3, 7),
+    "GL(1,4)": base_general_linear(1, 4),
+    "GL(2,3)": base_general_linear(2, 3),
+    "GL(3,2)": base_general_linear(3, 2),
+    "diagonal(2,7,<2>)": base_diagonal(2, 7, gen=(2,)),
+    "diagonal(3,5)": base_diagonal(3, 5),
+    "diagonal(2,9)": base_diagonal(2, 9),
+}
+
+
+@pytest.mark.parametrize("name", LEAF_SPECS)
+def test_scalar_subgroup_counts_the_scalars_of_each_leaf(name):
+    # over one field the scalars of G form a cyclic group of order d
+    spec = LEAF_SPECS[name]
+    t = leaf(spec)
+    inst = tree_eval(t)
+    ident = identity(inst.n, inst.ring)
+    count = sum(leaf_contains(spec, mat_scale(ident, u)) for u in units(inst.ring))
+    assert scalar_subgroup(t) == (count,)
 
 def test_scalars_and_twists_are_the_closed_form_cosets():
     nonempty = 0
