@@ -16,8 +16,8 @@ from functools import cached_property
 
 from .errors import AlphabetMismatch, DegenerateKey, IndexOutOfRange, ShapeMismatch
 from .rng import Rng
-from .words import (FreeWord, _closure, fw_inv, fw_mul, fw_substitute,
-                    push_reduced, reduce_letters)
+from .words import (FreeWord, _closure, check_letters, fw_inv, fw_mul,
+                    fw_substitute, push_reduced, reduce_letters)
 
 KEYGEN_RETRIES = 64
 
@@ -136,6 +136,8 @@ class HomPublicKey:
             raise DegenerateKey(f"{len(self.x_words)} public words for {k} generators")
         if not _is_permutation(self.f_table, k):
             raise DegenerateKey(f"f_table is not a permutation of 0..{k - 1}")
+        for w in self.x_words:
+            check_letters(w)
 
     @cached_property
     def pullback_images(self) -> tuple[FreeWord, ...]:

@@ -558,30 +558,6 @@ def _iter_units(ring: RingSpec):
     return ring.unit_list
 
 
-def _search_unit_product(twist_sets, target):
-    """Pick one (u, witness) per set with product of units == target."""
-    last = {u.coeffs: (u, wit) for u, wit in twist_sets[-1]}
-
-    def rec(i, acc):
-        if i == len(twist_sets) - 1:
-            need = ring_inv(acc) * target
-            hit = last.get(need.coeffs)
-            return None if hit is None else [hit[1]]
-        for u, wit in twist_sets[i]:
-            sub = rec(i + 1, acc * u)
-            if sub is not None:
-                return [wit] + sub
-        return None
-
-    return rec(0, target.ring.one())
-
-
-def _ltp_twists(t: DerivationTree, u: tuple, v: tuple) -> list:
-    """[(w, g)] with u^g = v*w, one per unit w that has a transporter g."""
-    info, solver = _solver(t)
-    return solver.ltp_twists(t, info, u, v)
-
-
 def _pure_tensor_factors(t: DerivationTree, info: NodeInfo, pair) -> tuple:
     """Both vectors of pair split into pure-tensor factors, one per factor of t."""
     shapes = [(1, _info(c).degree) for c in info.impl.factors(t)]
@@ -632,21 +608,11 @@ class _Solver:
     """The tree-directed solvers of one node kind.  scalars: the per-summand
     orders of the scalar subgroup of G(t); member: a witness for g, or None;
     twists: a unit u0 with a*u0 in G(t), or None; ltp: g with u^g = v for
-    every (u, v) pair, or None; ltp_twists: ltp for (u, v*w) at every unit w;
-    sample: a vector the ltp recursion can decompose."""
+    every (u, v) pair, or None; sample: a vector the ltp recursion can
+    decompose."""
 
     def sample(self, t: DerivationTree, info: NodeInfo, rng) -> tuple:
         return _random_vector(info.ring, info.degree, rng)
-
-    def ltp_twists(self, t, info, u, v) -> list:
-        """[(w, g)] with u^g = v*w, one per unit w that has a transporter g,
-        in canonical unit order."""
-        out = []
-        for w in _iter_units(info.ring):
-            g = self.ltp(t, info, [(u, _scale(info.ring, v, w))])
-            if g is not None:
-                out.append((w, g))
-        return out
 
 
 class _LeafSolver(_Solver):
@@ -656,47 +622,8 @@ class _LeafSolver(_Solver):
     def ltp(self, t, info, pairs):
         return _first_transporter(leaf_enumerate(t.base), pairs, info.ring)
 
-    def ltp_twists(self, t, info, u, v):
-        # one scan answers every unit: at the first unit entry k of v,
-        # u^h = v*w forces w = (u^h)_k / v_k, so h is checked in full only
-        # for a unit w that has no transporter yet, and the scan stops once
-        # every unit has one; h is still the first in enumeration order
-        ring, n = info.ring, info.degree
-        g = ring.summands[0]  # a leaf's ring is one field GF(q)
-        k = _first_unit(v[0], g)
-        if k is None:
-            return super().ltp_twists(t, info, u, v)
-        units = _iter_units(ring)
-        (x, y), = _flat_pairs([(u, v)], ring)[0]
-        q, mod = g.q, g.modulus
-        if g.r == 1:
-            def times(a, b):
-                return a * b % q
-        else:
-            def times(a, b):
-                return _pmul(a, b, mod, q)
-        vk_inv = _to_entry(g, _pinv(_to_coeffs(g, y[k]), g))
-        zero = _zero(g)
-        found = {}
-        for h in leaf_enumerate(t.base):
-            d = h.data[0]
-            c = _coord(x, d, k, n, g)
-            if c == zero:
-                continue
-            w = times(c, vk_inv)
-            if w not in found and all(_coord(x, d, j, n, g) == times(e, w)
-                                      for j, e in enumerate(y) if j != k):
-                found[w] = h
-                if len(found) == len(units):
-                    break
-        hits = ((w, found.get(_to_entry(g, w.coeffs[0]))) for w in units)
-        return [(w, h) for w, h in hits if h is not None]
-
 
 class _UnipotentSolver(_LeafSolver):
-    # ltp is closed-form, so each unit's transporter is cheap on its own
-    ltp_twists = _Solver.ltp_twists
-
     def scalars(self, t, info):
         return (1,)
 
@@ -951,24 +878,38 @@ class _TwistedSolver(_Solver):
     def ltp_pure(self, t, info, pair):
         """For pure tensors u = (x) u_i and v = (x) v_j, the transporter
         permuting the factors by k maps u_i to v_k(i) times a twist w_i with
-        prod w_i = 1.  The twist set of (i, j) is asked for only when a
-        permutation first needs it, and a permutation is dropped at its
-        first empty set."""
+        prod w_i = 1.  Per permutation, a depth-first search takes w_i in
+        canonical unit order, the product of the earlier twists fixes the
+        last, and the first twist tuple whose factors all have a transporter
+        wins.  Factor i's transporter at (j, w) is asked for only when the
+        search first needs it, and kept for the rest of the call."""
         factors = info.impl.factors(t)
         us, vs = _pure_tensor_factors(t, info, pair)
-        sets = {}
+        units = _iter_units(info.ring)
+        found = {}
+
+        def hit(i, j, w):
+            key = (i, j, w.coeffs)
+            if key not in found:
+                found[key] = _ltp(factors[i], [(us[i], _scale(info.ring, vs[j], w))])
+            return found[key]
+
+        def search(k, i, acc):
+            """Transporters of factors i.. under k whose twists times acc are one."""
+            if i == len(k) - 1:
+                g = hit(i, k[i], ring_inv(acc))
+                return None if g is None else [g]
+            for w in units:
+                g = hit(i, k[i], w)
+                rest = None if g is None else search(k, i + 1, acc * w)
+                if rest is not None:
+                    return [g] + rest
+            return None
+
         for k in self.perms(t):
-            chosen = []
-            for i, j in enumerate(k):
-                if (i, j) not in sets:
-                    sets[(i, j)] = _ltp_twists(factors[i], us[i], vs[j])
-                if not sets[(i, j)]:
-                    break
-                chosen.append(sets[(i, j)])
-            else:
-                hit = _search_unit_product(chosen, info.ring.one())
-                if hit is not None:
-                    return info.impl.assemble(t, info, hit, k)
+            gs = search(k, 0, info.ring.one())
+            if gs is not None:
+                return info.impl.assemble(t, info, gs, k)
         return None
 
     def sample(self, t, info, rng):

@@ -26,6 +26,15 @@ from .rng import Rng
 U_A, U_B = 1, 2
 
 
+def check_letters(letters) -> None:
+    """Raise TypeError at the first letter whose type is not int: a bool or
+    a float read from a file compares equal to an int letter, and a string
+    fails only later, inside a kernel."""
+    for x in letters:
+        if type(x) is not int:
+            raise TypeError(f"word letter {x!r} is not an integer")
+
+
 def reduce_letters(letters) -> tuple[int, ...]:
     out: list[int] = []
     for x in letters:
@@ -58,6 +67,7 @@ class FreeWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        check_letters(self.letters)
         reduced = reduce_letters(self.letters)
         if reduced != tuple(self.letters):
             object.__setattr__(self, "letters", reduced)

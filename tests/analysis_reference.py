@@ -156,9 +156,11 @@ class RefCosetAttack:
         return INCONCLUSIVE
 
 
-def ref_coset_attack(pk, model, length_bound: int) -> RefCosetAttack:
+def ref_coset_attacks(pk, model, max_bound: int) -> list:
     """List the model group, pick coset representatives f^-1(h_i), and decide
-    cosets by bounded-length search over products of public generators."""
+    cosets by bounded-length search over products of public generators; one
+    attack per bound 0..max_bound.  The search adds words radius by radius,
+    so the ball of each bound is the first entries of the largest ball."""
     from matcrypt.homcrypt import f_inverse_word
 
     if model.order() > 4096:
@@ -189,7 +191,8 @@ def ref_coset_attack(pk, model, length_bound: int) -> RefCosetAttack:
         steps.append((x.letters, model.gen_key(y, 1)))
         steps.append((fw_inv(x).letters, model.gen_key(y, -1)))
     frontier2 = [((), model.identity_key())]
-    for _ in range(length_bound):
+    sizes = [len(searched)]
+    for _ in range(max_bound):
         nxt = []
         for letters, img in frontier2:
             for chunk, gk in steps:
@@ -199,4 +202,7 @@ def ref_coset_attack(pk, model, length_bound: int) -> RefCosetAttack:
                     searched[w2] = img2
                     nxt.append((w2, img2))
         frontier2 = nxt
-    return RefCosetAttack(table, searched, length_bound, pk, model)
+        sizes.append(len(searched))
+    items = list(searched.items())
+    return [RefCosetAttack(table, dict(items[:size]), bound, pk, model)
+            for bound, size in enumerate(sizes)]

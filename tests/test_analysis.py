@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from analysis_reference import ref_coset_attack
+from analysis_reference import ref_coset_attacks
 from conftest import rand_invertible
 from matcrypt.analysis import (
     INCONCLUSIVE,
@@ -281,7 +281,7 @@ def test_coset_search_matches_the_reference(make):
         pk, _sk = hc_keygen(pres, seed)
         ciphers = [hc_encrypt(pk, FreeWord(pres.k, (x,)), 7 * seed + j, pad_length=1)
                    for j, x in enumerate((1, -1, 2, -2))]
-        refs = [ref_coset_attack(pk, pres.model, bound) for bound in range(10)]
+        refs = ref_coset_attacks(pk, pres.model, 9)
         for bound, want in enumerate(refs):
             got = coset_attack(pk, pres.model, bound)
             assert got.table == want.table, (seed, bound)
@@ -304,8 +304,8 @@ def test_graph_reader_decides_membership_as_the_ball_does(make, seeds, radius):
     for seed in seeds:
         pk, _sk = hc_keygen(pres, seed)
         first = {}
-        for b in range(radius + 1):
-            ball = ref_coset_attack(pk, model, b).searched
+        for b, ref in enumerate(ref_coset_attacks(pk, model, radius)):
+            ball = ref.searched
             for w in ball:
                 first.setdefault(w, b)
         attack = coset_attack(pk, model, 0)

@@ -528,6 +528,34 @@ def test_wrong_input_files_exit_one(case, hom_files, capsys):
     assert failure in err
 
 
+@pytest.mark.parametrize("letter", ["a", True, 1.0], ids=["string", "true", "float"])
+def test_hom_key_with_a_non_integer_letter_exits_one(letter, hom_files, capsys):
+    # a string letter used to escape from hom encrypt as a raw TypeError, and
+    # true or 1.0, equal to the letter 1, used to encrypt and exit 0
+    raw = json.loads(Path(hom_files["hpub"]).read_text())
+    raw["x_words"][0][0] = letter
+    Path(hom_files["hpub"]).write_text(json.dumps(raw))
+    for argv in (("hom", "encrypt", "--pub", "{hpub}", "--message", "1",
+                  "--seed", "1", "--out", "{out}"),
+                 ("attack", "coset", "--pub", "{hpub}", "--cipher", "{cipher}")):
+        code, out, err = run(capsys, *[a.format(**hom_files) for a in argv])
+        assert code == 1 and out == "", argv
+        assert err.startswith(f"error: BadInputFile: {hom_files['hpub']} is not a "
+                              "hom public key file (TypeError: "), err
+
+
+def test_ciphertext_with_a_true_letter_exits_one(hom_files, capsys):
+    cipher = json.loads(Path(hom_files["cipher"]).read_text())
+    cipher[0] = True
+    Path(hom_files["cipher"]).write_text(json.dumps(cipher))
+    for argv in (("hom", "decrypt", "--sec", "{hsec}", "--cipher", "{cipher}"),
+                 ("attack", "coset", "--pub", "{hpub}", "--cipher", "{cipher}")):
+        code, out, err = run(capsys, *[a.format(**hom_files) for a in argv])
+        assert code == 1 and out == "", argv
+        assert err.startswith(f"error: BadInputFile: {hom_files['cipher']} is not a "
+                              "ciphertext file (TypeError: "), err
+
+
 def test_every_written_file_reparses_canonically(tmp_path, capsys):
     from matcrypt.serialize import dumps
     files = {

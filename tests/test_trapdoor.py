@@ -1,5 +1,6 @@
 """Tree-directed membership and transporter solvers against exhaustive oracles."""
 
+import math
 import warnings
 
 import pytest
@@ -48,6 +49,10 @@ from matcrypt.ring import RingElement, Zmod, direct_sum, field, galois_ring, rin
 from matcrypt.rng import Rng
 from matcrypt.trapdoor import (
     NoSolution,
+    _bezout,
+    _nth_root,
+    _split_scalar,
+    _spow,
     affine_bridge,
     affine_embed,
     lex_min_perfect_matching,
@@ -434,6 +439,44 @@ def test_ltp_solve_checks_its_answer(monkeypatch):
         monkeypatch.setattr(trapdoor, "_ltp", lambda t, pairs, g=wrong: g)
         with pytest.raises(UnverifiedResult):
             ltp_solve(UNIPOTENT5, u, v)
+
+
+# --- scalar arithmetic ---------------------------------------------------------
+
+@pytest.mark.parametrize("ms", [[1], [4], [4, 1], [3, 5], [12, 18], [6, 10, 15],
+                                [9, 6, 4]])
+def test_bezout_combines_to_the_gcd(ms):
+    cs = _bezout(ms)
+    assert len(cs) == len(ms)
+    assert sum(c * m for c, m in zip(cs, ms)) == math.gcd(*ms)
+
+
+@pytest.mark.parametrize("ring, orders", [
+    (Zmod(13), [(4,), (6,)]), (Zmod(13), [(2,), (3,)]),
+    (Zmod(13), [(6,), (4,), (3,)]), (Zmod(35), [(2, 3), (4, 2)]),
+], ids=["GF(13) 4,6", "GF(13) 2,3", "GF(13) 6,4,3", "GF(5)+GF(7)"])
+def test_split_scalar_splits_exactly_the_scalars_of_the_product(ring, orders):
+    # x splits into z_i with z_i^d_i = 1 exactly when x^lcm(d_i) = 1 in
+    # every summand, and the parts multiply to x
+    lcms = [math.lcm(*ds) for ds in zip(*orders)]
+    for x in ring.unit_list:
+        parts = _split_scalar(x, orders)
+        assert (parts is not None) == _spow(x, lcms).is_one(), x
+        if parts is not None:
+            assert math.prod(parts[1:], start=parts[0]) == x
+            assert all(_spow(z, ds).is_one() for z, ds in zip(parts, orders))
+
+
+@pytest.mark.parametrize("q, ns", [(13, (1, 2, 3, 4, 5, 6, 12)), (9, (2, 4, 8)),
+                                   (16, (3, 5, 15)), (7, (2, 3, 4, 6))])
+def test_nth_root_finds_a_root_exactly_when_one_exists(q, ns):
+    units = field(q).unit_list
+    for n in ns:
+        powers = {y.pow(n) for y in units}
+        for c in units:
+            x = _nth_root(c, n)
+            assert (x is not None) == (c in powers), (n, c)
+            assert x is None or x.pow(n) == c, (n, c)
 
 
 # --- matching ---------------------------------------------------------------------

@@ -2,8 +2,13 @@
 
 These are the scans that the flat-integer scans of ``matcrypt.trapdoor``
 replaced, kept unchanged apart from being free functions: each element acts
-on u through ``vector_act`` and the whole image is compared with v, and the
-twist set of a leaf runs one full scan per unit of the ring.
+on u through ``vector_act`` and the whole image is compared with v.
+
+``ref_ltp_pure`` is the eager search that the lazy twisted search of
+``_TwistedSolver.ltp_pure`` replaced, kept unchanged apart from being free
+functions: per (factor i, target factor j) it lists a transporter for every
+unit w of the ring, in canonical unit order, and then searches the product
+of the lists for twists that multiply to one, permutation by permutation.
 
 ``ref_vector_tensor_split`` is the per-entry vector split that the shared
 Kronecker split kernel replaced, kept unchanged apart from its name.
@@ -16,9 +21,15 @@ from matcrypt.errors import (
     UnsupportedDecomposition,
 )
 from matcrypt.instance import _info, leaf_enumerate, tree_eval
-from matcrypt.matrix import RingElement, _to_entry, vector_act
-from matcrypt.ring import _pinv, _pmul
-from matcrypt.trapdoor import BRUTE_LTP_CAP, _first_unit, _iter_units
+from matcrypt.matrix import RingElement, _scale, _to_entry, vector_act
+from matcrypt.ring import _pinv, _pmul, ring_inv
+from matcrypt.trapdoor import (
+    BRUTE_LTP_CAP,
+    _first_unit,
+    _iter_units,
+    _ltp,
+    _pure_tensor_factors,
+)
 
 
 def ref_leaf_ltp(t, pairs):
@@ -29,18 +40,57 @@ def ref_leaf_ltp(t, pairs):
     return None, True
 
 
-def ref_leaf_ltp_twists(t, u, v):
-    """{w.coeffs: (w, g)} with u^g = v*w over the units w; a certified flag."""
+def ref_ltp_twists(t, u, v):
+    """[(w, g)] with u^g = v*w, one per unit w that has a transporter g, in
+    canonical unit order; u and v are flat vectors."""
     ring = _info(t).ring
-    out = {}
-    certified = True
+    out = []
     for w in _iter_units(ring):
-        vw = tuple(e * w for e in v)
-        g, cert = ref_leaf_ltp(t, [(u, vw)])
-        certified = certified and cert
+        g = _ltp(t, [(u, _scale(ring, v, w))])
         if g is not None:
-            out[w.coeffs] = (w, g)
-    return out, certified
+            out.append((w, g))
+    return out
+
+
+def ref_search_unit_product(twist_sets, target):
+    """Pick one (u, witness) per set with product of units == target."""
+    last = {u.coeffs: (u, wit) for u, wit in twist_sets[-1]}
+
+    def rec(i, acc):
+        if i == len(twist_sets) - 1:
+            need = ring_inv(acc) * target
+            hit = last.get(need.coeffs)
+            return None if hit is None else [hit[1]]
+        for u, wit in twist_sets[i]:
+            sub = rec(i + 1, acc * u)
+            if sub is not None:
+                return [wit] + sub
+        return None
+
+    return rec(0, target.ring.one())
+
+
+def ref_ltp_pure(solver, t, info, pair):
+    """``_TwistedSolver.ltp_pure`` as it was: the twist set of (i, j) is
+    listed in full when a permutation first needs it, a permutation is
+    dropped at its first empty set, and the product of the sets is then
+    searched.  Takes the solver first, so it can stand in for the method."""
+    factors = info.impl.factors(t)
+    us, vs = _pure_tensor_factors(t, info, pair)
+    sets = {}
+    for k in solver.perms(t):
+        chosen = []
+        for i, j in enumerate(k):
+            if (i, j) not in sets:
+                sets[(i, j)] = ref_ltp_twists(factors[i], us[i], vs[j])
+            if not sets[(i, j)]:
+                break
+            chosen.append(sets[(i, j)])
+        else:
+            hit = ref_search_unit_product(chosen, info.ring.one())
+            if hit is not None:
+                return info.impl.assemble(t, info, hit, k)
+    return None
 
 
 def ref_ltp_brute(t, pairs):
