@@ -36,12 +36,13 @@ def _write(path: str, obj) -> None:
 
 def _read(path: str, kind: str, parse):
     """The JSON value in path, read through parse.  A file that is not JSON,
-    or lacks what parse reads from it, is a BadInputFile naming the file;
-    parse's own domain errors pass through."""
+    lacks what parse reads from it or holds a value of the wrong type there,
+    is a BadInputFile naming the file; parse's own domain errors pass
+    through."""
     with open(path) as fh:
         try:
             return parse(json.load(fh))
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, BadInputFile) as e:
             raise BadInputFile(
                 f"{path} is not a {kind} file ({type(e).__name__}: {e})") from e
 

@@ -8,10 +8,14 @@ acting on the right.
 
 A matrix is stored flat per CRT summand (see ``Matrix``); the kernels work on
 those tuples of plain ints or coefficient tuples, and ``RingElement`` entries
-are built only when a caller reads ``rows`` or ``a[i, j]``.  Rank-1 products
-of degree _PACK_MUL_MIN and up, and eliminations of _PACK_ROWS_MIN rows and
-up that are not sparse, pack each row into one integer (see "packed rows"
-below); smaller ones run on row lists.  Both give the same entries.
+are built only when a caller reads ``rows`` or ``a[i, j]``.  Products of
+degree below _PACK_MUL_MIN run one generated straight-line kernel per degree
+and summand rank (see "straight-line products" below).  From that degree on,
+rank-1 products pack each row into one integer (see "packed rows"), and rank
+> 1 products pack entry by entry.  Eliminations of _PACK_ROWS_MIN rows and
+up that are not sparse pack their rows too; smaller ones run on row lists.
+Inverses of degree 1 and 2 over Z/p^m are the adjugate over the determinant.
+Every path gives the same entries.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ from .ring import (
     _pneg,
     _psub,
 )
-
-_set = object.__setattr__
 
 
 def _to_entry(g: GaloisRingSpec, cs: tuple):
@@ -101,14 +103,6 @@ def _one(g: GaloisRingSpec):
     return 1 if g.r == 1 else g.one()
 
 
-def _fill(a, n: int, ring: RingSpec, data: tuple) -> None:
-    _set(a, "n", n)
-    _set(a, "ring", ring)
-    _set(a, "data", data)
-    _set(a, "_rows", None)
-    _set(a, "_inv", None)
-
-
 class Matrix:
     """Square matrix of degree n over ``ring``, stored flat per CRT summand.
 
@@ -154,8 +148,8 @@ class Matrix:
         if self._rows is None:
             n = self.n
             flat = _entries(self.ring, self.data)
-            _set(self, "_rows", tuple(tuple(flat[i:i + n])
-                                      for i in range(0, n * n, n)))
+            _set_rows(self, tuple(tuple(flat[i:i + n])
+                                  for i in range(0, n * n, n)))
         return self._rows
 
     def __getitem__(self, ij) -> RingElement:
@@ -211,6 +205,20 @@ class Matrix:
     def key(self):
         """Hashable content key: (n, data)."""
         return (self.n, self.data)
+
+
+# Matrix is immutable: its slots are set through their member descriptors,
+# which skip ``__setattr__`` and cost less than ``object.__setattr__``.
+_set_n, _set_ring, _set_data, _set_rows, _set_inv = (
+    getattr(Matrix, name).__set__ for name in Matrix.__slots__)
+
+
+def _fill(a, n: int, ring: RingSpec, data: tuple) -> None:
+    _set_n(a, n)
+    _set_ring(a, ring)
+    _set_data(a, data)
+    _set_rows(a, None)
+    _set_inv(a, None)
 
 
 def matrix(ring: RingSpec, int_rows) -> Matrix:
@@ -319,9 +327,10 @@ def _unpack(v: int, w: int, folds: tuple, q: int) -> tuple:
 # through shifts.
 #
 # Packing costs a pass over the rows that short rows do not win back, so
-# each kernel has a measured crossover below which its row-list code runs;
-# both paths give the same reduced entries.  Rank-1 products pack from
-# degree _PACK_MUL_MIN on.  Eliminations pack from _PACK_ROWS_MIN rows on
+# each kernel has a measured crossover below which other code runs; every
+# path gives the same reduced entries.  Rank-1 products pack from degree
+# _PACK_MUL_MIN on, and below it run the straight-line kernels (see
+# "straight-line products").  Eliminations pack from _PACK_ROWS_MIN rows on
 # (twice that for the forward-only determinant, which makes half the row
 # updates), and only when the rows hold at least _PACK_NONZERO nonzero
 # entries each on average: the row-list code skips a row whose entry in the
@@ -377,24 +386,75 @@ def _mul_packed(x: tuple, y: tuple, n: int, q: int) -> tuple:
                                        n, w, tc)])
 
 
+# --- straight-line products --------------------------------------------------
+#
+# Below _PACK_MUL_MIN a product costs interpreter overhead, not arithmetic:
+# slices, generators and calls per entry outweigh the n^3 multiplications.
+# ``_mul_kernel`` writes the product of one degree and rank out as one
+# function whose entries are expressions over locals, compiles it once and
+# keeps it.  Its source is built from n and r alone, never from data.
+
+@lru_cache(maxsize=None)
+def _mul_kernel(n: int, r: int):
+    """``kernel(x, y, q, w, folds)``: the product of two flat summand tuples
+    of degree n and rank r, straight-line.
+
+    At r = 1 entry (i, j) is (x_i0 y_0j + ... + x_i,n-1 y_n-1,j) % q, and w
+    and folds are unused.  At r > 1 they are ``_fold_table(n, g)``'s: each
+    coefficient tuple is packed at width w, as ``_pack`` packs it, and each
+    dot product is folded and read as ``_unpack`` reads it, so the slot
+    bound of ``_fold_table`` holds.
+    """
+    def tup(items) -> str:
+        return "(" + "".join(f"{s}, " for s in items) + ")"
+
+    cells = range(n * n)
+    dots = [" + ".join(f"x{i + k}*y{k * n + j}" for k in range(n))
+            for i in range(0, n * n, n) for j in range(n)]
+    lines = ["def kernel(x, y, q, w, folds):"]
+    if r == 1:
+        lines += [f"    {tup(f'{v}{k}' for k in cells)} = {v}" for v in "xy"]
+        lines.append(f"    return {tup(f'({d}) % q' for d in dots)}")
+    else:
+        # slot t sits at shift s_t = t w; the slots from r on are folded
+        shift = [""] + [f" >> s{t}" for t in range(1, r)]
+        lines += [f"    s{t} = {t} * w" for t in range(1, r + 1)]
+        lines += ["    mask = (1 << w) - 1", f"    low = (1 << s{r}) - 1",
+                  f"    {tup(f'f{t}' for t in range(1, r))} = folds"]
+        for v in "xy":
+            coeffs = [[f"{v}{k}_{t}" for t in range(r)] for k in cells]
+            lines.append(f"    {tup(map(tup, coeffs))} = {v}")
+            lines += [f"    {v}{k} = " + " | ".join(
+                [cs[0]] + [f"{c} << s{t}" for t, c in enumerate(cs) if t])
+                for k, cs in enumerate(coeffs)]
+        for k, d in enumerate(dots):
+            fold = " + ".join(f"(h{shift[t]} & mask) * f{t + 1}"
+                              for t in range(r - 1))
+            lines += [f"    v = {d}", f"    h = v >> s{r}",
+                      f"    v = (v & low) + {fold}",
+                      f"    e{k} = {tup(f'(v{sh} & mask) % q' for sh in shift)}"]
+        lines.append(f"    return {tup(f'e{k}' for k in cells)}")
+    scope = {}
+    exec(compile("\n".join(lines), f"<mat_mul kernel n={n} r={r}>", "exec"), scope)
+    return scope["kernel"]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     _check_pair(a, b)
     n = a.n
     data = []
     for g, x, y in zip(a.ring.summands, a.data, b.data):
         q = g.q
-        if g.r == 1 and n >= _PACK_MUL_MIN:
+        if n < _PACK_MUL_MIN:
+            w, folds = _fold_table(n, g) if g.r > 1 else (0, ())
+            data.append(_mul_kernel(n, g.r)(x, y, q, w, folds))
+        elif g.r == 1:
             data.append(_mul_packed(x, y, n, q))
-            continue
-        rows = [x[i:i + n] for i in range(0, n * n, n)]
-        cols = [y[j::n] for j in range(n)]
-        if g.r == 1:
-            data.append(tuple([sum(map(mul, row, col)) % q
-                               for row in rows for col in cols]))
         else:
             w, folds = _fold_table(n, g)
-            rows = [[_pack(cs, w) for cs in row] for row in rows]
-            cols = [[_pack(cs, w) for cs in col] for col in cols]
+            rows = [[_pack(cs, w) for cs in x[i:i + n]]
+                    for i in range(0, n * n, n)]
+            cols = [[_pack(cs, w) for cs in y[j::n]] for j in range(n)]
             data.append(tuple([_unpack(sum(map(mul, row, col)), w, folds, q)
                                for row in rows for col in cols]))
     return Matrix._of(n, a.ring, tuple(data))
@@ -607,9 +667,21 @@ def _unswap(a: list, order: list) -> None:
 
 
 def _int_inv(x: tuple, n: int, p: int, q: int) -> tuple:
-    """Inverse over Z_q, q a power of the prime p: ``_eliminate`` on [x | I],
-    stopped at the first pivot that is missing, moved or not a unit, and
-    otherwise run to its end, so that the rows hold [I | x^-1]."""
+    """Inverse over Z_q, q a power of the prime p.
+
+    At n <= 2, the adjugate over the determinant: over the local ring Z_q a
+    matrix is invertible exactly when its determinant is a unit, and the
+    inverse is unique.  Above, ``_eliminate`` on [x | I], stopped at the
+    first pivot that is missing, moved or not a unit, and otherwise run to
+    its end, so that the rows hold [I | x^-1]."""
+    if n <= 2:
+        det = x[0] if n == 1 else (x[0] * x[3] - x[1] * x[2]) % q
+        if det % p == 0:
+            raise NonInvertible("no unit pivot")
+        t = pow(det, -1, q)
+        if n == 1:
+            return (t,)
+        return (x[3] * t % q, -x[1] * t % q, -x[2] * t % q, x[0] * t % q)
     a = _square(x, n)
     for i, row in enumerate(a):
         row.extend([0] * n)
@@ -670,7 +742,7 @@ def _summand_det(mat, g: GaloisRingSpec):
 
 def mat_inv(a: Matrix) -> Matrix:
     if a._inv is None:
-        _set(a, "_inv", _inverse(a))
+        _set_inv(a, _inverse(a))
     return a._inv
 
 

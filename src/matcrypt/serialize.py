@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .errors import RingMismatch
+from .errors import BadInputFile, RingMismatch
 from .matrix import Matrix
 from .ring import (GaloisRingSpec, RingElement, RingSpec, _validate_summand,
                    direct_sum_specs)
@@ -31,6 +31,14 @@ def fingerprint(obj) -> str:
     return hashlib.sha256(dumps(obj).encode()).hexdigest()
 
 
+def _int(value, what: str) -> int:
+    """value, when it is an int; a bool, float, str or any other value read
+    where a file holds an integer is a BadInputFile naming what."""
+    if type(value) is not int:
+        raise BadInputFile(f"{what} {value!r} is not an int")
+    return value
+
+
 # --- rings ------------------------------------------------------------------
 
 def ring_to_obj(ring: RingSpec) -> dict:
@@ -49,7 +57,9 @@ def _ring_positions(obj: dict) -> tuple[RingSpec, list]:
     """``ring_from_obj`` and the canonical position of each summand the
     file lists, which its elements' coefficient lists follow."""
     return direct_sum_specs([
-        _validate_summand(GaloisRingSpec(s["p"], s["m"], s["r"], tuple(s["modulus"])))
+        _validate_summand(GaloisRingSpec(
+            _int(s["p"], "p"), _int(s["m"], "m"), _int(s["r"], "r"),
+            tuple([_int(c, "modulus coefficient") for c in s["modulus"]])))
         for s in obj["summands"]])
 
 
@@ -63,7 +73,7 @@ def _elem(ring: RingSpec, positions, obj: list) -> RingElement:
         raise RingMismatch("element has wrong summand count")
     coeffs = [None] * len(obj)
     for pos, cs in zip(positions, obj):
-        coeffs[pos] = tuple(cs)
+        coeffs[pos] = tuple([_int(c, "coefficient") for c in cs])
     return ring.element(coeffs)
 
 

@@ -336,6 +336,41 @@ def test_member_refuses_a_non_integer_degree(tmp_path, capsys):
         assert code == 1 and out == "", n
         assert err.startswith("error: ShapeMismatch"), n
 
+
+# (the field changed, its new value) in a matrix file over GF(4); each
+# float used to escape from member as AttributeError or TypeError, and each
+# true to load as 1 and exit 0
+TYPED_FIELDS = {
+    "m-float": ("m", 1.0), "m-true": ("m", True), "p-true": ("p", True),
+    "r-string": ("r", "2"), "modulus-float": ("modulus", 1.0),
+    "entry-float": ("entry", 1.0), "entry-fraction": ("entry", 2.5),
+    "entry-true": ("entry", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_FIELDS))
+def test_member_refuses_a_non_integer_field(case, tmp_path, capsys):
+    pub, sec, elem = (tmp_path / f"{n}.json" for n in ("pub", "sec", "elem"))
+    run(capsys, "gen", "--seed", "46", "--pub", str(pub), "--sec", str(sec),
+        "--sample", str(elem))
+    obj = json.loads(elem.read_text())
+    summand = obj["ring"]["summands"][0]
+    assert summand["r"] == 2
+    field, value = TYPED_FIELDS[case]
+    if field == "entry":
+        obj["rows"][0][0][0][0] = value
+    elif field == "modulus":
+        summand["modulus"][0] = value
+    else:
+        summand[field] = value
+    elem.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "member", "--sec", str(sec), "--elem", str(elem))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: BadInputFile: {elem} is not a matrix file "
+                          "(BadInputFile: "), err
+    assert f"{value!r} is not an int" in err
+
+
 def test_oracle_membership_refuses_a_query_over_another_ring(tmp_path, capsys):
     # [[1, 1], [0, 1]] over Z/9 stores the same integers as over Z/3
     from matcrypt.matrix import matrix

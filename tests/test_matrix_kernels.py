@@ -4,6 +4,7 @@ entry-by-entry kernels in ``matrix_reference`` on seeded matrices."""
 import copy
 import pickle
 import time
+from itertools import product
 from math import prod
 
 import pytest
@@ -33,6 +34,7 @@ from matcrypt.matrix import (
     crt_project,
     find_embedding,
     identity,
+    is_invertible,
     mat_det,
     mat_inv,
     mat_kron,
@@ -221,13 +223,14 @@ def test_vector_act_matches_reference(name, n):
 def test_largest_coefficients_match_reference(name):
     # every coefficient q-1 gives every packed slot of a rank > 1 product,
     # before and after the fold, its largest value, so a slot width too
-    # narrow by one bit carries into the next slot here
+    # narrow by one bit carries into the next slot here; degrees 1-7 run
+    # the straight-line kernels, 16 the per-entry path
     ring = RINGS[name]
-    n = 16
     top = RingElement(ring, tuple((g.q - 1,) * g.r for g in ring.summands))
-    a = Matrix(n, ring, ((top,) * n,) * n)
-    assert mat_mul(a, a) == Matrix(n, ring, ref_mat_mul(a, a))
-    assert vector_act(a.rows[0], a) == ref_vector_act(a.rows[0], a)
+    for n in (*range(1, MUL_MIN), 16):
+        a = Matrix(n, ring, ((top,) * n,) * n)
+        assert mat_mul(a, a) == Matrix(n, ring, ref_mat_mul(a, a)), n
+        assert vector_act(a.rows[0], a) == ref_vector_act(a.rows[0], a), n
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -620,3 +623,87 @@ def test_packed_elimination_at_its_slot_bound(n, monkeypatch):
     assert elims and rows == want
     assert want == [[int(j == i) for j in range(n)] + [int(i > 0)] * 6
                     for i in range(n)]
+
+
+# --- straight-line products and closed-form inverses --------------------------
+#
+# Below MUL_MIN every product runs one generated kernel per (degree, rank),
+# and inverses of degree 1 and 2 (rank-1 summands, and the regular
+# representation of a rank-2 summand at degree 1) are adjugates over the
+# determinant.
+
+
+@pytest.mark.parametrize("name", ["Z12", "GF4", "GF8", "GF16", "GF4+Z9"])
+def test_small_products_run_the_straight_line_kernel(name, monkeypatch):
+    ring = RINGS[name]
+    rng = Rng(_seed(name, 0) + 9)
+    kernels = _spy(monkeypatch, "_mul_kernel")
+    unpacks = _spy(monkeypatch, "_unpack")
+    packs = _spy(monkeypatch, "_pack")
+    muls = _spy(monkeypatch, "_mul_packed")
+    for n in (*range(1, MUL_MIN), MUL_MIN):
+        a, b = rand_matrix(ring, n, rng), rand_matrix(ring, n, rng)
+        mat_mul(b, a)   # a first product packs the fold rows of _fold_table
+        for spy in (kernels, unpacks, packs, muls):
+            spy.clear()
+        assert mat_mul(a, b) == Matrix(n, ring, ref_mat_mul(a, b))
+        if n < MUL_MIN:
+            assert kernels == [(n, g.r) for g in ring.summands]
+            assert not unpacks and not packs and not muls
+        else:
+            assert not kernels and (unpacks or muls)
+
+
+def _int_matrices(ring, n):
+    """Every n x n matrix over the rank-1 ring, as integer rows."""
+    q = ring.summands[0].q
+    for flat in product(range(q), repeat=n * n):
+        yield [list(flat[i:i + n]) for i in range(0, n * n, n)]
+
+
+def _assert_inverse_matches_reference(a):
+    try:
+        want = ref_mat_inv(a)
+    except NonInvertible:
+        with pytest.raises(NonInvertible):
+            mat_inv(a)
+    else:
+        assert mat_inv(a).rows == want
+
+
+@pytest.mark.parametrize("name,n", [("Z4", 1), ("Z4", 2), ("Z9", 1), ("Z9", 2)])
+def test_closed_form_inverses_match_reference(name, n, monkeypatch):
+    ring = SINGULAR_RINGS[name]
+    elims = _spy(monkeypatch, "_eliminate")
+    for rows in _int_matrices(ring, n):
+        _assert_inverse_matches_reference(matrix(ring, rows))
+    assert not elims
+
+
+def test_closed_form_inverses_over_a_rank_two_ring(monkeypatch):
+    # degree 1 inverts its 2 x 2 regular representation in closed form;
+    # degree 2 (a 4 x 4 representation) eliminates
+    ring = RINGS["GR(4,2)"]
+    elims = _spy(monkeypatch, "_eliminate")
+    for cs in product(range(4), repeat=2):
+        _assert_inverse_matches_reference(Matrix(1, ring, ((ring.element([cs]),),)))
+    assert not elims
+    rng = Rng(_seed("GR(4,2)", 2) + 10)
+    for a in _samples(ring, 2, rng) + [rand_invertible(ring, 2, rng)]:
+        _assert_inverse_matches_reference(a)
+    assert elims
+
+
+@pytest.mark.parametrize("name,rows,invertible", [
+    ("Z4", [[1, 1], [1, 1]], False),     # entries all units, singular
+    ("Z9", [[1, 1], [1, 1]], False),
+    ("Z4", [[2, 1], [1, 1]], True),      # a non-unit entry, unit determinant
+    ("Z4", [[2, 1], [0, 1]], False),     # determinant 2, not a unit
+    ("Z9", [[3, 1], [0, 3]], False),
+])
+def test_closed_form_inverse_cases(name, rows, invertible):
+    a = matrix(SINGULAR_RINGS[name], rows)
+    _assert_inverse_matches_reference(a)
+    assert is_invertible(a) == invertible
+    if invertible:
+        assert mat_mul(a, mat_inv(a)) == identity(2, a.ring)
