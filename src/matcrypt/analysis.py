@@ -40,7 +40,7 @@ from .matrix import (
 )
 from .ring import RingSpec
 from .rng import Rng
-from .words import FreeWord, _closure, fw_inv, fw_mul, push_reduced
+from .words import FreeWord, _closure, _inv_letters, fw_inv, fw_mul, push_reduced
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +425,13 @@ def _fold(words: list[FreeWord]) -> list:
     while todo:
         v, a, w, label = todo.pop()
         (v, pv), (w, pw) = _find(alias, v), _find(alias, w)
-        label = _mul(pv, label, _inv(pw))
+        label = _mul(pv, label, _inv_letters(pw))
         if a not in graph[v]:
             # fold at w instead, if w has an edge with letter a^-1
-            v, a, w, label = w, -a, v, _inv(label)
+            v, a, w, label = w, -a, v, _inv_letters(label)
         edge = graph[v].get(a)
         if edge is None:
-            graph[v][a], graph[w][-a] = (w, label), (v, _inv(label))
+            graph[v][a], graph[w][-a] = (w, label), (v, _inv_letters(label))
             continue
         u, old = edge
         if u == w:
@@ -440,7 +440,7 @@ def _fold(words: list[FreeWord]) -> list:
             continue
         if w == 0:
             u, w, old, label = w, u, label, old
-        alias[w] = (u, _mul(_inv(old), label))
+        alias[w] = (u, _mul(_inv_letters(old), label))
         # w's edges join again from u; a loop at w is one edge, listed twice
         for b, (x, lab) in graph[w].items():
             if x != w:
@@ -466,7 +466,3 @@ def _mul(*words) -> tuple:
     for w in words:
         push_reduced(out, w)
     return tuple(out)
-
-
-def _inv(w: tuple) -> tuple:
-    return tuple(-x for x in reversed(w))

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .errors import AlphabetMismatch, DegenerateKey, IndexOutOfRange, ShapeMismatch
 from .rng import Rng
-from .words import (FreeWord, _closure, check_letters, fw_inv, fw_mul,
+from .words import (FreeWord, _closure, _inv_letters, check_letters, fw_mul,
                     fw_substitute, push_reduced, reduce_letters)
 
 KEYGEN_RETRIES = 64
@@ -181,31 +181,32 @@ def phi_apply(sigma: tuple, w: FreeWord) -> FreeWord:
     return FreeWord._of(w.k, tuple(map(image.__getitem__, w.letters)))
 
 
-def sample_relator(pres: Presentation, target_length: int, seed: int) -> FreeWord:
-    """A freely reduced product of conjugated relators w^-1 r^+-1 w.
+def sample_relator(pres: Presentation, target_length: int, rng: Rng) -> FreeWord:
+    """A freely reduced product of conjugated relators w^-1 r^+-1 w, drawn
+    from the caller's generator.
 
     The reduced length never exceeds 4 * target_length; with no relations the
-    result is always the empty word.  The product is built on one reduced
-    letter stack: reduced forms are unique, so pushing w^-1, r and w in turn
-    gives the same word as multiplying the pieces.
+    result is always the empty word, and nothing is drawn.  Each piece is a
+    letter tuple pushed onto one reduced letter stack: reduced forms are
+    unique, so pushing w^-1, r and w in turn gives the same word as
+    multiplying the pieces.
     """
     k = pres.k
     if not pres.relations or target_length <= 0:
         return FreeWord._of(k, ())
-    rng = Rng(seed)
     bound = 4 * target_length
     out: list[int] = []
     for _ in range(rng.randint(1, 3)):
-        r = rng.choice(pres.relations)
+        r = rng.choice(pres.relations).letters
         if rng.chance(0.5):
-            r = fw_inv(r)
+            r = _inv_letters(r)
         conj = []
         for _ in range(rng.randint(0, target_length // 2)):
             g = rng.randint(1, k)
             conj.append(g if rng.chance(0.5) else -g)
-        w = FreeWord._of(k, reduce_letters(conj))
-        cand = push_reduced(out[:], fw_inv(w).letters)
-        cand = push_reduced(push_reduced(cand, r.letters), w.letters)
+        w = reduce_letters(conj)
+        cand = push_reduced(out[:], _inv_letters(w))
+        cand = push_reduced(push_reduced(cand, r), w)
         if len(cand) > bound:
             break
         out = cand
@@ -239,16 +240,18 @@ def assemble_keypair(pres: Presentation, sigma: tuple, paddings):
 
 
 def hc_keygen(pres: Presentation, seed: int):
-    """Random keypair; resamples degenerate paddings a bounded number of times."""
+    """Random keypair; resamples degenerate paddings a bounded number of times.
+
+    sigma, every padding (retries included) and the published order are
+    drawn in turn from one generator seeded with ``seed``."""
     rng = Rng(seed)
     sigma = tuple(rng.shuffle(list(range(pres.k))))
     for _ in range(KEYGEN_RETRIES):
         paddings = []
         for _i in range(pres.k):
             length = rng.randint(pres.k, 2 * pres.k)
-            r = sample_relator(pres, length, rng.fork(1).seed)
-            rp = sample_relator(pres, length, rng.fork(2).seed)
-            paddings.append((r.letters, rp.letters))
+            paddings.append((sample_relator(pres, length, rng).letters,
+                             sample_relator(pres, length, rng).letters))
         try:
             pk, sk = assemble_keypair(pres, sigma, paddings)
         except DegenerateKey:
@@ -274,19 +277,20 @@ def hc_encrypt(pk: HomPublicKey, message: FreeWord, seed: int,
     padded message s_1 x_1 s'_1 s_2 x_2 s'_2 ... is reduced as it is built
     and pulled back by one substitution: f^-1 is a homomorphism and reduced
     forms are unique, so this equals the product of the pulled-back chunks.
+    Every draw comes from one generator seeded with ``seed``: for each letter
+    the pad length (unless given), then s and then s'.
     """
-    k = pk.presentation.k
+    pres = pk.presentation
+    k = pres.k
     if any(abs(x) > k for x in message.letters):
         raise IndexOutOfRange("message letter outside the alphabet")
     rng = Rng(seed)
     padded: list[int] = []
     for x in message.letters:
         length = pad_length if pad_length is not None else rng.randint(k, 2 * k)
-        s = sample_relator(pk.presentation, length, rng.fork(1).seed)
-        sp = sample_relator(pk.presentation, length, rng.fork(2).seed)
-        push_reduced(padded, s.letters)
+        push_reduced(padded, sample_relator(pres, length, rng).letters)
         push_reduced(padded, (x,))
-        push_reduced(padded, sp.letters)
+        push_reduced(padded, sample_relator(pres, length, rng).letters)
     return fw_substitute(FreeWord._of(k, tuple(padded)), pk.pullback_images)
 
 

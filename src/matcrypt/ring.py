@@ -246,10 +246,19 @@ class GaloisRingSpec:
     r: int
     modulus: tuple  # (c_0, ..., c_r), monic, coefficients in [0, p^m)
 
-    # values cached in the instance __dict__ (q) stay out of pickles and
-    # copies, so a spec pickles the same whatever it has been asked
+    # values cached in the instance __dict__ (q, _hash) stay out of pickles
+    # and copies, so a spec pickles the same whatever it has been asked
     def __getstate__(self):
         return {"p": self.p, "m": self.m, "r": self.r, "modulus": self.modulus}
+
+    # the kernels' lru_caches key on specs: hash the fields once, to the
+    # value the dataclass hash would give
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.p, self.m, self.r, self.modulus))
+
+    def __hash__(self):
+        return self._hash
 
     @cached_property
     def q(self) -> int:

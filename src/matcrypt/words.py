@@ -99,8 +99,13 @@ def fw_mul(a: FreeWord, b: FreeWord) -> FreeWord:
     return FreeWord._of(a.k, tuple(push_reduced(list(a.letters), b.letters)))
 
 
+def _inv_letters(letters: tuple) -> tuple:
+    """The letters of the inverse word: negated, in reverse order."""
+    return tuple(-x for x in reversed(letters))
+
+
 def fw_inv(a: FreeWord) -> FreeWord:
-    return FreeWord._of(a.k, tuple(-x for x in reversed(a.letters)))
+    return FreeWord._of(a.k, _inv_letters(a.letters))
 
 
 def fw_pow(a: FreeWord, e: int) -> FreeWord:

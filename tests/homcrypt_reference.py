@@ -3,9 +3,10 @@
 ``EagerRng`` is the generator as it was before seeding moved to the first
 draw: it seeds its Mersenne Twister in ``__init__``.  ``ref_sample_relator``
 is the relator sampler as it was before the product moved onto one letter
-stack: each piece goes through the reducing ``FreeWord`` constructor,
-``fw_inv`` and three ``fw_mul``s.  Both are kept unchanged apart from their
-names.
+stack of letter tuples: each piece goes through the reducing ``FreeWord``
+constructor, ``fw_inv`` and three ``fw_mul``s.  Both are kept unchanged
+apart from their names, and apart from the sampler drawing from a generator
+it is given instead of one it seeds.
 """
 
 import random
@@ -43,9 +44,8 @@ class EagerRng:
         return self._r.random() < p
 
 
-def ref_sample_relator(pres: Presentation, target_length: int, seed: int) -> FreeWord:
+def ref_sample_relator(pres: Presentation, target_length: int, rng) -> FreeWord:
     """A freely reduced product of conjugated relators w^-1 r^+-1 w."""
-    rng = EagerRng(seed)
     out = FreeWord(pres.k, ())
     if not pres.relations or target_length <= 0:
         return out

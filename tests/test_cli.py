@@ -264,8 +264,8 @@ COSET_PINS = {
                ("[2, 3, 0, 1]", "[2, 3, 0, 1]")],
     "s3": [("[1, 0, 2]", "[1, 0, 2]"), ("[2, 0, 1]", "[2, 0, 1]"),
            ("[1, 2, 0]", "[1, 2, 0]")],
-    "d4": [("[1, 2, 3, 0]", "[1, 2, 3, 0]"), (None, "[3, 2, 1, 0]"),
-           ("[3, 2, 1, 0]", "[3, 2, 1, 0]")],
+    "d4": [("[1, 2, 3, 0]", "[1, 2, 3, 0]"), ("[3, 2, 1, 0]", "[3, 2, 1, 0]"),
+           (None, "[3, 2, 1, 0]")],
 }
 COSET_ORDERS = {"klein4": 4, "s3": 6, "d4": 8}
 

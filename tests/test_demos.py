@@ -28,7 +28,7 @@ DEMO_PINS = {
     "05_trapdoor_solvers.py":
         "e5372433956ae127fcedc878c493871e81d26243c5020b0105fd09c535ae92df",
     "06_homomorphic_encryption.py":
-        "c2ccec39b9ce9106ab7362930cc0d2fce2cd27725d4ec62b50fc81e50cd024df",
+        "7ffb3259ae7021ac7b8e05e82ceaf334b32917178e86af4c888717f3de445892",
     "07_attacks.py":
         "640998ca50aca875ee536edb870196051af9ae2ea44f598187fa2b2aeb69d134",
 }

@@ -1,7 +1,11 @@
 """Free-group homomorphic cryptosystem."""
 
+import random
+import types
+
 import pytest
 
+from matcrypt import rng as rng_module
 from matcrypt.errors import (
     AlphabetMismatch,
     DegenerateKey,
@@ -58,16 +62,56 @@ def test_presentation_rejects_foreign_relations():
 
 
 def test_sample_relator():
-    # no relations: always the empty word
+    # no relations: always the empty word, and nothing is drawn
     free = presentation(2, [])
-    for s in range(10):
-        assert sample_relator(free, 5, s).is_empty()
+    rng = Rng(3)
+    for _ in range(10):
+        assert sample_relator(free, 5, rng).is_empty()
+    assert rng.below(1 << 30) == Rng(3).below(1 << 30)
     # normal-closure property: every sample evaluates to the model identity
-    for s in range(40):
-        w = sample_relator(KLEIN, 4, s)
+    rng = Rng(4)
+    for _ in range(40):
+        w = sample_relator(KLEIN, 4, rng)
         assert KLEIN.model.eval_key(w) == KLEIN.model.identity_key()
         assert len(w) <= 16
-    assert sample_relator(KLEIN, 4, 9) == sample_relator(KLEIN, 4, 9)
+    assert sample_relator(KLEIN, 4, Rng(9)) == sample_relator(KLEIN, 4, Rng(9))
+
+
+class _CountingRandom(random.Random):
+    seedings = 0
+
+    def seed(self, *args, **kwargs):
+        type(self).seedings += 1
+        super().seed(*args, **kwargs)
+
+
+@pytest.fixture
+def seedings(monkeypatch):
+    """The number of Mersenne Twisters that ``matcrypt.rng`` seeds."""
+    _CountingRandom.seedings = 0
+    monkeypatch.setattr(rng_module, "random",
+                        types.SimpleNamespace(Random=_CountingRandom))
+    return lambda: _CountingRandom.seedings
+
+
+@pytest.mark.parametrize("length", (1, 20))
+def test_encrypt_seeds_one_generator(seedings, length):
+    # the paddings of every letter come from the call's own stream
+    pk, sk = hc_keygen(dihedral4(), 2)
+    msg = FreeWord(2, (1, 2) * (length // 2) + (1,) * (length % 2))
+    before = seedings()
+    cipher = hc_encrypt(pk, msg, 7)
+    assert seedings() - before == 1
+    assert dihedral4().model.eval_key(hc_decrypt(sk, cipher)) == \
+        dihedral4().model.eval_key(msg)
+
+
+def test_keygen_seeds_one_generator(seedings):
+    for pres in FIXTURES:
+        for seed in range(5):
+            before = seedings()
+            hc_keygen(pres, seed)
+            assert seedings() - before == 1, (pres.k, seed)
 
 
 def test_keygen_worked_example():
@@ -242,11 +286,50 @@ def test_encrypt_equals_chunkwise_pullback():
         want = FreeWord(2, ())
         for x in msg.letters:
             length = pad if pad is not None else chunks.randint(2, 4)
-            r = sample_relator(pk.presentation, length, chunks.fork(1).seed)
-            rp = sample_relator(pk.presentation, length, chunks.fork(2).seed)
+            r = sample_relator(pk.presentation, length, chunks)
+            rp = sample_relator(pk.presentation, length, chunks)
             piece = fw_mul(fw_mul(r, fw(2, [x])), rp)
             want = fw_mul(want, f_inverse_word(pk, piece))
         assert hc_encrypt(pk, msg, s, pad_length=pad) == want
+
+
+def _replay_keygen(pres, seed):
+    """hc_keygen's draws spelled out: sigma, then each generator's pad length
+    and two paddings (a degenerate set drawn again), then the published
+    order, all from one stream.  Returns (x_words, f_table, sigma) and the
+    retry count."""
+    k = pres.k
+    rng = Rng(seed)
+    sigma = tuple(rng.shuffle(list(range(k))))
+    retries = 0
+    while True:
+        paddings = []
+        for _ in range(k):
+            length = rng.randint(k, 2 * k)
+            paddings.append((sample_relator(pres, length, rng).letters,
+                             sample_relator(pres, length, rng).letters))
+        try:
+            pk, sk = assemble_keypair(pres, sigma, paddings)
+        except DegenerateKey:
+            retries += 1
+            continue
+        order = tuple(rng.shuffle(list(range(k))))
+        return (tuple(pk.x_words[i] for i in order), order, sk.sigma), retries
+
+
+def test_keygen_replays_one_stream():
+    for pres in FIXTURES:
+        for seed in range(20):
+            pk, sk = hc_keygen(pres, seed)
+            want, _ = _replay_keygen(pres, seed)
+            assert (pk.x_words, pk.f_table, sk.sigma) == want, (pres.k, seed)
+    # the relator (1,) can cancel y1 outright: seed 238 draws one empty
+    # x-word, and the retry goes on with the same stream
+    trivial = presentation(2, [(1,), (2, 2)])
+    pk, sk = hc_keygen(trivial, 238)
+    want, retries = _replay_keygen(trivial, 238)
+    assert retries == 1
+    assert (pk.x_words, pk.f_table, sk.sigma) == want
 
 
 def test_encrypt_linear_time():

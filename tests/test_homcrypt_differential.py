@@ -1,6 +1,7 @@
-"""Relator sampling on one letter stack, and generators seeded on first draw,
-against the reference code they replaced (``homcrypt_reference``): the same
-relators, keys and ciphertexts for every seed."""
+"""Relator sampling on one stack of letter tuples, and generators seeded on
+first draw, against the reference code they replaced
+(``homcrypt_reference``): the same relators, keys and ciphertexts for every
+seed, and the same number of draws from the caller's stream."""
 
 import pytest
 
@@ -28,9 +29,12 @@ LENGTHS = (0, 1, 2, 4, 8, 13)
 def test_sample_relator_matches_reference(name, length):
     pres = PRESENTATIONS[name]
     for seed in range(200):
-        got = sample_relator(pres, length, seed)
-        want = ref_sample_relator(pres, length, seed)
+        rng, ref = Rng(seed), EagerRng(seed)
+        got = sample_relator(pres, length, rng)
+        want = ref_sample_relator(pres, length, ref)
         assert (got.k, got.letters) == (want.k, want.letters), seed
+        # both drew as much: the streams go on alike
+        assert rng.below(1 << 62) == ref.below(1 << 62), seed
 
 
 def _round_trips(pres, pad_length):

@@ -282,3 +282,18 @@ def test_canonical_summand_order():
     r2 = direct_sum(Zmod(3), Zmod(5))
     assert r1 == r2
     assert [g.p for g in r1.summands] == [3, 5]
+
+
+def test_summand_hash_is_the_field_hash_and_stays_out_of_pickles():
+    # the kernels' caches key on summands: equal summands hash alike, to the
+    # hash of their fields, and the hash kept after the first ask is not
+    # part of the pickle
+    import pickle
+
+    g = galois_ring(3, 1, 2).summands[0]
+    same = type(g)(g.p, g.m, g.r, g.modulus)
+    before = pickle.dumps(same)
+    assert hash(g) == hash(same) == hash((g.p, g.m, g.r, g.modulus))
+    assert {g: "found"}[same] == "found"
+    assert pickle.dumps(same) == before
+    assert vars(pickle.loads(before)).keys() == {"p", "m", "r", "modulus"}
