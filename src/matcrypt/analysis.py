@@ -40,7 +40,7 @@ from .matrix import (
 )
 from .ring import RingSpec
 from .rng import Rng
-from .words import FreeWord, _closure, _inv_letters, fw_inv, fw_mul, push_reduced
+from .words import FreeWord, _closure, _inv_letters, push_reduced
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +330,18 @@ def _consistency_check(ring, gens, images, columns, img_table) -> bool:
 class CosetAttack:
     """The coset attack's tables for one public key and one model group.
 
-    ``table`` holds one representative X-word per model element.  ``graph``
-    is the subgroup graph of <X> (Stallings, "Topology of finite graphs",
-    1983): the public x-words as loops at vertex 0, spelled in Y letters and
-    folded by ``_fold`` until no vertex has two edges with one letter.
-    ``graph[v]`` maps a Y letter to (vertex, label), the reverse edge
-    carrying the inverse label.  A label is a reduced word in which letter y
-    stands for the x-word f^-1(y), and along any path the labels multiply to
-    a product of x-words that spells the path.  So a reduced word q lies in
-    <X> exactly when it reads a path from 0 back to 0, and the labels then
-    give an x-word expression of q, written through f in Y letters
-    (``read``).  Reading costs one step per letter of q, whatever ``bound``.
+    ``table`` maps each model element to its first Y-word in the closure
+    over Y letters.  ``graph`` is the subgroup graph of <X> (Stallings,
+    "Topology of finite graphs", 1983): the public x-words as loops at
+    vertex 0, spelled in Y letters and folded by ``_fold`` until no vertex
+    has two edges with one letter.  ``graph[v]`` maps a Y letter to (vertex,
+    label), the reverse edge carrying the inverse label.  A label is a
+    reduced word in which letter y stands for the x-word f^-1(y), and along
+    any path the labels multiply to a product of x-words that spells the
+    path.  So a reduced word q lies in <X> exactly when it reads a path from
+    0 back to 0, and the labels then give an x-word expression of q, written
+    through f in Y letters (``read``).  Reading costs one step per letter of
+    q, whatever ``bound``.
 
     The x-words must be a free basis of <X>.  Then q's expression is
     unique, and every product of x-words and their inverses that spells q
@@ -351,11 +352,16 @@ class CosetAttack:
     with DegenerateKey: on it a word's image in H depends on the product of
     x-words that spells it.  Two x-words, as over every preset, are a free
     basis unless they commute, and ``HomPublicKey`` refuses those.
+
+    One read decides.  If a ciphertext c has the expression e, then c times
+    a coset representative f^-1(w)^-1 has the expression e * w^-1, of model
+    image 1 only at w = table[image(e)]; ``decrypt`` returns image(e) when
+    that e * w^-1 has at most ``bound`` letters.  An honest c is the pullback
+    of its padded message, so e is that message: with no bound, c decrypts.
     """
-    table: list          # (model element key, representative X-word)
+    table: dict          # model element key -> its Y-word (a letter tuple)
     graph: list          # vertex -> {Y letter: (vertex, label)}, None if merged
     bound: int
-    pk: object
     model: object
 
     def read(self, q: tuple):
@@ -373,33 +379,25 @@ class CosetAttack:
 
     def decrypt(self, cipher: FreeWord):
         """Model image of the plaintext, or INCONCLUSIVE."""
-        ident = self.model.identity_key()
-        for key, rep_word in self.table:
-            expr = self.read(fw_mul(cipher, fw_inv(rep_word)).letters)
-            if expr is not None and len(expr) <= self.bound \
-                    and self.model.eval_key(expr) == ident:
+        expr = self.read(cipher.letters)
+        if expr is not None:
+            key = self.model.eval_key(expr)
+            if len(_mul(expr, _inv_letters(self.table[key]))) <= self.bound:
                 return key
         return INCONCLUSIVE
 
 
 def coset_attack(pk, model, length_bound: int) -> CosetAttack:
-    """List the model group, pick coset representatives f^-1(h_i), and decide
-    cosets in the folded subgroup graph of the public x-words (see
-    ``CosetAttack``)."""
-    from .homcrypt import f_inverse_word
-
-    # one representative word per model element, by BFS over Y letters;
-    # a first-reached word never ends in a letter and its inverse, so it
-    # is reduced
+    """List the model group with one Y-word per element, and fold the public
+    x-words into their subgroup graph (see ``CosetAttack``)."""
+    # by BFS over Y letters; a first-reached word never ends in a letter
+    # and its inverse, so it is reduced
     k = pk.presentation.k
     steps = [(sgn * y, model.gen_key(y, sgn))
              for y in range(1, k + 1) for sgn in (1, -1)]
-    _, reps = _closure(model.identity_key(), steps, model.mul_key,
-                       lambda key: key, cap=4096)
-    table = [(key, f_inverse_word(pk, FreeWord._of(k, w)))
-             for key, w in reps.items()]
-    graph = _fold(pk.pullback_images)
-    return CosetAttack(table, graph, length_bound, pk, model)
+    _, table = _closure(model.identity_key(), steps, model.mul_key,
+                        lambda key: key, cap=4096)
+    return CosetAttack(table, _fold(pk.pullback_images), length_bound, model)
 
 
 def _fold(words: list[FreeWord]) -> list:

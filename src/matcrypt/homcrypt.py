@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AlphabetMismatch, DegenerateKey, IndexOutOfRange, ShapeMismatch
+from .matrix import perm_compose, perm_inverse
 from .rng import Rng
 from .words import (FreeWord, _closure, _inv_letters, check_letters, fw_mul,
                     fw_substitute, push_reduced, reduce_letters)
@@ -27,45 +28,40 @@ KEYGEN_RETRIES = 64
 # ---------------------------------------------------------------------------
 
 class PermModel:
-    """Generators realized as permutations (tuples mapping i -> images[i])."""
+    """Generators realized as permutations (tuples mapping i -> images[i]),
+    multiplied left factor first; ``_letters`` maps +-y to its permutation."""
+
+    mul_key = staticmethod(perm_compose)
 
     def __init__(self, perms):
         self.perms = [tuple(p) for p in perms]
         self.deg = len(self.perms[0])
         if any(len(p) != self.deg for p in self.perms):
             raise ShapeMismatch("permutation degrees differ")
+        self._letters = {}
+        for y, p in enumerate(self.perms, 1):
+            self._letters[y], self._letters[-y] = p, perm_inverse(p)
         self._order = None
 
     def identity_key(self):
         return tuple(range(self.deg))
 
     def gen_key(self, letter: int, sign: int):
-        p = self.perms[letter - 1]
-        return p if sign > 0 else _perm_inv(p)
-
-    def mul_key(self, a, b):
-        return tuple(b[a[i]] for i in range(self.deg))
+        return self._letters[letter if sign > 0 else -letter]
 
     def eval_key(self, word) -> tuple:
         letters = word.letters if isinstance(word, FreeWord) else word
         out = self.identity_key()
         for x in letters:
-            out = self.mul_key(out, self.gen_key(abs(x), 1 if x > 0 else -1))
+            out = perm_compose(out, self._letters[x])
         return out
 
     def order(self) -> int:
         if self._order is None:
             elements, _ = _closure(self.identity_key(), list(enumerate(self.perms, 1)),
-                                   self.mul_key, lambda key: key)
+                                   perm_compose, lambda key: key)
             self._order = len(elements)
         return self._order
-
-
-def _perm_inv(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -223,7 +219,7 @@ def assemble_keypair(pres: Presentation, sigma: tuple, paddings):
     sigma = tuple(sigma)
     if not _is_permutation(sigma, k):
         raise DegenerateKey("sigma is not a permutation")
-    sigma_inv = tuple(_perm_inv(sigma))
+    sigma_inv = perm_inverse(sigma)
     x_words = []
     for i in range(k):
         r, rp = paddings[i]

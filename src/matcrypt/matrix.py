@@ -846,7 +846,7 @@ def perm_inverse(k: tuple) -> tuple:
 
 def perm_compose(k1: tuple, k2: tuple) -> tuple:
     """Apply k1 first, then k2."""
-    return tuple(k2[k1[i]] for i in range(len(k1)))
+    return tuple([k2[i] for i in k1])
 
 
 def _tuple_index(a: tuple, n: int) -> int:

@@ -129,8 +129,7 @@ def _preduce(prod: list, modulus: tuple, q: int) -> tuple:
             prod[d] = 0
             for j in range(r):
                 prod[d - r + j] -= c * modulus[j]
-    out = prod[:r] + [0] * (r - len(prod))
-    return tuple(c % q for c in out[:r])
+    return tuple(c % q for c in prod[:r])
 
 
 def _pmul(a: tuple, b: tuple, modulus: tuple, q: int) -> tuple:

@@ -8,6 +8,8 @@ from analysis_reference import ref_coset_attacks
 from conftest import rand_invertible
 from matcrypt.analysis import (
     INCONCLUSIVE,
+    CosetAttack,
+    _fold,
     coset_attack,
     enumerate_group,
     linearity_attack,
@@ -30,6 +32,7 @@ from matcrypt.homcrypt import (
     HomPublicKey,
     PermModel,
     dihedral4,
+    f_inverse_word,
     hc_decrypt,
     hc_encrypt,
     hc_keygen,
@@ -179,6 +182,21 @@ def test_scsp_small_q_warning():
     assert any(isinstance(w.message, InsecurityWarning) for w in log)
 
 
+@pytest.mark.parametrize("q, warns", [(4, True), (5, False)])
+def test_scsp_warns_from_degree_half_q(q, warns):
+    # n = 2: q = 4 is the largest q with n >= q/2
+    ring = field(q)
+    gens = leaf_generators(base_general_linear(2, q))
+    g = matrix(ring, [[1, 1], [0, 1]])
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        try:
+            scsp_linear_attack(2, q, gens, g, g, seed=1)
+        except AttackFailure:
+            pass
+    assert any(isinstance(w.message, InsecurityWarning) for w in log) == warns
+
+
 @pytest.mark.parametrize("q", [17, 31])
 def test_scsp_success_rate(q):
     ring = Zmod(q)
@@ -275,16 +293,25 @@ PRESETS = pytest.mark.parametrize("make", [klein_four, sym3, dihedral4],
 
 @PRESETS
 def test_coset_search_matches_the_reference(make):
-    # the table and every verdict agree with the reference's single ball
+    # the table, pulled back through f, and every verdict agree with the
+    # reference's single ball, on one-letter and on 1-4-letter messages
     pres = make()
+    k = pres.k
     for seed in range(10):
         pk, _sk = hc_keygen(pres, seed)
-        ciphers = [hc_encrypt(pk, FreeWord(pres.k, (x,)), 7 * seed + j, pad_length=1)
+        ciphers = [hc_encrypt(pk, FreeWord(k, (x,)), 7 * seed + j, pad_length=1)
                    for j, x in enumerate((1, -1, 2, -2))]
+        rng = Rng(seed)
+        for pad in (0, 2):
+            for length in range(1, 5):
+                msg = [rng.randint(1, k) * rng.choice((1, -1)) for _ in range(length)]
+                ciphers.append(hc_encrypt(pk, FreeWord(k, tuple(msg)),
+                                          rng.randint(0, 999), pad_length=pad))
         refs = ref_coset_attacks(pk, pres.model, 9)
         for bound, want in enumerate(refs):
             got = coset_attack(pk, pres.model, bound)
-            assert got.table == want.table, (seed, bound)
+            assert [(key, f_inverse_word(pk, FreeWord(k, w)))
+                    for key, w in got.table.items()] == want.table, (seed, bound)
             assert [got.decrypt(c) for c in ciphers] == \
                 [want.decrypt(c) for c in ciphers], (seed, bound)
 
@@ -343,6 +370,40 @@ def test_every_path_to_a_word_carries_one_image(make):
                     assert seen.setdefault(w, img2) == img2, (seed, w)
                     nxt.append((w, img2))
             level = nxt
+
+
+def _random_reduced(rng, k: int, length: int) -> tuple:
+    out: list = []
+    while len(out) < length:
+        x = rng.randint(1, k) * rng.choice((1, -1))
+        if not out or x != -out[-1]:
+            out.append(x)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_fold_reads_products_over_random_free_keys(k):
+    # k random x-words of 1-6 letters: unless the fold finds a relation
+    # among them, they are a free basis, and reading a reduced product of
+    # them gives back its index word.  The presets' keys never merge into
+    # the base vertex nor fold a loop whose letter is 1 or -1; these keys do
+    rng = Rng(k)
+    decided = 0
+    for _ in range(3000):
+        words = [FreeWord(k, _random_reduced(rng, k, rng.randint(1, 6)))
+                 for _ in range(k)]
+        try:
+            attack = CosetAttack({}, _fold(words), 0, None)
+        except DegenerateKey:
+            continue
+        index = _random_reduced(rng, k, rng.randint(0, 6))
+        q: list = []
+        for i in index:
+            push_reduced(q, words[abs(i) - 1].letters if i > 0
+                         else fw_inv(words[abs(i) - 1]).letters)
+        assert attack.read(tuple(q)) == index, (words, index)
+        decided += 1
+    assert decided > 2000
 
 
 def test_coset_attack_decides_a_default_padded_cipher_at_bound_17():

@@ -22,6 +22,7 @@ from matcrypt.ring import (
     frobenius_apply,
     galois_ring,
     is_irreducible_mod_p,
+    is_prime,
     ring_add,
     ring_inv,
     teichmuller_decompose,
@@ -297,3 +298,22 @@ def test_summand_hash_is_the_field_hash_and_stays_out_of_pickles():
     assert {g: "found"}[same] == "found"
     assert pickle.dumps(same) == before
     assert vars(pickle.loads(before)).keys() == {"p", "m", "r", "modulus"}
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10 ** 5
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, int(limit ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    assert [n for n in range(limit + 1) if is_prime(n)] == \
+        [n for n in range(limit + 1) if sieve[n]]
+
+
+@pytest.mark.parametrize("n", [252601, 410041, 1152271, 1909001, 2508013])
+def test_is_prime_refuses_carmichael_numbers(n):
+    # a^(n-1) = 1 mod n for every a prime to n, so a Fermat test calls these
+    # prime; none has a factor among the Miller-Rabin witnesses
+    assert any(n % p == 0 for p in range(2, int(n ** 0.5) + 1))
+    assert not is_prime(n)

@@ -235,6 +235,16 @@ def test_validate_pair_trivial_warning():
     assert any(isinstance(w.message, InsecurityWarning) for w in log)
 
 
+def test_validate_pair_two_keys_do_not_warn():
+    # W_A = u_A, so the keys are the sampled u_A: powers of -1, both signs
+    minus = [matrix(Z5, [[4, 0], [0, 4]])]
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        rep = validate_pair(build_exponent_pair(1), minus, minus, 40, seed=1)
+    assert rep.distinct_keys == 2
+    assert not any(isinstance(w.message, InsecurityWarning) for w in log)
+
+
 def test_metabelian_identity_property():
     # upper-triangular invertibles over Z_p are metabelian: the n=2 pair is
     # an identity there for every sampled substitution
